@@ -55,7 +55,6 @@ from .families import (
     build_coordinate_family,
     build_rectangle_family,
     build_threshold_family,
-    combinator_affine_clamp,
     combinator_identity,
     combinator_max,
     combinator_min,

@@ -1,12 +1,17 @@
 """Boosting constructions for regular, calibrated, and multicalibrated simulators.
 
-All three constructors share one engine: measure the worst violation the
-distinguisher family can still witness, shift the simulator a step of size
-epsilon against it, and charge the step to the squared-error potential
-E[(g - h)^2].  The potential starts at most 1/4, never goes below 0, and
-every update is guaranteed to spend at least (3/4) * epsilon^2 of it, which
-bounds the number of updates by ceil(1/(3 epsilon^2)) + 1 before the run
-even starts.
+One private loop, ``_boost``, builds every simulator that moves by
+correlation updates: ``multiaccuracy_boost``, ``calibrated_multiaccuracy``,
+``supersim.supersimulator_expanding`` and the calibrated expanding run
+behind ``products.characterize_super``.  Each round measures the worst
+violation the distinguisher family can still witness, shifts the simulator
+a step of size epsilon against it, and charges the step to the
+squared-error potential E[(g - h)^2].  The potential starts at most 1/4,
+never goes below 0, and every update is guaranteed to spend at least
+(3/4) * epsilon^2 of it, which bounds the number of updates by
+ceil(1/(3 epsilon^2)) + 1 before the run even starts.  ``multicalibrate``
+is a separate loop: it shifts one level set at a time by a thresholded
+member and charges each shift epsilon^2 times the level's mass.
 
 Constructors never self-certify: they assert their own postconditions by
 re-running the audits in this module from scratch on the finished simulator,
@@ -19,14 +24,13 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .domain import BoundedFn, Distribution, potential, round_to_grid
+from .domain import DERIVED_TOL, BoundedFn, Distribution, potential, round_to_grid
 from .errors import InternalContractError, ValidationError
-from .families import BestResponse, Family, best_response
-
-TRACE_TOL = 1e-10
+from .families import BestResponse, Family, GradedLadder, best_response
 
 
 def updates_bound(epsilon: float) -> int:
@@ -127,13 +131,13 @@ class BoostTrace:
     def validate(self, min_update_drop: float) -> None:
         """Check the potential bookkeeping the constructors promise."""
         for r in self.records:
-            if not (-TRACE_TOL <= r.phi_before <= 1 + TRACE_TOL) or not (
-                -TRACE_TOL <= r.phi_after <= 1 + TRACE_TOL
+            if not (-DERIVED_TOL <= r.phi_before <= 1 + DERIVED_TOL) or not (
+                -DERIVED_TOL <= r.phi_after <= 1 + DERIVED_TOL
             ):
                 raise InternalContractError(f"potential left [0, 1] at step {r.step}")
             if r.kind in ("update", "level-update"):
                 drop = r.phi_before - r.phi_after
-                if drop < min_update_drop - TRACE_TOL:
+                if drop < min_update_drop - DERIVED_TOL:
                     raise InternalContractError(
                         f"update at step {r.step} dropped potential by {drop!r}, "
                         f"below the guaranteed {min_update_drop!r}"
@@ -296,6 +300,92 @@ def audit(
 # ---------------------------------------------------------------------------
 
 
+def _boost(
+    g: BoundedFn,
+    dist: Distribution,
+    params: BoostParams,
+    families: Sequence[Family] | GradedLadder,
+    growth: Callable[[int, float], int] | None = None,
+    gamma: float | None = None,
+    termination: str = "regular",
+) -> tuple[BoundedFn, BoostTrace, tuple[int, int]]:
+    """The boosting loop behind every correlation-update constructor.
+
+    Starts at the constant 1/2.  Each round optionally recalibrates at gamma
+    (charged at most gamma^2/4 of potential), asks ``growth(level, phi)``
+    for the level it must fool (level 0 without a growth map), and stops
+    once no signed member of ``families[fooled]`` correlates with the
+    residual above epsilon.  Otherwise it steps by epsilon toward the best
+    response, clips to [0, 1], rounds to the grid, asserts the one-step
+    potential law phi' <= phi - 2 eps corr + eps^2 + 2 grid, and promotes
+    the simulator to the fooled level.  Returns the simulator, its
+    validated trace and the final (level, fooled).
+    """
+    eps = params.epsilon
+    grid = params.round_grid
+    h = BoundedFn.constant(g.size, 0.5)
+    phi = potential(g, h, dist)
+    records: list[TraceRecord] = []
+    level = fooled = updates = 0
+    while True:
+        if gamma is not None:
+            h_cal = recalibrate(g, h, dist, gamma)
+            phi_cal = potential(g, h_cal, dist)
+            if phi_cal > phi + gamma * gamma / 4.0 + DERIVED_TOL:
+                raise InternalContractError(
+                    f"recalibration raised potential by {phi_cal - phi!r} at step {len(records)}"
+                )
+            records.append(
+                TraceRecord(
+                    step=len(records),
+                    kind="recalibrate",
+                    phi_before=phi,
+                    phi_after=phi_cal,
+                    digest=_digest(h_cal),
+                    detail={"gamma": gamma},
+                )
+            )
+            h, phi = h_cal, phi_cal
+        if growth is not None:
+            fooled = growth(level, phi)
+        br = best_response(families[fooled], g, h, dist)
+        if br.correlation <= eps + DERIVED_TOL:
+            break
+        if updates >= params.max_iters:
+            raise InternalContractError(
+                f"boost ({termination}) exceeded {params.max_iters} updates; "
+                "the potential argument rules this out for a valid family"
+            )
+        shifted = np.clip(h.values + eps * br.sign * br.distinguisher.values.values, 0.0, 1.0)
+        h_new = BoundedFn(round_to_grid(shifted, grid))
+        phi_new = potential(g, h_new, dist)
+        if phi_new > phi - 2 * eps * br.correlation + eps * eps + 2 * grid + DERIVED_TOL:
+            raise InternalContractError(
+                f"potential law violated at step {len(records)}: {phi!r} -> {phi_new!r} "
+                f"with correlation {br.correlation!r}"
+            )
+        records.append(
+            TraceRecord(
+                step=len(records),
+                kind="update",
+                phi_before=phi,
+                phi_after=phi_new,
+                digest=_digest(h_new),
+                correlation=br.correlation,
+                sign=br.sign,
+                member_index=br.index,
+                descriptor=br.distinguisher.descriptor,
+                detail={} if growth is None else {"level": level, "fooled_level": fooled},
+            )
+        )
+        h, phi = h_new, phi_new
+        level = fooled
+        updates += 1
+    trace = BoostTrace(epsilon=eps, records=tuple(records), final=h, termination=termination)
+    trace.validate(0.75 * eps * eps)
+    return h, trace, (level, fooled)
+
+
 def multiaccuracy_boost(
     g: BoundedFn, dist: Distribution, family: Family, params: BoostParams
 ) -> tuple[BoundedFn, BoostTrace]:
@@ -308,51 +398,8 @@ def multiaccuracy_boost(
     each dropping the potential by at least (3/4) eps^2, and the one-step
     potential law phi' <= phi - 2 eps corr + eps^2 + 2 grid.
     """
-    eps = params.epsilon
-    grid = params.round_grid
-    h = BoundedFn.constant(g.size, 0.5)
-    records: list[TraceRecord] = []
-    phi = potential(g, h, dist)
-    step = 0
-    while True:
-        br = best_response(family, g, h, dist)
-        if br.correlation <= eps + TRACE_TOL:
-            trace = BoostTrace(
-                epsilon=eps,
-                records=tuple(records),
-                final=h,
-                termination="regular",
-            )
-            trace.validate(0.75 * eps * eps)
-            return h, trace
-        if step >= params.max_iters:
-            raise InternalContractError(
-                f"multiaccuracy boost exceeded {params.max_iters} updates; "
-                "the potential argument rules this out for a valid family"
-            )
-        shifted = np.clip(h.values + eps * br.sign * br.distinguisher.values.values, 0.0, 1.0)
-        h_new = BoundedFn(round_to_grid(shifted, grid))
-        phi_new = potential(g, h_new, dist)
-        if phi_new > phi - 2 * eps * br.correlation + eps * eps + 2 * grid + TRACE_TOL:
-            raise InternalContractError(
-                f"potential law violated at step {step}: {phi!r} -> {phi_new!r} "
-                f"with correlation {br.correlation!r}"
-            )
-        records.append(
-            TraceRecord(
-                step=step,
-                kind="update",
-                phi_before=phi,
-                phi_after=phi_new,
-                digest=_digest(h_new),
-                correlation=br.correlation,
-                sign=br.sign,
-                member_index=br.index,
-                descriptor=br.distinguisher.descriptor,
-            )
-        )
-        h, phi = h_new, phi_new
-        step += 1
+    h, trace, _ = _boost(g, dist, params, [family])
+    return h, trace
 
 
 def recalibrate(
@@ -394,68 +441,11 @@ def calibrated_multiaccuracy(
     the potential beyond the gamma^2/4 rounding slack and the update budget
     of the plain boost survives unchanged.
     """
-    eps = params.epsilon
-    gamma = params.require_gamma()
-    grid = params.round_grid
-    h = BoundedFn.constant(g.size, 0.5)
-    records: list[TraceRecord] = []
-    phi = potential(g, h, dist)
-    step = 0
-    updates = 0
-    while True:
-        h_cal = recalibrate(g, h, dist, gamma)
-        phi_cal = potential(g, h_cal, dist)
-        if phi_cal > phi + gamma * gamma / 4.0 + TRACE_TOL:
-            raise InternalContractError(
-                f"recalibration raised potential by {phi_cal - phi!r} at step {step}"
-            )
-        records.append(
-            TraceRecord(
-                step=step,
-                kind="recalibrate",
-                phi_before=phi,
-                phi_after=phi_cal,
-                digest=_digest(h_cal),
-                detail={"gamma": gamma},
-            )
-        )
-        h, phi = h_cal, phi_cal
-        step += 1
-        br = best_response(family, g, h, dist)
-        if br.correlation <= eps + TRACE_TOL:
-            trace = BoostTrace(
-                epsilon=eps,
-                records=tuple(records),
-                final=h,
-                termination="regular-and-calibrated",
-            )
-            trace.validate(0.75 * eps * eps)
-            return h, trace
-        if updates >= params.max_iters:
-            raise InternalContractError(
-                f"calibrated boost exceeded {params.max_iters} updates"
-            )
-        shifted = np.clip(h.values + eps * br.sign * br.distinguisher.values.values, 0.0, 1.0)
-        h_new = BoundedFn(round_to_grid(shifted, grid))
-        phi_new = potential(g, h_new, dist)
-        if phi_new > phi - 2 * eps * br.correlation + eps * eps + 2 * grid + TRACE_TOL:
-            raise InternalContractError(f"potential law violated at step {step}")
-        records.append(
-            TraceRecord(
-                step=step,
-                kind="update",
-                phi_before=phi,
-                phi_after=phi_new,
-                digest=_digest(h_new),
-                correlation=br.correlation,
-                sign=br.sign,
-                member_index=br.index,
-                descriptor=br.distinguisher.descriptor,
-            )
-        )
-        h, phi = h_new, phi_new
-        step += 1
-        updates += 1
+    h, trace, _ = _boost(
+        g, dist, params, [family], gamma=params.require_gamma(),
+        termination="regular-and-calibrated",
+    )
+    return h, trace
 
 
 def multicalibrate(
@@ -514,7 +504,7 @@ def multicalibrate(
         h_new = BoundedFn(new_values)
         phi_new = potential(g, h_new, dist)
         mass = float(dist.weights[sel].sum())
-        if phi - phi_new < epsilon * epsilon * mass - TRACE_TOL:
+        if phi - phi_new < epsilon * epsilon * mass - DERIVED_TOL:
             raise InternalContractError(
                 f"level update at step {step} dropped potential by {phi - phi_new!r}, "
                 f"below epsilon^2 * level mass = {epsilon * epsilon * mass!r}"

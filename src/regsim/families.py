@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .domain import BoundedFn, Distribution, FiniteDomain
+from .domain import STRUCT_TOL, BoundedFn, Distribution, FiniteDomain
 from .errors import (
     CapExceededError,
     EmptyFamilyError,
@@ -313,13 +313,6 @@ def combinator_max() -> Combinator:
     return Combinator("max", 2, 1, np.maximum)
 
 
-def combinator_affine_clamp(a: float, b: float, size: int = 2) -> Combinator:
-    def fn(v):
-        return np.clip(a * v + b, 0.0, 1.0)
-
-    return Combinator(f"affine[{a!r},{b!r}]", 1, size, fn)
-
-
 STANDARD_COMBINATORS = {
     "identity": combinator_identity,
     "negation": combinator_negation,
@@ -357,7 +350,7 @@ def compose_level(
         for tup in indices:
             args = [base[i].values.values for i in tup]
             out = np.asarray(comb.fn(*args), dtype=float)
-            if np.any(out < -1e-12) or np.any(out > 1 + 1e-12):
+            if np.any(out < -STRUCT_TOL) or np.any(out > 1 + STRUCT_TOL):
                 raise ValidationError(
                     f"combinator {comb.name} left [0, 1] on inputs {tup}"
                 )

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -165,12 +165,7 @@ def kfold_tv(
     )
 
 
-def kfold_expectation(
-    test: Union[Callable[[np.ndarray], np.ndarray], "SymmetricTest"],
-    p: MeasureLike,
-    k: int,
-    cap: int = DEFAULT_TYPE_CAP,
-) -> float:
+def kfold_expectation(test, p: MeasureLike, k: int, cap: int = DEFAULT_TYPE_CAP) -> float:
     """Exact expectation of a symmetric (counts-only) test under a k-fold product.
 
     ``test`` is either an object exposing ``on_counts(counts_matrix)`` or a
@@ -193,10 +188,3 @@ def kfold_expectation(
             f"test returned shape {values.shape}, expected ({table.num_types},)"
         )
     return table.expectation(0, values)
-
-
-class SymmetricTest:
-    """Protocol-ish base for tests evaluated on count vectors."""
-
-    def on_counts(self, counts: np.ndarray) -> np.ndarray:  # pragma: no cover
-        raise NotImplementedError

@@ -20,29 +20,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Sequence
 
 import numpy as np
 
 from .boosting import (
     BoostParams,
+    _boost,
     calibrated_multiaccuracy,
     calibration_error,
     multiaccuracy_error,
-    recalibrate,
 )
-from .domain import (
-    BoundedFn,
-    Distribution,
-    l1_half,
-    potential,
-    round_to_grid,
-)
-from .errors import (
-    CapExceededError,
-    InternalContractError,
-    ValidationError,
-)
+from .domain import DERIVED_TOL, STRUCT_TOL, BoundedFn, Distribution, l1_half
+from .errors import CapExceededError, InternalContractError, ValidationError
 from .families import (
     ComplexityLabel,
     Distinguisher,
@@ -50,15 +41,12 @@ from .families import (
     GradedLadder,
     GrowthMap,
     apply_growth,
-    best_response,
     family_distance,
     raw_family_distance,
 )
-from .kfold import SymmetricTest, kfold_expectation, kfold_tv
+from .kfold import kfold_expectation, kfold_tv
 
 DEFAULT_BRUTE_CAP = 1_000_000
-IDENT_TOL = 1e-12
-CHECK_TOL = 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -86,10 +74,10 @@ class MixtureInstance:
         if not (0.0 < self.prior < 1.0):
             raise ValidationError("prior must lie in (0, 1)")
         mix = (1.0 - self.prior) * self.d0.weights + self.prior * self.d1.weights
-        if np.max(np.abs(mix - self.d_x.weights)) > IDENT_TOL:
+        if np.max(np.abs(mix - self.d_x.weights)) > STRUCT_TOL:
             raise ValidationError("d_x is not the prior mixture of d0 and d1")
         dev = np.max(np.abs(self.g.values * self.d_x.weights - self.prior * self.d1.weights))
-        if dev > IDENT_TOL:
+        if dev > STRUCT_TOL:
             raise ValidationError(
                 f"posterior identity g * d_x = prior * d1 violated by {dev!r}"
             )
@@ -166,7 +154,7 @@ def build_proxies(inst: MixtureInstance, h: BoundedFn) -> ProxyPair:
     hat1 = hv * dx / inst.prior
     hat0 = (1.0 - hv) * dx / (1.0 - inst.prior)
     marg = np.max(np.abs(p * tilde1.weights + (1 - p) * tilde0.weights - dx))
-    if marg > IDENT_TOL:
+    if marg > STRUCT_TOL:
         raise InternalContractError(f"proxy pair fails to re-mix to d_x by {marg!r}")
     return ProxyPair(p=p, tilde0=tilde0, tilde1=tilde1, hat0=hat0, hat1=hat1)
 
@@ -176,7 +164,7 @@ def build_proxies(inst: MixtureInstance, h: BoundedFn) -> ProxyPair:
 # ---------------------------------------------------------------------------
 
 
-class ProductTest(SymmetricTest):
+class ProductTest:
     """Indicator test on k-tuples, evaluated in log space on count vectors.
 
     balanced: fires when prod h(z_i) > prod (1 - h(z_i));
@@ -292,7 +280,6 @@ def hybrid_bound_check(
     dist_b: Distribution,
     hat_b: np.ndarray,
     k: int,
-    gamma: float,
     test: ProductTest | None = None,
     cap: int = DEFAULT_BRUTE_CAP,
 ) -> float:
@@ -381,7 +368,7 @@ class Inequality:
 
     @property
     def passes(self) -> bool:
-        return self.lhs <= self.rhs + CHECK_TOL
+        return self.lhs <= self.rhs + DERIVED_TOL
 
     def to_json(self) -> dict:
         return {
@@ -431,7 +418,7 @@ class CharacterizationReport:
 
 
 def _require_hypothesis(name: str, measured: float, bound: float) -> None:
-    if measured > bound + CHECK_TOL:
+    if measured > bound + DERIVED_TOL:
         raise ValidationError(
             f"hypothesis audit failed: {name} measured {measured!r}, needs <= {bound!r}"
         )
@@ -461,7 +448,7 @@ def verify_two_proxy(
     14 k gamma; plus the intermediate hat-vector facts and the hybrid
     per-step gaps of at most 2 gamma that drive them.
     """
-    if abs(inst.prior - 0.5) > IDENT_TOL:
+    if abs(inst.prior - 0.5) > STRUCT_TOL:
         raise ValidationError("two-proxy verification needs prior 1/2")
     if not (0.0 < gamma < 0.1):
         raise ValidationError("gamma must lie in (0, 1/10)")
@@ -484,8 +471,8 @@ def verify_two_proxy(
     tv_true = kfold_tv(inst.d0, inst.d1, k)
     advantage = test_advantage(test, inst.d0, inst.d1, k)
     advantage_hat = test_advantage(test, proxies.hat0, proxies.hat1, k)
-    hybrid0 = hybrid_bound_check(h, inst.d0, proxies.hat0, k, gamma, test=test, cap=cap)
-    hybrid1 = hybrid_bound_check(h, inst.d1, proxies.hat1, k, gamma, test=test, cap=cap)
+    hybrid0 = hybrid_bound_check(h, inst.d0, proxies.hat0, k, test=test, cap=cap)
+    hybrid1 = hybrid_bound_check(h, inst.d1, proxies.hat1, k, test=test, cap=cap)
 
     ident_d1 = float(np.max(np.abs(inst.d1.weights - inst.g.values * inst.d_x.weights / inst.prior)))
     ident_d0 = float(
@@ -503,8 +490,8 @@ def verify_two_proxy(
         Inequality("indistinguishability-hat1", hat_fd1.value, 2 * epsilon),
         Inequality("hybrid-step-0", hybrid0, 2 * gamma),
         Inequality("hybrid-step-1", hybrid1, 2 * gamma),
-        Inequality("mixture-identity-d1", ident_d1, IDENT_TOL),
-        Inequality("mixture-identity-d0", ident_d0, IDENT_TOL),
+        Inequality("mixture-identity-d1", ident_d1, STRUCT_TOL),
+        Inequality("mixture-identity-d0", ident_d0, STRUCT_TOL),
         Inequality("label-probability-inverse", inv_p_dev, 5 * gamma),
         Inequality("advantage-data-processing", advantage, tv_true),
     )
@@ -556,7 +543,7 @@ def verify_single_proxy(
     advantage at least the k-fold (d0, proxy) total variation minus
     (2 gamma / eps^2 + gamma / eps + eps) k.
     """
-    if abs(inst.prior - epsilon) > IDENT_TOL:
+    if abs(inst.prior - epsilon) > STRUCT_TOL:
         raise ValidationError("single-proxy verification needs prior == epsilon")
     if not (0.0 < gamma < epsilon / 2.0):
         raise ValidationError("gamma must lie in (0, epsilon / 2)")
@@ -573,7 +560,7 @@ def verify_single_proxy(
     tv_proxy = kfold_tv(inst.d0, proxies.tilde1, k)
     tv_true = kfold_tv(inst.d0, inst.d1, k)
     advantage = test_advantage(test, inst.d0, inst.d1, k)
-    hybrid1 = hybrid_bound_check(h, inst.d1, proxies.hat1, k, gamma, test=test, cap=cap)
+    hybrid1 = hybrid_bound_check(h, inst.d1, proxies.hat1, k, test=test, cap=cap)
     ident_d1 = float(
         np.max(np.abs(inst.d1.weights - inst.g.values * inst.d_x.weights / inst.prior))
     )
@@ -587,7 +574,7 @@ def verify_single_proxy(
         Inequality("tv-tilde-hat-1", tv_th1, 2 * gamma / epsilon ** 2),
         Inequality("label-probability", abs(proxies.p - epsilon), gamma),
         Inequality("hybrid-step-1", hybrid1, gamma / epsilon),
-        Inequality("mixture-identity-d1", ident_d1, IDENT_TOL),
+        Inequality("mixture-identity-d1", ident_d1, STRUCT_TOL),
         Inequality("advantage-data-processing", advantage, tv_true),
     )
     return CharacterizationReport(
@@ -651,6 +638,58 @@ def _chain_report(
     return chain, extras
 
 
+def _fit_and_verify(
+    d0: Distribution,
+    d1: Distribution,
+    levels: Sequence[Family] | GradedLadder,
+    growth: GrowthMap | None,
+    epsilon: float,
+    k: int,
+    mode: str,
+    cap: int,
+) -> tuple[CharacterizationReport, float, ProductTest, float, float, tuple[int, int]]:
+    """Shared core of characterize and characterize_super.
+
+    Picks the prior, the regularity tolerance and the calibration target of
+    the mode, fits a simulator to the mixture's posterior that is calibrated
+    and regular against the fooled family (the calibrated boost on
+    levels[0] without a growth map, the calibrated expanding run up the
+    ladder with one), and verifies it.  Returns the verification report,
+    the k-fold proxy total variation, the product test, tol, gamma and the
+    run's final (level, fooled).
+    """
+    if mode not in ("two-proxy", "single-proxy"):
+        raise ValidationError("mode must be 'two-proxy' or 'single-proxy'")
+    if k < 1:
+        raise ValidationError("k must be >= 1")
+    if mode == "two-proxy":
+        prior, tol, gamma = 0.5, epsilon, epsilon ** 2 / 20.0
+    else:
+        prior, tol, gamma = epsilon, epsilon ** 2, epsilon ** 3 / 20.0
+    inst = build_mixture(d0, d1, prior)
+    params = BoostParams(epsilon=tol, gamma=gamma)
+    if growth is None:
+        h, _ = calibrated_multiaccuracy(inst.g, inst.d_x, levels[0], params)
+        reached = (0, 0)
+    else:
+        h, _, reached = _boost(
+            inst.g, inst.d_x, params, levels, growth=partial(apply_growth, growth),
+            gamma=gamma, termination="regular-and-calibrated-above-level",
+        )
+    family = levels[reached[1]]
+    if mode == "two-proxy":
+        base = verify_two_proxy(inst, h, family, tol, gamma, k, cap=cap)
+        proxies = build_proxies(inst, h)
+        proxy_tv = kfold_tv(proxies.tilde0, proxies.tilde1, k)
+        test = product_distinguisher(h, k, "balanced")
+    else:
+        base = verify_single_proxy(inst, h, family, epsilon, gamma, k, cap=cap)
+        proxies = build_proxies(inst, h)
+        proxy_tv = kfold_tv(d0, proxies.tilde1, k)
+        test = product_distinguisher(h, k, "tilted", epsilon=epsilon)
+    return base, proxy_tv, test, tol, gamma, reached
+
+
 def characterize(
     d0: Distribution,
     d1: Distribution,
@@ -672,29 +711,9 @@ def characterize(
     deliberately differ: closing that gap is exactly what the
     ladder-based variant below is for.
     """
-    if mode not in ("two-proxy", "single-proxy"):
-        raise ValidationError("mode must be 'two-proxy' or 'single-proxy'")
-    if k < 1:
-        raise ValidationError("k must be >= 1")
-    if mode == "two-proxy":
-        prior, tol, gamma = 0.5, epsilon, epsilon ** 2 / 20.0
-    else:
-        prior, tol, gamma = epsilon, epsilon ** 2, epsilon ** 3 / 20.0
-    inst = build_mixture(d0, d1, prior)
-    h, _ = calibrated_multiaccuracy(
-        inst.g, inst.d_x, family, BoostParams(epsilon=tol, gamma=gamma)
+    base, proxy_tv, test, tol, gamma, _ = _fit_and_verify(
+        d0, d1, [family], None, epsilon, k, mode, cap
     )
-    if mode == "two-proxy":
-        base = verify_two_proxy(inst, h, family, tol, gamma, k, cap=cap)
-        proxies = build_proxies(inst, h)
-        proxy_tv = kfold_tv(proxies.tilde0, proxies.tilde1, k)
-        test = product_distinguisher(h, k, "balanced")
-    else:
-        base = verify_single_proxy(inst, h, family, epsilon, gamma, k, cap=cap)
-        proxies = build_proxies(inst, h)
-        proxy_tv = kfold_tv(d0, proxies.tilde1, k)
-        test = product_distinguisher(h, k, "tilted", epsilon=epsilon)
-
     lower = fk_lower or coordinate_lift(family, k, cap=cap)
     upper = lower.extended(
         [lifted_test_distinguisher(test, d0.size, ComplexityLabel(k, k), cap=cap)],
@@ -720,41 +739,6 @@ def characterize(
     )
 
 
-def _calibrated_expanding(
-    g: BoundedFn,
-    dist: Distribution,
-    ladder: GradedLadder,
-    growth: GrowthMap,
-    tol: float,
-    gamma: float,
-) -> tuple[BoundedFn, int, int]:
-    """Expanding supersimulator run with a recalibration before every check,
-    so the output is both regular at tol against the grown level and
-    calibrated at gamma."""
-    params = BoostParams(epsilon=tol, gamma=min(gamma, tol))
-    grid = params.round_grid
-    h = BoundedFn.constant(g.size, 0.5)
-    level = 0
-    updates = 0
-    phi = potential(g, h, dist)
-    while True:
-        h = recalibrate(g, h, dist, gamma)
-        phi = potential(g, h, dist)
-        fooled = apply_growth(growth, level, phi)
-        br = best_response(ladder[fooled], g, h, dist)
-        if br.correlation <= tol + CHECK_TOL:
-            return h, level, fooled
-        if updates >= params.max_iters:
-            raise InternalContractError(
-                f"calibrated expanding run exceeded {params.max_iters} updates"
-            )
-        shifted = np.clip(h.values + tol * br.sign * br.distinguisher.values.values, 0.0, 1.0)
-        h = BoundedFn(round_to_grid(shifted, grid))
-        phi = potential(g, h, dist)
-        level = fooled
-        updates += 1
-
-
 def characterize_super(
     d0: Distribution,
     d1: Distribution,
@@ -776,29 +760,10 @@ def characterize_super(
     reports two distinct families instead, and the difference between the
     two reports is the content of the gap-closure demonstration.
     """
-    if mode not in ("two-proxy", "single-proxy"):
-        raise ValidationError("mode must be 'two-proxy' or 'single-proxy'")
-    if k < 1:
-        raise ValidationError("k must be >= 1")
-    if mode == "two-proxy":
-        prior, tol, gamma = 0.5, epsilon, epsilon ** 2 / 20.0
-    else:
-        prior, tol, gamma = epsilon, epsilon ** 2, epsilon ** 3 / 20.0
-    inst = build_mixture(d0, d1, prior)
-    h, level, fooled = _calibrated_expanding(inst.g, inst.d_x, ladder, growth, tol, gamma)
-    fooled_family = ladder[fooled]
-    if mode == "two-proxy":
-        base = verify_two_proxy(inst, h, fooled_family, tol, gamma, k, cap=cap)
-        proxies = build_proxies(inst, h)
-        proxy_tv = kfold_tv(proxies.tilde0, proxies.tilde1, k)
-        test = product_distinguisher(h, k, "balanced")
-    else:
-        base = verify_single_proxy(inst, h, fooled_family, epsilon, gamma, k, cap=cap)
-        proxies = build_proxies(inst, h)
-        proxy_tv = kfold_tv(d0, proxies.tilde1, k)
-        test = product_distinguisher(h, k, "tilted", epsilon=epsilon)
-
-    chain_family = coordinate_lift(fooled_family, k, cap=cap).extended(
+    base, proxy_tv, test, tol, gamma, (level, fooled) = _fit_and_verify(
+        d0, d1, ladder, growth, epsilon, k, mode, cap
+    )
+    chain_family = coordinate_lift(ladder[fooled], k, cap=cap).extended(
         [
             lifted_test_distinguisher(
                 test, d0.size, ladder.label_of(fooled).scale(k) + ComplexityLabel(0, k), cap=cap

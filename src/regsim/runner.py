@@ -37,13 +37,19 @@ from .config import (
 from .domain import FiniteDomain
 from .errors import InternalContractError, RegsimError, ValidationError
 from .products import (
+    Inequality,
     build_mixture,
     characterize,
     characterize_super,
     verify_single_proxy,
     verify_two_proxy,
 )
-from .supersim import corollary_check, supersimulator_expanding, supersimulator_shrinking
+from .supersim import (
+    _corollary_bound,
+    corollary_check,
+    supersimulator_expanding,
+    supersimulator_shrinking,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -58,16 +64,6 @@ class RunOutcome:
 
     def report_text(self) -> str:
         return json.dumps(self.report, sort_keys=True, indent=2) + "\n"
-
-
-def _ineq(name: str, lhs: float, rhs: float) -> dict:
-    return {
-        "name": name,
-        "lhs": lhs,
-        "rhs": rhs,
-        "slack": rhs - lhs,
-        "pass": lhs <= rhs + 1e-10,
-    }
 
 
 def _summarize(inequalities: list[dict]) -> dict:
@@ -150,7 +146,7 @@ def _execute_boost(algo, config, ctx, params, dists):
     if algo == "multicalibrate":
         h, trace = multicalibrate(g, dist, family, eps, max_iters=params.get("max_iters"))
         passed, mc = multicalibration_check(g, h, dist, family, eps)
-        inequalities = [_ineq("multicalibration-bad-mass", mc.bad_mass, eps)]
+        inequalities = [Inequality("multicalibration-bad-mass", mc.bad_mass, eps).to_json()]
         payload = {
             "simulator": h.to_json(),
             "updates": trace.update_count,
@@ -168,10 +164,10 @@ def _execute_boost(algo, config, ctx, params, dists):
     else:
         h, trace = calibrated_multiaccuracy(g, dist, family, bp)
     ma, _ = multiaccuracy_error(family, g, h, dist)
-    inequalities = [_ineq("multiaccuracy-error", ma, eps)]
+    inequalities = [Inequality("multiaccuracy-error", ma, eps)]
     if algo == "calibrated":
         inequalities.append(
-            _ineq("calibration-error", calibration_error(g, h, dist), bp.gamma)
+            Inequality("calibration-error", calibration_error(g, h, dist), bp.gamma)
         )
     payload = {
         "simulator": h.to_json(),
@@ -180,7 +176,7 @@ def _execute_boost(algo, config, ctx, params, dists):
         "trace": [r.to_json() for r in trace.records],
         "audit": audit(g, h, dist, family, eps).to_json(),
     }
-    return payload, inequalities
+    return payload, [iq.to_json() for iq in inequalities]
 
 
 def _execute_expanding(config, ctx, params, dists):
@@ -195,13 +191,13 @@ def _execute_expanding(config, ctx, params, dists):
         min(result.bound_index, len(result.recurrence.labels) - 1)
     ]
     inequalities = [
-        _ineq("regular-against-grown-family", ma, eps),
-        _ineq("updates-within-bound", result.updates, result.bound_index),
-        _ineq("label-s1-within-bound", result.label.s1, bound_label.s1),
-        _ineq("label-s2-within-bound", result.label.s2, bound_label.s2),
+        Inequality("regular-against-grown-family", ma, eps),
+        Inequality("updates-within-bound", result.updates, result.bound_index),
+        Inequality("label-s1-within-bound", result.label.s1, bound_label.s1),
+        Inequality("label-s2-within-bound", result.label.s2, bound_label.s2),
     ]
     payload = {"result": result.to_json(), "simulator": result.h.to_json()}
-    return payload, inequalities
+    return payload, [iq.to_json() for iq in inequalities]
 
 
 def _execute_shrinking(config, ctx, params, dists):
@@ -213,15 +209,10 @@ def _execute_shrinking(config, ctx, params, dists):
     alpha = float(params["alpha"])
     pair = supersimulator_shrinking(g, dist, ladder, growth, schedule, alpha)
     ok, measured = corollary_check(pair, ladder, growth)
-    beta = max(pair.similarity, 0.0)
     inequalities = [
-        _ineq("similarity", pair.similarity, pair.phi_gap + 4 * pair.eps_at_s),
-        _ineq(
-            "markov-regularity-of-h",
-            measured,
-            pair.eps_at_s + 2.0 * beta ** (1.0 / 3.0),
-        ),
-        _ineq("round-index", pair.round_index, pair.round_bound + 1),
+        Inequality("similarity", pair.similarity, pair.phi_gap + 4 * pair.eps_at_s),
+        Inequality("markov-regularity-of-h", measured, _corollary_bound(pair)),
+        Inequality("round-index", pair.round_index, pair.round_bound + 1),
     ]
     payload = {
         "pair": pair.to_json(),
@@ -230,7 +221,7 @@ def _execute_shrinking(config, ctx, params, dists):
         "simulator": pair.h.to_json(),
         "simulator_prime": pair.h_prime.to_json(),
     }
-    return payload, inequalities
+    return payload, [iq.to_json() for iq in inequalities]
 
 
 def _verify_simulator(config, ctx, inst, family, eps, gamma, tol):

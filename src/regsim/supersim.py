@@ -18,20 +18,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .boosting import (
     BoostParams,
     BoostTrace,
-    TraceRecord,
-    _digest,
+    _boost,
     calibrated_multiaccuracy,
     calibration_error,
     multiaccuracy_error,
     updates_bound,
 )
-from .domain import BoundedFn, Distribution, potential, round_to_grid
+from .domain import DERIVED_TOL, BoundedFn, Distribution, potential
 from .errors import InternalContractError, ValidationError
 from .families import (
     ComplexityLabel,
@@ -40,10 +40,8 @@ from .families import (
     GradedLadder,
     GrowthMap,
     apply_growth,
-    best_response,
 )
 
-TRACE_TOL = 1e-10
 LABEL_SATURATION = 10 ** 15
 
 
@@ -167,52 +165,13 @@ def supersimulator_expanding(
     carrying the level reached and the current potential.
     """
     params = BoostParams(epsilon=epsilon)
-    grid = params.round_grid
     if growth.depth != ladder.depth:
         raise ValidationError("growth map and ladder depth disagree")
-    h = BoundedFn.constant(g.size, 0.5)
-    phi = potential(g, h, dist)
-    level = 0
-    records: list[TraceRecord] = []
-    updates = 0
-    bound_index = math.floor(1.0 / (3.0 * epsilon * epsilon))
-    while True:
-        fooled = apply_growth(growth, level, phi)
-        br = best_response(ladder[fooled], g, h, dist)
-        if br.correlation <= epsilon + TRACE_TOL:
-            break
-        if updates >= params.max_iters:
-            raise InternalContractError(
-                f"expanding construction exceeded {params.max_iters} updates"
-            )
-        shifted = np.clip(
-            h.values + epsilon * br.sign * br.distinguisher.values.values, 0.0, 1.0
-        )
-        h_new = BoundedFn(round_to_grid(shifted, grid))
-        phi_new = potential(g, h_new, dist)
-        if phi_new > phi - 2 * epsilon * br.correlation + epsilon ** 2 + 2 * grid + TRACE_TOL:
-            raise InternalContractError(f"potential law violated at level {level}")
-        records.append(
-            TraceRecord(
-                step=updates,
-                kind="update",
-                phi_before=phi,
-                phi_after=phi_new,
-                digest=_digest(h_new),
-                correlation=br.correlation,
-                sign=br.sign,
-                member_index=br.index,
-                descriptor=br.distinguisher.descriptor,
-                detail={"level": level, "fooled_level": fooled},
-            )
-        )
-        h, phi = h_new, phi_new
-        level = fooled
-        updates += 1
-    trace = BoostTrace(
-        epsilon=epsilon, records=tuple(records), final=h, termination="regular-above-level"
+    h, trace, (level, fooled) = _boost(
+        g, dist, params, ladder,
+        growth=partial(apply_growth, growth), termination="regular-above-level",
     )
-    trace.validate(0.75 * epsilon * epsilon)
+    bound_index = math.floor(1.0 / (3.0 * epsilon * epsilon))
     recurrence = recurrence_bound(growth, bound_index, mode="expanding", epsilon=epsilon)
     result = SupersimResult(
         level=level,
@@ -221,7 +180,7 @@ def supersimulator_expanding(
         fooled_label=ladder.label_of(fooled),
         h=h,
         epsilon=epsilon,
-        updates=updates,
+        updates=trace.update_count,
         bound_index=bound_index,
         trace=trace,
         recurrence=recurrence,
@@ -234,7 +193,7 @@ def _assert_expanding_contract(
     result: SupersimResult, g: BoundedFn, dist: Distribution, ladder: GradedLadder
 ) -> None:
     ma, _ = multiaccuracy_error(ladder[result.fooled_level], g, result.h, dist)
-    if ma > result.epsilon + TRACE_TOL:
+    if ma > result.epsilon + DERIVED_TOL:
         raise InternalContractError(
             f"output not regular against the grown family: {ma!r} > {result.epsilon!r}"
         )
@@ -355,26 +314,26 @@ def _finish_pair(
     cross = float(np.dot(dist.weights, diff * (g.values - h_prime.values)))
     # Exact decomposition of the L2 gap; the sign of the cross term matters.
     identity_gap = abs(similarity - (gap + 2.0 * cross))
-    if identity_gap > TRACE_TOL:
+    if identity_gap > DERIVED_TOL:
         raise InternalContractError(
             f"L2/potential decomposition violated by {identity_gap!r}"
         )
     cross_bound = 2.0 * eps_i
-    if abs(cross) > cross_bound + TRACE_TOL:
+    if abs(cross) > cross_bound + DERIVED_TOL:
         raise InternalContractError(
             f"cross term {cross!r} above the audited bound {cross_bound!r}"
         )
-    if similarity > gap + 4.0 * eps_i + TRACE_TOL:
+    if similarity > gap + 4.0 * eps_i + DERIVED_TOL:
         raise InternalContractError(
             f"similarity {similarity!r} above phi gap + 4 eps = {gap + 4.0 * eps_i!r}"
         )
     ma, _ = multiaccuracy_error(ladder[fooled], g, h_prime, dist)
-    if ma > eps_i + TRACE_TOL:
+    if ma > eps_i + DERIVED_TOL:
         raise InternalContractError(
             f"h' not regular at {eps_i!r} against the grown family (measured {ma!r})"
         )
     cal = calibration_error(g, h_prime, dist)
-    if cal > eps_i + TRACE_TOL:
+    if cal > eps_i + DERIVED_TOL:
         raise InternalContractError(
             f"h' not calibrated at {eps_i!r} (measured {cal!r})"
         )
@@ -400,6 +359,11 @@ def _finish_pair(
     )
 
 
+def _corollary_bound(pair: PairResult) -> float:
+    """eps(s) + 2 beta^(1/3), with beta the pair's measured similarity."""
+    return pair.eps_at_s + 2.0 * max(pair.similarity, 0.0) ** (1.0 / 3.0)
+
+
 def corollary_check(
     pair: PairResult, ladder: GradedLadder, growth: GrowthMap
 ) -> tuple[bool, float]:
@@ -411,9 +375,7 @@ def corollary_check(
     regularity error of h by eps(s) + 2 beta^(1/3); the audit measures the
     left side exactly.
     """
-    beta = max(pair.similarity, 0.0)
-    bound = pair.eps_at_s + 2.0 * beta ** (1.0 / 3.0)
     measured, _ = multiaccuracy_error(
         ladder[pair.level_s_prime], pair.target, pair.h, pair.dist
     )
-    return measured <= bound + TRACE_TOL, measured
+    return measured <= _corollary_bound(pair) + DERIVED_TOL, measured

@@ -1,6 +1,7 @@
 import json
 
 import regsim.runner as runner_mod
+from gap_golden import DIGESTS_PATH, demo_digests
 from regsim.cli import main
 from regsim.config import validate_config
 from regsim.demos import demo_config, demo_names
@@ -179,6 +180,11 @@ def test_demo_reports_byte_identical_modulo_wall_time(tmp_path):
             report.pop("wall_time_s", None)
             texts.append(json.dumps(report, sort_keys=True, indent=2))
         assert texts[0] == texts[1]
+
+
+def test_demo_reports_match_golden_digests():
+    golden = json.loads(DIGESTS_PATH.read_text())
+    assert demo_digests() == golden
 
 
 def test_demo_config_is_deep_copied():

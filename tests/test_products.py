@@ -256,12 +256,12 @@ def test_hybrid_bound_check_examples():
     inst = rs.build_mixture(d0, d1, 0.5)
     # exact simulator: hats equal the sources, every swap is free
     proxies = rs.build_proxies(inst, inst.g)
-    assert rs.hybrid_bound_check(inst.g, d0, proxies.hat0, 3, 0.0) <= EXACT
+    assert rs.hybrid_bound_check(inst.g, d0, proxies.hat0, 3) <= EXACT
     # k = 1 is the plain expectation gap
     h = rs.BoundedFn(np.array([0.4, 0.7]))
     proxies_h = rs.build_proxies(inst, h)
     test = rs.product_distinguisher(h, 1, "balanced")
-    gap = rs.hybrid_bound_check(h, d1, proxies_h.hat1, 1, 0.1, test=test)
+    gap = rs.hybrid_bound_check(h, d1, proxies_h.hat1, 1, test=test)
     direct = abs(
         rs.expectation(rs.BoundedFn(test.on_counts(np.eye(2, dtype=np.int64))), d1)
         - float(np.dot(proxies_h.hat1, test.on_counts(np.eye(2, dtype=np.int64))))
@@ -277,7 +277,7 @@ def test_hybrid_bound_check_examples():
     proxies_c = rs.build_proxies(inst, hc)
     test3 = rs.product_distinguisher(hc, 3, "balanced")
     for b, hat in ((d0, proxies_c.hat0), (d1, proxies_c.hat1)):
-        assert rs.hybrid_bound_check(hc, b, hat, 3, gamma, test=test3) <= 2 * gamma + TOL
+        assert rs.hybrid_bound_check(hc, b, hat, 3, test=test3) <= 2 * gamma + TOL
 
 
 # -- single-proxy verification ---------------------------------------------------
@@ -382,6 +382,23 @@ def test_characterize_super_identity_growth_flags_degenerate():
     growth = rs.GrowthMap.identity(ladder)
     report = rs.characterize_super(d0, d1, ladder, growth, 0.1, 2)
     assert "degenerate_growth" in report.extras["chain"]
+
+
+@pytest.mark.parametrize("mode", ["two-proxy", "single-proxy"])
+def test_characterize_super_flat_ladder_matches_characterize(mode):
+    # a flat ladder under the identity growth map never leaves level 0, so the
+    # calibrated expanding run must reproduce the calibrated boost exactly
+    rng = np.random.default_rng(46)
+    for _ in range(6):
+        n = int(rng.integers(2, 5))
+        k = int(rng.integers(1, 4))
+        d0, d1 = random_distribution(rng, n), random_distribution(rng, n)
+        fam = random_family(rng, n, int(rng.integers(1, 5)))
+        ladder = rs.GradedLadder([fam, fam, fam], name="flat")
+        plain = rs.characterize(d0, d1, fam, 0.2, k, mode=mode)
+        sup = rs.characterize_super(d0, d1, ladder, rs.GrowthMap.identity(ladder), 0.2, k, mode=mode)
+        assert sup.instance == plain.instance
+        assert sup.audits == plain.audits
 
 
 def test_advantage_never_exceeds_true_tv():
