@@ -80,10 +80,8 @@ from .products import (
     build_proxies,
     characterize,
     characterize_super,
-    coordinate_lift,
     hybrid_bound_check,
     product_distinguisher,
-    product_distribution,
     test_advantage,
     tie_mass,
     verify_single_proxy,

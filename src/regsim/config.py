@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 from typing import Any
 
 import numpy as np
@@ -376,39 +377,40 @@ def validate_config(config: Any) -> list[str]:
     if "schedule" in needs and "schedule" not in config:
         need("config.schedule")
 
-    eps = params.get("epsilon")
-    if "epsilon" in needs:
-        if eps is None:
-            diags.add("config.params.epsilon", f"required by algorithm {algorithm!r}")
-        elif algo == "multicalibrate":
-            if not (0.0 < float(eps) < 1.0):
+    # Every numeric parameter is type-checked wherever it appears; a
+    # malformed one is named once and left out of the range checks below.
+    num = {}
+    for key in ("epsilon", "gamma", "alpha", "k", "max_iters"):
+        value = params.get(key)
+        integer = key in ("k", "max_iters")
+        if value is None:
+            if key in needs:
+                diags.add(f"config.params.{key}", f"required by algorithm {algorithm!r}")
+        elif isinstance(value, bool) or not isinstance(value, Integral if integer else Real):
+            kind = "an integer" if integer else "a number"
+            diags.add(f"config.params.{key}", f"expected {kind}, got {value!r}")
+        elif integer and value < 1:
+            diags.add(f"config.params.{key}", f"{key} must be >= 1")
+        else:
+            num[key] = value
+    eps, gamma, alpha = num.get("epsilon"), num.get("gamma"), num.get("alpha")
+    if "epsilon" in needs and eps is not None:
+        if algo == "multicalibrate":
+            if not (0.0 < eps < 1.0):
                 diags.add("config.params.epsilon", "epsilon must lie in (0, 1)")
-        elif not (0.0 < float(eps) < 0.5):
+        elif not (0.0 < eps < 0.5):
             diags.add("config.params.epsilon", "epsilon must lie in (0, 0.5)")
-    gamma = params.get("gamma")
-    if "gamma" in needs:
-        if gamma is None:
-            diags.add("config.params.gamma", f"required by algorithm {algorithm!r}")
-        elif algo == "verify41":
-            if not (0.0 < float(gamma) < 0.1):
+    if "gamma" in needs and gamma is not None:
+        if algo == "verify41":
+            if not (0.0 < gamma < 0.1):
                 diags.add("config.params.gamma", "gamma must lie in (0, 1/10)")
         elif algo == "verify42":
-            if eps is not None and not (0.0 < float(gamma) < float(eps) / 2.0):
+            if eps is not None and not (0.0 < gamma < eps / 2.0):
                 diags.add("config.params.gamma", "gamma must lie in (0, epsilon/2)")
-        elif eps is not None and not (0.0 < float(gamma) <= float(eps)):
+        elif eps is not None and not (0.0 < gamma <= eps):
             diags.add("config.params.gamma", "gamma must lie in (0, epsilon]")
-    alpha = params.get("alpha")
-    if "alpha" in needs:
-        if alpha is None:
-            diags.add("config.params.alpha", f"required by algorithm {algorithm!r}")
-        elif not (0.0 < float(alpha) < 0.5):
-            diags.add("config.params.alpha", "alpha must lie in (0, 0.5)")
-    k = params.get("k")
-    if "k" in needs:
-        if k is None:
-            diags.add("config.params.k", f"required by algorithm {algorithm!r}")
-        elif int(k) < 1:
-            diags.add("config.params.k", "k must be >= 1")
+    if "alpha" in needs and alpha is not None and not (0.0 < alpha < 0.5):
+        diags.add("config.params.alpha", "alpha must lie in (0, 0.5)")
     mode = params.get("mode")
     if mode is not None and mode not in ("two-proxy", "single-proxy"):
         diags.add("config.params.mode", "mode must be 'two-proxy' or 'single-proxy'")

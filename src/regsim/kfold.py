@@ -4,13 +4,19 @@ A k-tuple over an N-point domain is summarized by its type: the vector of
 coordinate counts.  Any permutation-symmetric statistic of a product
 distribution is an exact sum over types weighted by multinomial
 coefficients, which turns the N^k brute force into a C(k+N-1, N-1)-term
-sum.  Brute-force enumeration over all N^k tuples remains the oracle the
-test suite checks this module against.
+sum.  Mixed products p^j x q^(k-j), which are symmetric within each block
+of coordinates, are sums over types too, reached one coordinate at a time
+through the successor maps (a type of size i plus one point).  This module
+is the library's only enumeration of types; brute-force enumeration over
+all N^k tuples remains the oracle the test suite checks it against.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -20,6 +26,7 @@ from .domain import DERIVED_TOL, Distribution
 from .errors import CapExceededError, DomainMismatchError, ValidationError
 
 DEFAULT_TYPE_CAP = 5_000_000
+_LOG_FLOAT_MAX = math.log(sys.float_info.max) - 1e-6  # margin for lgamma rounding
 
 MeasureLike = Union[Distribution, np.ndarray, Sequence[float]]
 
@@ -40,43 +47,58 @@ def type_count(n: int, k: int) -> int:
     return math.comb(k + n - 1, n - 1)
 
 
-def _check_cap(n: int, k: int, cap: int) -> None:
-    needed = type_count(n, k)
-    if needed > cap:
-        raise CapExceededError(needed, cap, f"type-class table for N={n}, k={k}")
+def _types(n: int, k: int) -> np.ndarray:
+    """All types of size k over n points, first coordinate descending: the
+    library's one enumeration of types.
+
+    A type is a placement of n - 1 bars among k + n - 1 slots, its counts
+    the gaps between bars; the placements in reverse lexicographic order
+    give the types in this order.
+    """
+    t = type_count(n, k)
+    flat = itertools.chain.from_iterable(itertools.combinations(range(k + n - 1), n - 1))
+    bars = np.fromiter(flat, dtype=np.int64, count=t * (n - 1)).reshape(t, n - 1)[::-1]
+    edges = np.column_stack([np.full(t, -1), bars, np.full(t, k + n - 1)])
+    return np.diff(edges, axis=1) - 1
 
 
-def _compositions(k: int, n: int) -> np.ndarray:
-    """All count vectors of length n summing to k, first coordinate descending."""
-    out = np.empty((type_count(n, k), n), dtype=np.int64)
-    row = 0
-    cur = np.zeros(n, dtype=np.int64)
-
-    def rec(i: int, rem: int) -> None:
-        nonlocal row
-        if i == n - 1:
-            cur[i] = rem
-            out[row] = cur
-            row += 1
-            return
-        for v in range(rem, -1, -1):
-            cur[i] = v
-            rec(i + 1, rem - v)
-
-    rec(0, k)
-    return out
+@functools.lru_cache(maxsize=4)
+def _type_table(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The types of size k and their multinomial weights, built once per
+    (N, k) while among the last four pairs asked for; read-only, since
+    callers share them."""
+    q, r = divmod(k, n)
+    log_top = math.lgamma(k + 1) - r * math.lgamma(q + 2) - (n - r) * math.lgamma(q + 1)
+    if log_top > _LOG_FLOAT_MAX:
+        raise ValidationError(f"multinomial weights for N={n}, k={k} exceed double precision")
+    counts = _types(n, k)
+    fact = [math.factorial(v) for v in range(k + 1)]
+    # k! / prod(c!) per row, exact in integers and rounded to float once
+    weights = np.array([float(fact[k] // math.prod(fact[v] for v in c)) for c in counts.tolist()])
+    for arr in (counts, weights):
+        arr.setflags(write=False)
+    return counts, weights
 
 
-def _multinomials(counts: np.ndarray, k: int) -> np.ndarray:
-    kfac = math.factorial(k)
-    weights = np.empty(counts.shape[0], dtype=float)
-    for i, c in enumerate(counts):
-        denom = 1
-        for v in c:
-            if v > 1:
-                denom *= math.factorial(int(v))
-        weights[i] = float(kfac // denom)
-    return weights
+def _successors(n: int, k: int) -> list[np.ndarray]:
+    """succ[i][t, x] is the row in _types(n, i + 1) of type t of
+    _types(n, i) plus one point x, for i < k.
+
+    With a_j = c[j+1] + ... + c[n-1], type_count(n - j, a_j - 1) types
+    (none if a_j = 0) agree with c before coordinate j and exceed it there;
+    c's row is their sum over j.  One point at x raises a_j by one for
+    j < x only, so a successor's row is a prefix plus a suffix sum.
+    """
+    ahead = np.array([[0] + [type_count(n - j, a) for a in range(k)] for j in range(n)])
+    cols = np.arange(n)
+    succ = []
+    for i in range(k):
+        counts = _types(n, i)
+        a = i - np.cumsum(counts, axis=1)
+        raised, kept = ahead[cols, a + 1], ahead[cols, a]
+        before = np.cumsum(raised, axis=1) - raised
+        succ.append(before + np.cumsum(kept[:, ::-1], axis=1)[:, ::-1])
+    return succ
 
 
 def _product_masses(counts: np.ndarray, vec: np.ndarray) -> np.ndarray:
@@ -135,9 +157,9 @@ def kfold_type_classes(
         vec = _measure_vector(m, n, f"measure {i}")
         n = vec.size
         vecs.append(vec)
-    _check_cap(n, k, cap)
-    counts = _compositions(k, n)
-    weights = _multinomials(counts, k)
+    if type_count(n, k) > cap:
+        raise CapExceededError(type_count(n, k), cap, f"type-class table for N={n}, k={k}")
+    counts, weights = _type_table(n, k)
     masses = np.stack([_product_masses(counts, v) for v in vecs])
     table = TypeClassTable(k=k, counts=counts, weights=weights, masses=masses)
     for i, m in enumerate(measures):
@@ -165,26 +187,61 @@ def kfold_tv(
     )
 
 
-def kfold_expectation(test, p: MeasureLike, k: int, cap: int = DEFAULT_TYPE_CAP) -> float:
-    """Exact expectation of a symmetric (counts-only) test under a k-fold product.
-
-    ``test`` is either an object exposing ``on_counts(counts_matrix)`` or a
-    callable mapping a (T, N) counts matrix to T values in [0, 1].  Tests
-    that depend on coordinate order cannot be expressed this way; evaluate
-    those by explicit tuple enumeration instead.
-    """
-    table = kfold_type_classes([p], k, cap=cap)
+def _test_values(test, counts: np.ndarray) -> np.ndarray:
+    """A symmetric test's value on every row of a counts matrix."""
     on_counts = getattr(test, "on_counts", None)
     if on_counts is None:
         if not callable(test):
             raise ValidationError(
                 "test must expose on_counts() or be callable on a counts matrix; "
-                "non-symmetric tests need the brute-force tuple path"
+                "tests that depend on coordinate order are not supported"
             )
         on_counts = test
-    values = np.asarray(on_counts(table.counts), dtype=float)
-    if values.shape != (table.num_types,):
+    values = np.asarray(on_counts(counts), dtype=float)
+    if values.shape != (counts.shape[0],):
         raise ValidationError(
-            f"test returned shape {values.shape}, expected ({table.num_types},)"
+            f"test returned shape {values.shape}, expected ({counts.shape[0]},)"
         )
-    return table.expectation(0, values)
+    return values
+
+
+def kfold_expectation(test, p: MeasureLike, k: int, cap: int = DEFAULT_TYPE_CAP) -> float:
+    """Exact expectation of a symmetric (counts-only) test under a k-fold product.
+
+    ``test`` is either an object exposing ``on_counts(counts_matrix)`` or a
+    callable mapping a (T, N) counts matrix to T values in [0, 1].  Tests
+    that depend on coordinate order cannot be expressed this way.
+    """
+    table = kfold_type_classes([p], k, cap=cap)
+    return table.expectation(0, _test_values(test, table.counts))
+
+
+def _mixed_expectations(test, p: MeasureLike, q: MeasureLike, k: int) -> np.ndarray:
+    """E[test] under p^j x q^(k-j) for j = 0..k, in O(k N T) with no tuples.
+
+    A forward pass over the successor maps weights each type of size j by
+    the p-mass of its tuples; a backward pass gives, per type of size j,
+    the test's expectation when the other k - j coordinates are drawn from
+    q.  Entry j is the dot product of the two at size j.
+    """
+    if k < 1:
+        raise ValidationError("k must be >= 1")
+    pv = _measure_vector(p, None, "measure 0")
+    qv = _measure_vector(q, pv.size, "measure 1")
+    n = pv.size
+    # the successor maps hold N entries per type of every size below k
+    needed = n * type_count(n + 1, k - 1)
+    if needed > DEFAULT_TYPE_CAP:
+        raise CapExceededError(needed, DEFAULT_TYPE_CAP, f"successor maps for N={n}, k={k}")
+    succ = _successors(n, k)
+    forward = [np.ones(1)]
+    for i in range(k):
+        mass = (forward[i][:, None] * pv[None, :]).ravel()
+        forward.append(np.bincount(succ[i].ravel(), mass, minlength=type_count(n, i + 1)))
+    backward = _test_values(test, _type_table(n, k)[0])
+    out = np.empty(k + 1)
+    out[k] = float(np.dot(forward[k], backward))
+    for j in range(k - 1, -1, -1):
+        backward = backward[succ[j]] @ qv
+        out[j] = float(np.dot(forward[j], backward))
+    return out

@@ -19,7 +19,7 @@ total variation; expectations against them are plain weighted sums.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Sequence
 
@@ -33,10 +33,8 @@ from .boosting import (
     multiaccuracy_error,
 )
 from .domain import DERIVED_TOL, STRUCT_TOL, BoundedFn, Distribution, l1_half
-from .errors import CapExceededError, InternalContractError, ValidationError
+from .errors import InternalContractError, ValidationError
 from .families import (
-    ComplexityLabel,
-    Distinguisher,
     Family,
     GradedLadder,
     GrowthMap,
@@ -44,9 +42,7 @@ from .families import (
     family_distance,
     raw_family_distance,
 )
-from .kfold import kfold_expectation, kfold_tv
-
-DEFAULT_BRUTE_CAP = 1_000_000
+from .kfold import _mixed_expectations, kfold_expectation, kfold_tv
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +166,9 @@ class ProductTest:
     balanced: fires when prod h(z_i) > prod (1 - h(z_i));
     tilted:   fires when prod h(z_i) > eps^k.
     Ties resolve to 0 (strict inequality); h values of exactly 0 or 1 give
-    -inf log terms with the usual float comparisons.
+    -inf log terms with the usual float comparisons.  Scores are summed over
+    the distinct levels of h, so points with equal h are interchangeable and
+    exact ties such as prod h = eps^k do not split by point identity.
     """
 
     def __init__(self, h: BoundedFn, k: int, kind: str, eps: float | None = None):
@@ -185,15 +183,18 @@ class ProductTest:
         self.k = k
         self.kind = kind
         self.eps = eps
+        self._order = np.argsort(h.values, kind="stable")
+        levels, self._starts = np.unique(h.values[self._order], return_index=True)
         with np.errstate(divide="ignore"):
-            self._log_h = np.log(h.values)
-            self._log_not_h = np.log(1.0 - h.values)
+            self._log_h = np.log(levels)
+            self._log_not_h = np.log(1.0 - levels)
         self._rhs_const = None if kind == "balanced" else k * math.log(eps)
 
     def _scores(self, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        lhs = _masked_score(counts, self._log_h)
+        level_counts = np.add.reduceat(counts[:, self._order], self._starts, axis=1)
+        lhs = _masked_score(level_counts, self._log_h)
         if self.kind == "balanced":
-            rhs = _masked_score(counts, self._log_not_h)
+            rhs = _masked_score(level_counts, self._log_not_h)
         else:
             rhs = np.full(counts.shape[0], self._rhs_const)
         return lhs, rhs
@@ -226,53 +227,17 @@ def product_distinguisher(
     return ProductTest(h, k, variant, eps=epsilon)
 
 
-def test_advantage(
-    test: ProductTest, m0, m1, k: int, cap: int = DEFAULT_BRUTE_CAP * 5
-) -> float:
+def test_advantage(test: ProductTest, m0, m1, k: int) -> float:
     """|E_{m0^k}[test] - E_{m1^k}[test]| by exact type-class sums.
 
     Accepts raw measures; the expectations are then raw weighted sums.
     """
-    e0 = kfold_expectation(test, m0, k, cap=cap)
-    e1 = kfold_expectation(test, m1, k, cap=cap)
-    return abs(e0 - e1)
+    return abs(kfold_expectation(test, m0, k) - kfold_expectation(test, m1, k))
 
 
-def tie_mass(test: ProductTest, m, k: int, cap: int = DEFAULT_BRUTE_CAP * 5) -> float:
+def tie_mass(test: ProductTest, m, k: int) -> float:
     """Product mass of exact score ties under the k-fold product of m."""
-    return kfold_expectation(test.tie_on_counts, m, k, cap=cap)
-
-
-# ---------------------------------------------------------------------------
-# Tuple enumeration helpers (brute-force paths; hybrids are not symmetric)
-# ---------------------------------------------------------------------------
-
-
-def _tuple_counts(n: int, k: int, cap: int) -> np.ndarray:
-    total = n ** k
-    if total > cap:
-        raise CapExceededError(total, cap, f"tuple enumeration for N={n}, k={k}")
-    idx = np.arange(total)
-    counts = np.zeros((total, n), dtype=np.int64)
-    for pos in range(k):
-        digit = (idx // (n ** pos)) % n
-        np.add.at(counts, (idx, digit), 1)
-    return counts
-
-
-def _tuple_weights(vectors: Sequence[np.ndarray]) -> np.ndarray:
-    """Product weights over all tuples for per-coordinate measures; coordinate
-    0 is the slowest-varying digit, matching _tuple_counts."""
-    w = np.ones(1)
-    for v in vectors:
-        w = np.kron(w, v)
-    return w
-
-
-def tuples_test_values(test: ProductTest, n: int, cap: int = DEFAULT_BRUTE_CAP) -> np.ndarray:
-    """Evaluate the test on every tuple in flat (row-major) order."""
-    counts = _tuple_counts(n, test.k, cap)
-    return test.on_counts(counts)
+    return kfold_expectation(test.tie_on_counts, m, k)
 
 
 def hybrid_bound_check(
@@ -281,7 +246,6 @@ def hybrid_bound_check(
     hat_b: np.ndarray,
     k: int,
     test: ProductTest | None = None,
-    cap: int = DEFAULT_BRUTE_CAP,
 ) -> float:
     """Swap hat coordinates for real ones one at a time and measure how much
     each swap moves the test's expectation.
@@ -290,63 +254,14 @@ def hybrid_bound_check(
     h of that coordinate, and thresholded reweightings of h separate
     dist_b from hat_b by at most twice the calibration error (gamma / eps
     in the tilted regime).  Returns the largest measured gap; callers
-    assert it against the applicable bound.
+    assert it against the applicable bound.  The k + 1 hybrids
+    dist_b^j x hat_b^(k-j) are exact type sums (kfold's mixed products).
     """
-    if k < 1:
-        raise ValidationError("k must be >= 1")
     test = test or product_distinguisher(h, k, "balanced")
     if test.k != k:
         raise ValidationError("test arity does not match k")
-    n = dist_b.size
-    hat_b = np.asarray(hat_b, dtype=float)
-    if hat_b.size != n:
-        raise ValidationError("hat measure size mismatch")
-    values = tuples_test_values(test, n, cap=cap)
-    expectations = []
-    for j in range(k + 1):
-        vectors = [dist_b.weights] * j + [hat_b] * (k - j)
-        expectations.append(float(np.dot(_tuple_weights(vectors), values)))
-    gaps = [abs(expectations[j] - expectations[j + 1]) for j in range(k)]
-    return max(gaps)
-
-
-def product_distribution(dist: Distribution, k: int, cap: int = DEFAULT_BRUTE_CAP) -> Distribution:
-    """The k-fold product as an explicit distribution on N^k points."""
-    vec = _tuple_weights([dist.weights] * k)
-    if vec.size > cap:
-        raise CapExceededError(vec.size, cap, "product distribution")
-    return Distribution(vec / vec.sum())
-
-
-def coordinate_lift(family: Family, k: int, cap: int = DEFAULT_BRUTE_CAP) -> Family:
-    """Lift a family on X to X^k by applying each member to each coordinate."""
-    n = family.domain_size
-    total = n ** k
-    if total > cap:
-        raise CapExceededError(total, cap, "coordinate lift")
-    idx = np.arange(total)
-    members = []
-    for m, member in enumerate(family):
-        for pos in range(k):
-            digit = (idx // (n ** (k - 1 - pos))) % n
-            members.append(
-                Distinguisher(
-                    values=BoundedFn(member.values.values[digit]),
-                    label=member.label,
-                    descriptor=f"{member.descriptor}@coord{pos}",
-                )
-            )
-    return Family(members, name=f"lift({family.name}, k={k})")
-
-
-def lifted_test_distinguisher(
-    test: ProductTest, n: int, label: ComplexityLabel, cap: int = DEFAULT_BRUTE_CAP
-) -> Distinguisher:
-    return Distinguisher(
-        values=BoundedFn(tuples_test_values(test, n, cap=cap)),
-        label=label,
-        descriptor=test.describe(),
-    )
+    expectations = _mixed_expectations(test, dist_b, hat_b, k)
+    return float(np.max(np.abs(np.diff(expectations))))
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +351,6 @@ def verify_two_proxy(
     epsilon: float,
     gamma: float,
     k: int,
-    cap: int = DEFAULT_BRUTE_CAP,
 ) -> CharacterizationReport:
     """Check the full balanced-mixture story for a simulator h of the posterior.
 
@@ -471,8 +385,8 @@ def verify_two_proxy(
     tv_true = kfold_tv(inst.d0, inst.d1, k)
     advantage = test_advantage(test, inst.d0, inst.d1, k)
     advantage_hat = test_advantage(test, proxies.hat0, proxies.hat1, k)
-    hybrid0 = hybrid_bound_check(h, inst.d0, proxies.hat0, k, test=test, cap=cap)
-    hybrid1 = hybrid_bound_check(h, inst.d1, proxies.hat1, k, test=test, cap=cap)
+    hybrid0 = hybrid_bound_check(h, inst.d0, proxies.hat0, k, test=test)
+    hybrid1 = hybrid_bound_check(h, inst.d1, proxies.hat1, k, test=test)
 
     ident_d1 = float(np.max(np.abs(inst.d1.weights - inst.g.values * inst.d_x.weights / inst.prior)))
     ident_d0 = float(
@@ -532,7 +446,6 @@ def verify_single_proxy(
     epsilon: float,
     gamma: float,
     k: int,
-    cap: int = DEFAULT_BRUTE_CAP,
 ) -> CharacterizationReport:
     """Check the tilted-mixture story: prior epsilon on d1, no proxy for d0.
 
@@ -560,7 +473,7 @@ def verify_single_proxy(
     tv_proxy = kfold_tv(inst.d0, proxies.tilde1, k)
     tv_true = kfold_tv(inst.d0, inst.d1, k)
     advantage = test_advantage(test, inst.d0, inst.d1, k)
-    hybrid1 = hybrid_bound_check(h, inst.d1, proxies.hat1, k, test=test, cap=cap)
+    hybrid1 = hybrid_bound_check(h, inst.d1, proxies.hat1, k, test=test)
     ident_d1 = float(
         np.max(np.abs(inst.d1.weights - inst.g.values * inst.d_x.weights / inst.prior))
     )
@@ -606,38 +519,6 @@ def verify_single_proxy(
 # ---------------------------------------------------------------------------
 
 
-def _chain_report(
-    proxy_tv: float,
-    lower_family: Family,
-    upper_family: Family,
-    d0k: Distribution,
-    d1k: Distribution,
-    epsilon: float,
-    k: int,
-    level_info: dict,
-) -> tuple[tuple[Inequality, ...], dict]:
-    fd_lower = family_distance(lower_family, d0k, d1k)
-    fd_upper = family_distance(upper_family, d0k, d1k)
-    chain = (
-        Inequality("chain-lower", fd_lower.value - k * epsilon, proxy_tv),
-        Inequality("chain-upper", proxy_tv, fd_upper.value + k * epsilon),
-    )
-    extras = {
-        "chain": {
-            "family_distance_lower": fd_lower.value,
-            "family_distance_upper": fd_upper.value,
-            "proxy_tv": proxy_tv,
-            "k_epsilon": k * epsilon,
-            "lower_family": lower_family.name,
-            "upper_family": upper_family.name,
-            "lower_witness": lower_family[fd_lower.index].descriptor,
-            "upper_witness": upper_family[fd_upper.index].descriptor,
-        }
-    }
-    extras["chain"].update(level_info)
-    return chain, extras
-
-
 def _fit_and_verify(
     d0: Distribution,
     d1: Distribution,
@@ -646,8 +527,7 @@ def _fit_and_verify(
     epsilon: float,
     k: int,
     mode: str,
-    cap: int,
-) -> tuple[CharacterizationReport, float, ProductTest, float, float, tuple[int, int]]:
+) -> tuple[CharacterizationReport, float, float, tuple[int, int]]:
     """Shared core of characterize and characterize_super.
 
     Picks the prior, the regularity tolerance and the calibration target of
@@ -655,8 +535,7 @@ def _fit_and_verify(
     and regular against the fooled family (the calibrated boost on
     levels[0] without a growth map, the calibrated expanding run up the
     ladder with one), and verifies it.  Returns the verification report,
-    the k-fold proxy total variation, the product test, tol, gamma and the
-    run's final (level, fooled).
+    tol, gamma and the run's final (level, fooled).
     """
     if mode not in ("two-proxy", "single-proxy"):
         raise ValidationError("mode must be 'two-proxy' or 'single-proxy'")
@@ -678,16 +557,59 @@ def _fit_and_verify(
         )
     family = levels[reached[1]]
     if mode == "two-proxy":
-        base = verify_two_proxy(inst, h, family, tol, gamma, k, cap=cap)
-        proxies = build_proxies(inst, h)
-        proxy_tv = kfold_tv(proxies.tilde0, proxies.tilde1, k)
-        test = product_distinguisher(h, k, "balanced")
+        base = verify_two_proxy(inst, h, family, tol, gamma, k)
     else:
-        base = verify_single_proxy(inst, h, family, epsilon, gamma, k, cap=cap)
-        proxies = build_proxies(inst, h)
-        proxy_tv = kfold_tv(d0, proxies.tilde1, k)
-        test = product_distinguisher(h, k, "tilted", epsilon=epsilon)
-    return base, proxy_tv, test, tol, gamma, reached
+        base = verify_single_proxy(inst, h, family, epsilon, gamma, k)
+    return base, tol, gamma, reached
+
+
+def _chain_gaps(
+    base: CharacterizationReport,
+    family: Family,
+    lift_name: str,
+    d0: Distribution,
+    d1: Distribution,
+) -> tuple[tuple[float, str, str], tuple[float, str, str]]:
+    """(distance, family name, witness) on the k-fold products of d0 and d1
+    for the per-coordinate lift of ``family`` and for the lift followed by
+    the product test.
+
+    Under a product measure a member applied to any one coordinate has its
+    base gap, so the lift's distance is the base family distance, first
+    attained at coordinate 0.  The product test's gap is the measured
+    advantage; it comes last, so it is the witness only when strictly larger.
+    """
+    fd = family_distance(family, d0, d1)
+    lift = (fd.value, lift_name, f"{family[fd.index].descriptor}@coord0")
+    advantage = base.audits["advantage"]
+    top = (advantage, base.witnesses["test"]) if advantage > fd.value else (lift[0], lift[2])
+    return lift, (top[0], f"{lift_name}+product-test", top[1])
+
+
+def _chain_report(
+    base: CharacterizationReport,
+    lower: tuple[float, str, str],
+    upper: tuple[float, str, str],
+    epsilon: float,
+    k: int,
+) -> tuple[tuple[Inequality, Inequality], dict]:
+    """The chain relating the family distances of the k-fold originals to
+    the k-fold proxy total variation, and its report fields."""
+    proxy_tv = base.audits["tv_kfold_proxies" if base.mode == "two-proxy" else "tv_kfold_d0_proxy"]
+    chain = (
+        Inequality("chain-lower", lower[0] - k * epsilon, proxy_tv),
+        Inequality("chain-upper", proxy_tv, upper[0] + k * epsilon),
+    )
+    return chain, {
+        "family_distance_lower": lower[0],
+        "family_distance_upper": upper[0],
+        "proxy_tv": proxy_tv,
+        "k_epsilon": k * epsilon,
+        "lower_family": lower[1],
+        "upper_family": upper[1],
+        "lower_witness": lower[2],
+        "upper_witness": upper[2],
+    }
 
 
 def characterize(
@@ -697,8 +619,6 @@ def characterize(
     epsilon: float,
     k: int,
     mode: str = "two-proxy",
-    fk_lower: Family | None = None,
-    cap: int = DEFAULT_BRUTE_CAP,
 ) -> CharacterizationReport:
     """Build the proxies for a pair of distributions and report the chain
     relating family distance of k-fold originals to proxy total variation.
@@ -706,36 +626,26 @@ def characterize(
     The calibration target is epsilon^2 / 20 in two-proxy mode and
     epsilon^3 / 20 in single-proxy mode, small enough that every
     calibration-driven slack is dominated by the epsilon terms.  The chain's
-    lower family defaults to the per-coordinate lift of the input family;
-    the upper family adds the constructed product test.  The two families
+    lower family is the per-coordinate lift of the input family; the upper
+    family adds the constructed product test.  The two families
     deliberately differ: closing that gap is exactly what the
     ladder-based variant below is for.
     """
-    base, proxy_tv, test, tol, gamma, _ = _fit_and_verify(
-        d0, d1, [family], None, epsilon, k, mode, cap
-    )
-    lower = fk_lower or coordinate_lift(family, k, cap=cap)
-    upper = lower.extended(
-        [lifted_test_distinguisher(test, d0.size, ComplexityLabel(k, k), cap=cap)],
-        name=f"{lower.name}+product-test",
-    )
-    d0k = product_distribution(d0, k, cap=cap)
-    d1k = product_distribution(d1, k, cap=cap)
-    chain, extras = _chain_report(
-        proxy_tv, lower, upper, d0k, d1k, epsilon, k,
-        {"distinct_families": True},
-    )
-    extras["certified_proxy_indistinguishability"] = (
-        2 * tol + 5 * gamma if mode == "two-proxy" else epsilon + 2 * gamma / epsilon ** 2
-    )
-    return CharacterizationReport(
+    base, tol, gamma, _ = _fit_and_verify(d0, d1, [family], None, epsilon, k, mode)
+    lift, upper = _chain_gaps(base, family, f"lift({family.name}, k={k})", d0, d1)
+    chain, chain_info = _chain_report(base, lift, upper, epsilon, k)
+    chain_info["distinct_families"] = True
+    certified = 2 * tol + 5 * gamma if mode == "two-proxy" else epsilon + 2 * gamma / epsilon ** 2
+    return replace(
+        base,
         mode=f"characterize/{mode}",
-        instance=base.instance,
         params={"epsilon": epsilon, "gamma": gamma, "k": k, "tolerance": tol},
-        audits=base.audits,
         inequalities=base.inequalities + chain,
-        witnesses=base.witnesses,
-        extras={**base.extras, **extras},
+        extras={
+            **base.extras,
+            "chain": chain_info,
+            "certified_proxy_indistinguishability": certified,
+        },
     )
 
 
@@ -747,7 +657,6 @@ def characterize_super(
     epsilon: float,
     k: int,
     mode: str = "two-proxy",
-    cap: int = DEFAULT_BRUTE_CAP,
 ) -> CharacterizationReport:
     """The chain report with the complexity gap closed: the simulator comes
     from the expanding supersimulator run with interleaved calibration, so
@@ -760,38 +669,21 @@ def characterize_super(
     reports two distinct families instead, and the difference between the
     two reports is the content of the gap-closure demonstration.
     """
-    base, proxy_tv, test, tol, gamma, (level, fooled) = _fit_and_verify(
-        d0, d1, ladder, growth, epsilon, k, mode, cap
+    base, tol, gamma, (level, fooled) = _fit_and_verify(
+        d0, d1, ladder, growth, epsilon, k, mode
     )
-    chain_family = coordinate_lift(ladder[fooled], k, cap=cap).extended(
-        [
-            lifted_test_distinguisher(
-                test, d0.size, ladder.label_of(fooled).scale(k) + ComplexityLabel(0, k), cap=cap
-            )
-        ],
-        name=f"lift({ladder.name}[{fooled}], k={k})+product-test",
-    )
-    d0k = product_distribution(d0, k, cap=cap)
-    d1k = product_distribution(d1, k, cap=cap)
-    chain, extras = _chain_report(
-        proxy_tv, chain_family, chain_family, d0k, d1k, epsilon, k,
-        {
-            "distinct_families": False,
-            "simulator_level": level,
-            "chain_level": fooled,
-        },
-    )
+    _, upper = _chain_gaps(base, ladder[fooled], f"lift({ladder.name}[{fooled}], k={k})", d0, d1)
+    chain, chain_info = _chain_report(base, upper, upper, epsilon, k)
+    chain_info.update(distinct_families=False, simulator_level=level, chain_level=fooled)
     if growth.table[level] == level:
-        extras["chain"]["degenerate_growth"] = (
+        chain_info["degenerate_growth"] = (
             "growth map fixes this level; the product test may exceed the fooled "
             "class, reproducing the two-family gap"
         )
-    return CharacterizationReport(
+    return replace(
+        base,
         mode=f"characterize-super/{mode}",
-        instance=base.instance,
         params={"epsilon": epsilon, "gamma": gamma, "k": k, "tolerance": tol},
-        audits=base.audits,
         inequalities=base.inequalities + chain,
-        witnesses=base.witnesses,
-        extras={**base.extras, **extras},
+        extras={**base.extras, "chain": chain_info},
     )

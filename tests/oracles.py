@@ -69,3 +69,51 @@ def calibration_error_extreme_points(g, h, weights):
         val = abs(sum(b * m for b, m in zip(bits, masses)))
         best = max(best, val)
     return best
+
+
+def compositions_desc(k, n):
+    """All count vectors of length n summing to k, in descending
+    lexicographic order, by plain recursion."""
+    out = []
+
+    def rec(prefix, rem):
+        if len(prefix) == n - 1:
+            out.append(prefix + [rem])
+            return
+        for v in range(rem, -1, -1):
+            rec(prefix + [v], rem - v)
+
+    rec([], k)
+    return np.array(out, dtype=np.int64)
+
+
+def brute_hybrid_expectations(value_of_tuple, p_weights, q_weights, k):
+    """E[value] under p^j x q^(k-j) for j = 0..k: the first j coordinates
+    drawn from p, the rest from q (raw measures allowed), by enumeration."""
+    n = len(p_weights)
+    out = []
+    for j in range(k + 1):
+        total = 0.0
+        for tup in itertools.product(range(n), repeat=k):
+            w = 1.0
+            for pos, z in enumerate(tup):
+                w *= p_weights[z] if pos < j else q_weights[z]
+            total += w * value_of_tuple(tup)
+        out.append(total)
+    return out
+
+
+def brute_lifted_gaps(member_rows, p_weights, q_weights, k):
+    """E_{p^k}[f(z_pos)] - E_{q^k}[f(z_pos)] for every member f applied to
+    every coordinate pos (member-major, coordinate-minor), with the k-fold
+    products built explicitly over all N^k tuples and normalized."""
+    n = len(p_weights)
+    tuples = list(itertools.product(range(n), repeat=k))
+    wp = np.array([np.prod([p_weights[z] for z in t]) for t in tuples])
+    wq = np.array([np.prod([q_weights[z] for z in t]) for t in tuples])
+    diff = wp / wp.sum() - wq / wq.sum()
+    gaps = []
+    for row in member_rows:
+        for pos in range(k):
+            gaps.append(sum(row[t[pos]] * d for t, d in zip(tuples, diff)))
+    return np.array(gaps)

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 import regsim.runner as runner_mod
 from gap_golden import DIGESTS_PATH, demo_digests
 from regsim.cli import main
@@ -66,6 +68,39 @@ def test_validate_lists_every_violation():
     assert any("epsilon" in p for p in problems)
     assert any("d0" in p for p in problems)
     assert len(problems) >= 4
+
+
+@pytest.mark.parametrize(
+    "key,value", [("epsilon", "abc"), ("k", "x"), ("max_iters", "5")]
+)
+def test_malformed_numeric_param_is_a_named_problem(key, value):
+    config = demo_config("characterize-gap")
+    config["params"][key] = value
+    problems = validate_config(config)
+    assert any(p.startswith(f"config.params.{key}:") for p in problems), problems
+    outcome = run_config(config)
+    assert outcome.exit_code == 1
+    assert outcome.report["error"]["problems"] == problems
+
+
+@pytest.mark.parametrize("algorithm", ["characterize", "characterize-super"])
+@pytest.mark.parametrize("mode", ["two-proxy", "single-proxy"])
+def test_characterize_large_k_small_domain(algorithm, mode):
+    # N=2, k=25 has 26 types but 2^25 tuples
+    config = demo_config(f"{algorithm}-gap")
+    config["distributions"] = {"d0": [0.7, 0.3], "d1": [0.4, 0.6]}
+    config["params"].update(k=25, mode=mode)
+    outcome = run_config(config)
+    assert outcome.exit_code == 0, outcome.report.get("error")
+
+
+def test_characterize_k_beyond_double_precision_is_exit_one():
+    config = demo_config("characterize-gap")
+    config["distributions"] = {"d0": [0.7, 0.3], "d1": [0.4, 0.6]}
+    config["params"]["k"] = 20000
+    outcome = run_config(config)
+    assert outcome.exit_code == 1
+    assert "double precision" in json.dumps(outcome.report["error"])
 
 
 def test_validate_valid_config_empty():

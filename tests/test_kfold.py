@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 import regsim as rs
 from conftest import random_distribution
-from oracles import brute_kfold_expectation, brute_kfold_tv, counts_of
+from oracles import brute_kfold_expectation, brute_kfold_tv, compositions_desc, counts_of
 
 
 def test_binomial_row_weights():
@@ -132,3 +134,42 @@ def test_type_count():
     assert rs.type_count(2, 2) == 3
     assert rs.type_count(3, 1) == 3
     assert rs.type_count(4, 5) == 56
+
+
+@pytest.mark.parametrize("n,k", [(2, 60), (3, 30), (8, 6)])
+def test_type_table_rows_and_exact_multinomials(n, k):
+    # (2, 60) has multinomials above 2^53, where summing weights through the
+    # successor maps in floats would round differently in some rows
+    table = rs.kfold_type_classes([np.full(n, 1.0 / n)], k)
+    assert np.array_equal(table.counts, compositions_desc(k, n))
+    expected = [
+        float(math.factorial(k) // math.prod(math.factorial(int(v)) for v in row))
+        for row in table.counts
+    ]
+    assert list(table.weights) == expected
+
+
+@pytest.mark.parametrize("n,k", [(1, 4), (2, 7), (3, 5), (5, 4)])
+def test_successor_maps_add_one_point(n, k):
+    from regsim.kfold import _successors, _types
+
+    succ = _successors(n, k)
+    for i in range(k):
+        rows, up = _types(n, i), _types(n, i + 1)
+        for x in range(n):
+            plus_one = rows.copy()
+            plus_one[:, x] += 1
+            assert np.array_equal(up[succ[i][:, x]], plus_one)
+
+
+def test_large_k_is_answered_or_refused_without_building_layers():
+    # the largest k whose multinomials fit a double at N=2 (C(1029, 514) < 1.8e308)
+    assert 0.0 < rs.kfold_tv([0.7, 0.3], [0.4, 0.6], 1029) <= 1.0
+    for n, k in [(2, 1030), (2, 20000), (3, 3000)]:
+        with pytest.raises(rs.ValidationError, match="double precision"):
+            rs.kfold_tv(np.full(n, 1 / n), np.full(n, 1 / n), k)
+    # the hybrid DP keeps successor maps for every size below k
+    h = rs.BoundedFn(np.array([0.2, 0.5, 0.9]))
+    dist = rs.Distribution(np.full(3, 1 / 3))
+    with pytest.raises(rs.CapExceededError, match="successor maps for N=3, k=300"):
+        rs.hybrid_bound_check(h, dist, dist.weights, 300)

@@ -5,7 +5,7 @@ import pytest
 
 import regsim as rs
 from conftest import random_distribution, random_family
-from oracles import counts_of
+from oracles import brute_hybrid_expectations, brute_lifted_gaps, counts_of
 
 TOL = 1e-10
 EXACT = 1e-12
@@ -280,6 +280,28 @@ def test_hybrid_bound_check_examples():
         assert rs.hybrid_bound_check(hc, b, hat, 3, test=test3) <= 2 * gamma + TOL
 
 
+def test_hybrid_bound_check_matches_tuple_enumeration():
+    # raw hat vectors whose mass is not 1, h with repeated levels, both kinds
+    rng = np.random.default_rng(47)
+    for _ in range(20):
+        n = int(rng.integers(2, 5))
+        k = int(rng.integers(1, 5))
+        dist = random_distribution(rng, n)
+        hat = rng.uniform(0.0, 1.0, size=n) * rng.uniform(0.5, 1.5) / n
+        h = rs.BoundedFn(rng.choice([0.05, 0.1, 0.3, 0.5, 0.8, 1.0], size=n))
+        if rng.uniform() < 0.5:
+            test = rs.product_distinguisher(h, k, "balanced")
+        else:
+            test = rs.product_distinguisher(h, k, "tilted", epsilon=0.1)
+        brute = brute_hybrid_expectations(
+            lambda tup: float(test.on_counts(counts_of(tup, n)[None, :])[0]),
+            dist.weights, hat, k,
+        )
+        expected = max(abs(brute[j] - brute[j + 1]) for j in range(k))
+        gap = rs.hybrid_bound_check(h, dist, hat, k, test=test)
+        assert gap == pytest.approx(expected, abs=1e-12)
+
+
 # -- single-proxy verification ---------------------------------------------------
 
 
@@ -399,6 +421,55 @@ def test_characterize_super_flat_ladder_matches_characterize(mode):
         sup = rs.characterize_super(d0, d1, ladder, rs.GrowthMap.identity(ladder), 0.2, k, mode=mode)
         assert sup.instance == plain.instance
         assert sup.audits == plain.audits
+
+
+def _assert_chain_matches_lift(report, family, d0, d1, k):
+    chain = report.extras["chain"]
+    gaps = np.abs(brute_lifted_gaps(family.matrix, d0.weights, d1.weights, k))
+    lift = float(gaps.max())
+    upper = max(lift, report.audits["advantage"])
+    lower = lift if chain["distinct_families"] else upper
+    assert chain["family_distance_lower"] == pytest.approx(lower, abs=1e-12)
+    assert chain["family_distance_upper"] == pytest.approx(upper, abs=1e-12)
+    descriptors = [f"{m.descriptor}@coord{pos}" for m in family for pos in range(k)]
+    for side in ("lower", "upper"):
+        witness = chain[f"{side}_witness"]
+        if witness == report.witnesses["test"]:
+            assert report.audits["advantage"] > lift
+        else:
+            assert witness.endswith("@coord0")
+            assert gaps[descriptors.index(witness)] == pytest.approx(lift, abs=1e-12)
+
+
+@pytest.mark.parametrize("mode", ["two-proxy", "single-proxy"])
+def test_chain_distances_match_lifted_family(mode):
+    rng = np.random.default_rng(48)
+    for _ in range(6):
+        n = int(rng.integers(2, 5))
+        k = int(rng.integers(1, 5))
+        d0, d1 = random_distribution(rng, n), random_distribution(rng, n)
+        fam = random_family(rng, n, int(rng.integers(1, 5)))
+        report = rs.characterize(d0, d1, fam, 0.2, k, mode=mode)
+        _assert_chain_matches_lift(report, fam, d0, d1, k)
+        ladder = rs.GradedLadder([fam, fam], name="flat")
+        growth = rs.GrowthMap.identity(ladder)
+        sup = rs.characterize_super(d0, d1, ladder, growth, 0.2, k, mode=mode)
+        _assert_chain_matches_lift(sup, ladder[sup.extras["chain"]["chain_level"]], d0, d1, k)
+
+
+def test_single_proxy_product_test_ties_stay_level_sets():
+    # prod h = eps^k ties between points of equal h once split by point
+    # identity, so a one-coordinate section was no union of level sets of h
+    # and the hybrid step exceeded gamma / eps
+    d0 = rs.Distribution(np.array(
+        [0.6523162417258327, 0.1565815526471163, 0.1570235647594051, 0.034078640867645886]
+    ))
+    d1 = rs.Distribution(np.array(
+        [0.693454388510569, 0.024528781840412676, 0.01397050399813141, 0.26804632565088693]
+    ))
+    fam = rs.build_coordinate_family(rs.FiniteDomain(4, bit_width=2))
+    report = rs.characterize(d0, d1, fam, 0.1, 9, mode="single-proxy")
+    assert report.passed, report.failed_names()
 
 
 def test_advantage_never_exceeds_true_tv():
