@@ -45,7 +45,8 @@ class BoostParams:
     round_grid is the arithmetic grid the simulator is rounded to after each
     update; it defaults to exactly epsilon**10, the coarsest grid that keeps
     rounding losses negligible against the per-update potential drop.
-    Rounding direction is round-half-to-even throughout.
+    Rounding direction is round-half-to-even throughout.  Reaching a user
+    max_iters below updates_bound(epsilon) is a ValidationError.
     """
 
     epsilon: float
@@ -352,6 +353,11 @@ def _boost(
         if br.correlation <= eps + DERIVED_TOL:
             break
         if updates >= params.max_iters:
+            if params.max_iters < updates_bound(eps):
+                raise ValidationError(
+                    f"params.max_iters: boost ({termination}) reached the user cap of "
+                    f"{params.max_iters} updates"
+                )
             raise InternalContractError(
                 f"boost ({termination}) exceeded {params.max_iters} updates; "
                 "the potential argument rules this out for a valid family"
@@ -467,14 +473,16 @@ def multicalibrate(
     the best thresholding of the chosen member: shifting by the raw member
     values and re-rounding to the grid could round away to nothing, while a
     maximizing threshold provably drops the potential by at least
-    epsilon^2 times the level mass.
+    epsilon^2 times the level mass.  A max_iters below the default bound is
+    a user cap, and reaching it is a ValidationError.
     """
     if not (0.0 < epsilon < 1.0):
         raise ValidationError("epsilon must lie in (0, 1)")
     n_grid = math.ceil(1.0 / epsilon) + 1
     floor = epsilon / n_grid
+    bound = math.ceil(4.0 * n_grid / epsilon ** 3)
     if max_iters is None:
-        max_iters = math.ceil(4.0 * n_grid / epsilon ** 3)
+        max_iters = bound
     h = BoundedFn(round_to_grid(np.full(g.size, 0.5), epsilon))
     records: list[TraceRecord] = []
     phi = potential(g, h, dist)
@@ -491,11 +499,16 @@ def multicalibrate(
             trace.validate(epsilon * epsilon * floor)
             return h, trace
         if step >= max_iters:
+            if max_iters < bound:
+                raise ValidationError(
+                    f"params.max_iters: multicalibration reached the user cap of "
+                    f"{max_iters} iterations"
+                )
             raise InternalContractError(
                 f"multicalibration exceeded {max_iters} iterations"
             )
         level_value, sel, member_idx, sign, weighted = choice
-        f_vals = family[member_idx].values.values
+        f_vals = family.matrix[member_idx]
         threshold, target = _best_threshold_shift(
             g, h, dist, sel, f_vals, sign, epsilon, level_value
         )
@@ -519,7 +532,7 @@ def multicalibrate(
                 correlation=weighted / mass,
                 sign=sign,
                 member_index=member_idx,
-                descriptor=family[member_idx].descriptor,
+                descriptor=family.descriptors[member_idx],
                 detail={
                     "level": level_value,
                     "level_mass": mass,

@@ -2,9 +2,9 @@
 
 Configs are single JSON documents.  Unknown fields are rejected everywhere
 (fail closed, so a typo in a parameter name cannot silently change an
-experiment), and validate() reports every violation it can find rather than
-stopping at the first.  A seed is mandatory as soon as any randomized
-generator appears in the config.
+experiment).  plan_config validates a config and builds every object its run
+reads once, reporting every violation it can find rather than stopping at
+the first.  A seed is mandatory as soon as any randomized generator is built.
 """
 
 from __future__ import annotations
@@ -51,31 +51,34 @@ ALGORITHM_ALIASES = {
     "verify-single-proxy": "verify42",
 }
 
+# Built fields in the order a run draws them from the seeded generator: the
+# target first, then the fields the algorithm reads, then the rest (built
+# only to validate them).
+_FIELDS = ("target", "d", "d0", "d1", "family", "ladder", "growth", "schedule", "simulator")
+_DISTS = ("d", "d0", "d1")
+_NUMERIC = {"epsilon": float, "gamma": float, "alpha": float, "k": int, "max_iters": int}
+
 _TOP_KEYS = {
     "domain": True,
     "algorithm": True,
     "params": True,
     "seed": False,
-    "target": False,
-    "simulator": False,
     "distributions": False,
-    "family": False,
-    "ladder": False,
-    "growth": False,
-    "schedule": False,
     "output": False,
+    **{name: False for name in _FIELDS if name not in _DISTS},
 }
 
-_PARAM_KEYS = {"epsilon", "gamma", "alpha", "k", "mode", "max_iters"}
+_PARAM_KEYS = {*_NUMERIC, "mode"}
 
+# What each algorithm reads; a verify run reads an optional simulator.
 _NEEDS = {
-    "boost": {"target", "dist", "family", "epsilon"},
-    "calibrated": {"target", "dist", "family", "epsilon", "gamma"},
-    "multicalibrate": {"target", "dist", "family", "epsilon"},
-    "supersim-expanding": {"target", "dist", "ladder", "growth", "epsilon"},
-    "supersim-shrinking": {"target", "dist", "ladder", "growth", "schedule", "alpha"},
-    "verify41": {"d0", "d1", "family", "epsilon", "gamma", "k"},
-    "verify42": {"d0", "d1", "family", "epsilon", "gamma", "k"},
+    "boost": {"target", "d", "family", "epsilon"},
+    "calibrated": {"target", "d", "family", "epsilon", "gamma"},
+    "multicalibrate": {"target", "d", "family", "epsilon"},
+    "supersim-expanding": {"target", "d", "ladder", "growth", "epsilon"},
+    "supersim-shrinking": {"target", "d", "ladder", "growth", "schedule", "alpha"},
+    "verify41": {"d0", "d1", "family", "simulator", "epsilon", "gamma", "k"},
+    "verify42": {"d0", "d1", "family", "simulator", "epsilon", "gamma", "k"},
     "characterize": {"d0", "d1", "family", "epsilon", "k"},
     "characterize-super": {"d0", "d1", "ladder", "growth", "epsilon", "k"},
 }
@@ -87,10 +90,6 @@ class Diagnostics:
 
     def add(self, path: str, message: str) -> None:
         self.problems.append(f"{path}: {message}")
-
-    @property
-    def ok(self) -> bool:
-        return not self.problems
 
 
 def _check_keys(obj: dict, path: str, spec: dict[str, bool], diags: Diagnostics) -> bool:
@@ -109,16 +108,6 @@ def _check_keys(obj: dict, path: str, spec: dict[str, bool], diags: Diagnostics)
     return ok
 
 
-def _uses_rng(obj: Any) -> bool:
-    if isinstance(obj, dict):
-        if obj.get("kind") == "random":
-            return True
-        return any(_uses_rng(v) for v in obj.values())
-    if isinstance(obj, list):
-        return any(_uses_rng(v) for v in obj)
-    return False
-
-
 class ConfigContext:
     """Carries the parsed domain and rng while building config objects."""
 
@@ -129,16 +118,47 @@ class ConfigContext:
 
     def require_rng(self, path: str) -> np.random.Generator:
         if self.rng is None:
-            raise ValidationError(f"{path}: randomized generator used without a seed")
+            raise ValidationError(f"{path}: seed is mandatory when a randomized generator is used")
         return self.rng
+
+
+_REQUIRED = object()
+
+
+def _field(spec: dict, key: str, path: str, kind: Any = float, default: Any = _REQUIRED) -> Any:
+    """``spec[key]`` as ``kind`` (see ``_typed``), or ``default`` when absent;
+    a missing required or mistyped field is a ValidationError naming it."""
+    if key not in spec:
+        if default is _REQUIRED:
+            raise ValidationError(f"{path}.{key}: missing required field")
+        return default
+    return _typed(spec[key], f"{path}.{key}", kind)
+
+
+def _typed(value: Any, where: str, kind: Any) -> Any:
+    """``value`` as a float or int, or (``kind`` [float] or [int]) as a
+    nonempty list of them; bools and numeric strings are rejected."""
+    if isinstance(kind, list):
+        if not isinstance(value, list) or not value:
+            raise ValidationError(f"{where}: expected a nonempty list")
+        return [_typed(v, where, kind[0]) for v in value]
+    if isinstance(value, bool) or not isinstance(value, Integral if kind is int else Real):
+        noun = "an integer" if kind is int else "a number"
+        raise ValidationError(f"{where}: expected {noun}, got {value!r}")
+    return kind(value)
+
+
+def _vector(spec: Any, path: str, n: int) -> list[float]:
+    values = _typed(spec, path, [float])
+    if len(values) != n:
+        raise ValidationError(f"{path}: vector length {len(values)} != domain size {n}")
+    return values
 
 
 def build_distribution(spec: Any, ctx: ConfigContext, path: str) -> Distribution:
     n = ctx.domain.size
     if isinstance(spec, list):
-        if len(spec) != n:
-            raise ValidationError(f"{path}: vector length {len(spec)} != domain size {n}")
-        return Distribution(np.asarray(spec, dtype=float))
+        return Distribution(_vector(spec, path, n))
     if not isinstance(spec, dict):
         raise ValidationError(f"{path}: expected a vector or generator object")
     kind = spec.get("kind")
@@ -147,14 +167,15 @@ def build_distribution(spec: Any, ctx: ConfigContext, path: str) -> Distribution
         return Distribution.uniform(n)
     if kind == "random":
         _only_keys(spec, {"kind", "concentration"}, path)
-        conc = float(spec.get("concentration", 1.0))
+        conc = _field(spec, "concentration", path, default=1.0)
         if conc <= 0:
             raise ValidationError(f"{path}.concentration: must be positive")
         raw = ctx.require_rng(path).gamma(conc, size=n) + 1e-12
         return Distribution(raw / raw.sum())
     if kind == "two_point":
         _only_keys(spec, {"kind", "i", "j", "p"}, path)
-        i, j, p = int(spec["i"]), int(spec["j"]), float(spec["p"])
+        i, j = _field(spec, "i", path, int), _field(spec, "j", path, int)
+        p = _field(spec, "p", path)
         if not (0 <= i < n and 0 <= j < n):
             raise ValidationError(f"{path}: indices outside the domain")
         if not (0.0 <= p <= 1.0):
@@ -169,9 +190,7 @@ def build_distribution(spec: Any, ctx: ConfigContext, path: str) -> Distribution
 def build_function(spec: Any, ctx: ConfigContext, path: str) -> BoundedFn:
     n = ctx.domain.size
     if isinstance(spec, list):
-        if len(spec) != n:
-            raise ValidationError(f"{path}: vector length {len(spec)} != domain size {n}")
-        return BoundedFn(np.asarray(spec, dtype=float))
+        return BoundedFn(_vector(spec, path, n))
     if not isinstance(spec, dict):
         raise ValidationError(f"{path}: expected a vector or generator object")
     kind = spec.get("kind")
@@ -180,10 +199,10 @@ def build_function(spec: Any, ctx: ConfigContext, path: str) -> BoundedFn:
         return BoundedFn(ctx.require_rng(path).uniform(0.0, 1.0, size=n))
     if kind == "constant":
         _only_keys(spec, {"kind", "value"}, path)
-        return BoundedFn.constant(n, float(spec["value"]))
+        return BoundedFn.constant(n, _field(spec, "value", path))
     if kind == "indicator":
         _only_keys(spec, {"kind", "index"}, path)
-        idx = int(spec["index"])
+        idx = _field(spec, "index", path, int)
         if not (0 <= idx < n):
             raise ValidationError(f"{path}.index: outside the domain")
         return BoundedFn.indicator(n, idx)
@@ -199,9 +218,7 @@ def build_family(spec: Any, ctx: ConfigContext, path: str) -> Family:
         return build_coordinate_family(ctx.domain)
     if builder == "threshold":
         _only_keys(spec, {"builder", "grid", "source"}, path)
-        grid = spec.get("grid")
-        if not isinstance(grid, list) or not grid:
-            raise ValidationError(f"{path}.grid: expected a nonempty list")
+        grid = _field(spec, "grid", path, [float])
         source = spec.get("source", "target")
         if source == "target":
             if ctx.target is None:
@@ -212,7 +229,7 @@ def build_family(spec: Any, ctx: ConfigContext, path: str) -> Family:
         return build_threshold_family(h, grid)
     if builder == "rectangle":
         _only_keys(spec, {"builder", "rows", "cols"}, path)
-        rows, cols = int(spec["rows"]), int(spec["cols"])
+        rows, cols = _field(spec, "rows", path, int), _field(spec, "cols", path, int)
         if rows * cols != ctx.domain.size:
             raise ValidationError(
                 f"{path}: rows*cols = {rows * cols} != domain size {ctx.domain.size}"
@@ -223,12 +240,8 @@ def build_family(spec: Any, ctx: ConfigContext, path: str) -> Family:
         members = spec.get("members")
         if not isinstance(members, list) or not members:
             raise ValidationError(f"{path}.members: expected a nonempty list of vectors")
-        for i, vec in enumerate(members):
-            if not isinstance(vec, list) or len(vec) != ctx.domain.size:
-                raise ValidationError(
-                    f"{path}.members[{i}]: expected a vector of length {ctx.domain.size}"
-                )
-        return explicit_family(members, name="explicit")
+        rows = [_vector(v, f"{path}.members[{i}]", ctx.domain.size) for i, v in enumerate(members)]
+        return explicit_family(rows, name="explicit")
     if builder == "compose":
         _only_keys(spec, {"builder", "base", "s1", "s2", "catalog"}, path)
         base = build_family(spec.get("base"), ctx, f"{path}.base")
@@ -243,7 +256,8 @@ def build_family(spec: Any, ctx: ConfigContext, path: str) -> Family:
                     f"known: {sorted(STANDARD_COMBINATORS)}"
                 )
             catalog.append(STANDARD_COMBINATORS[name]())
-        return compose_level(base, int(spec["s1"]), int(spec["s2"]), catalog)
+        s1, s2 = _field(spec, "s1", path, int), _field(spec, "s2", path, int)
+        return compose_level(base, s1, s2, catalog)
     raise ValidationError(f"{path}.builder: unknown builder {builder!r}")
 
 
@@ -258,9 +272,9 @@ def build_ladder(spec: Any, ctx: ConfigContext, path: str) -> GradedLadder:
         build_family(s, ctx, f"{path}.levels[{i}]") for i, s in enumerate(levels_spec)
     ]
     ladder = GradedLadder(levels)
-    pad_to = spec.get("pad_to")
+    pad_to = _field(spec, "pad_to", path, int, default=None)
     if pad_to is not None:
-        ladder = ladder.padded(int(pad_to))
+        ladder = ladder.padded(pad_to)
     return ladder
 
 
@@ -273,13 +287,13 @@ def build_growth(spec: Any, ladder: GradedLadder, path: str) -> GrowthMap:
         return GrowthMap.identity(ladder)
     if kind == "shift":
         _only_keys(spec, {"kind", "by"}, path)
-        return GrowthMap.shift(ladder, int(spec.get("by", 1)))
+        return GrowthMap.shift(ladder, _field(spec, "by", path, int, default=1))
     if kind == "explicit":
         _only_keys(spec, {"kind", "map"}, path)
-        table = spec.get("map")
-        if not isinstance(table, list) or len(table) != ladder.depth:
+        table = _field(spec, "map", path, [int])
+        if len(table) != ladder.depth:
             raise ValidationError(f"{path}.map: expected a list of length {ladder.depth}")
-        return GrowthMap.explicit(ladder, [int(t) for t in table])
+        return GrowthMap.explicit(ladder, table)
     raise ValidationError(f"{path}.kind: unknown growth kind {kind!r}")
 
 
@@ -289,21 +303,18 @@ def build_schedule(spec: Any, path: str) -> ErrorSchedule:
     kind = spec.get("kind")
     if kind == "constant":
         _only_keys(spec, {"kind", "value"}, path)
-        return ErrorSchedule.constant(float(spec["value"]))
+        return ErrorSchedule.constant(_field(spec, "value", path))
     if kind == "geometric":
         _only_keys(spec, {"kind", "start", "factor", "depth", "floor"}, path)
         return ErrorSchedule.geometric(
-            float(spec["start"]),
-            float(spec["factor"]),
-            int(spec["depth"]),
-            float(spec.get("floor", 1e-3)),
+            _field(spec, "start", path),
+            _field(spec, "factor", path),
+            _field(spec, "depth", path, int),
+            _field(spec, "floor", path, default=1e-3),
         )
     if kind == "explicit":
         _only_keys(spec, {"kind", "values"}, path)
-        values = spec.get("values")
-        if not isinstance(values, list) or not values:
-            raise ValidationError(f"{path}.values: expected a nonempty list")
-        return ErrorSchedule([float(v) for v in values])
+        return ErrorSchedule(_field(spec, "values", path, [float]))
     raise ValidationError(f"{path}.kind: unknown schedule kind {kind!r}")
 
 
@@ -313,28 +324,56 @@ def _only_keys(obj: dict, allowed: set[str], path: str) -> None:
             raise ValidationError(f"{path}.{key}: unknown field (fail-closed: check spelling)")
 
 
-def canonical_algorithm(name: str) -> str:
-    return ALGORITHM_ALIASES.get(name, name)
+@dataclass(frozen=True)
+class Plan:
+    """A validated config with every object its run reads built once.
+
+    ``algorithm`` is the canonical name; a field the config leaves out is
+    None, and a None ``simulator`` means the run builds a calibrated one.
+    """
+
+    algorithm: str
+    target: BoundedFn | None
+    d: Distribution | None
+    d0: Distribution | None
+    d1: Distribution | None
+    family: Family | None
+    ladder: GradedLadder | None
+    growth: GrowthMap | None
+    schedule: ErrorSchedule | None
+    simulator: BoundedFn | None
+    epsilon: float | None
+    gamma: float | None
+    alpha: float | None
+    k: int | None
+    max_iters: int | None
+    mode: str
 
 
 def validate_config(config: Any) -> list[str]:
     """Schema plus precondition checks without execution; returns every
     violation found, not just the first."""
+    return plan_config(config)[1]
+
+
+def plan_config(config: Any) -> tuple[Plan | None, list[str]]:
+    """Validate a config and build everything its run reads, once: (plan, [])
+    when valid, else (None, every violation found)."""
     diags = Diagnostics()
     if not _check_keys(config, "config", _TOP_KEYS, diags):
-        return diags.problems
+        return None, diags.problems
 
     try:
         domain = FiniteDomain.from_json(config["domain"])
     except (RegsimError, KeyError, TypeError) as exc:
         diags.add("config.domain", str(exc))
-        return diags.problems
+        return None, diags.problems
 
     algorithm = config.get("algorithm")
     if algorithm not in ALGORITHMS:
         diags.add("config.algorithm", f"unknown algorithm {algorithm!r}; known: {ALGORITHMS}")
-        return diags.problems
-    algo = canonical_algorithm(algorithm)
+        return None, diags.problems
+    algo = ALGORITHM_ALIASES.get(algorithm, algorithm)
 
     params = config.get("params", {})
     if isinstance(params, dict):
@@ -345,8 +384,10 @@ def validate_config(config: Any) -> list[str]:
         diags.add("config.params", "expected an object")
         params = {}
 
-    if _uses_rng(config) and config.get("seed") is None:
-        diags.add("config.seed", "seed is mandatory when any randomized generator is used")
+    seed = config.get("seed")
+    if seed is not None and (isinstance(seed, bool) or not isinstance(seed, Integral) or seed < 0):
+        diags.add("config.seed", f"expected a nonnegative integer, got {seed!r}")
+        seed = None
 
     needs = _NEEDS[algo]
     dists = config.get("distributions", {})
@@ -355,41 +396,33 @@ def validate_config(config: Any) -> list[str]:
         dists = {}
     else:
         for key in dists:
-            if key not in ("d", "d0", "d1"):
+            if key not in _DISTS:
                 diags.add(f"config.distributions.{key}", "unknown field")
 
-    def need(where: str) -> None:
-        diags.add(where, f"required by algorithm {algorithm!r}")
+    def spec_and_path(name: str) -> tuple[Any, str]:
+        if name in _DISTS:
+            return dists.get(name), f"config.distributions.{name}"
+        return config.get(name), f"config.{name}"
 
-    if "target" in needs and "target" not in config:
-        need("config.target")
-    if "dist" in needs and "d" not in dists:
-        need("config.distributions.d")
-    for dkey in ("d0", "d1"):
-        if dkey in needs and dkey not in dists:
-            need(f"config.distributions.{dkey}")
-    if "family" in needs and "family" not in config:
-        need("config.family")
-    if "ladder" in needs and "ladder" not in config:
-        need("config.ladder")
-    if "growth" in needs and "growth" not in config:
-        need("config.growth")
-    if "schedule" in needs and "schedule" not in config:
-        need("config.schedule")
+    for name in _FIELDS[:-1]:  # a simulator is never required
+        spec, path = spec_and_path(name)
+        if name in needs and spec is None:
+            diags.add(path, f"required by algorithm {algorithm!r}")
 
     # Every numeric parameter is type-checked wherever it appears; a
     # malformed one is named once and left out of the range checks below.
     num = {}
-    for key in ("epsilon", "gamma", "alpha", "k", "max_iters"):
-        value = params.get(key)
-        integer = key in ("k", "max_iters")
-        if value is None:
+    for key, kind in _NUMERIC.items():
+        if params.get(key) is None:
             if key in needs:
                 diags.add(f"config.params.{key}", f"required by algorithm {algorithm!r}")
-        elif isinstance(value, bool) or not isinstance(value, Integral if integer else Real):
-            kind = "an integer" if integer else "a number"
-            diags.add(f"config.params.{key}", f"expected {kind}, got {value!r}")
-        elif integer and value < 1:
+            continue
+        try:
+            value = _typed(params[key], f"config.params.{key}", kind)
+        except ValidationError as exc:
+            diags.problems.append(str(exc))
+            continue
+        if kind is int and value < 1:
             diags.add(f"config.params.{key}", f"{key} must be >= 1")
         else:
             num[key] = value
@@ -411,37 +444,47 @@ def validate_config(config: Any) -> list[str]:
             diags.add("config.params.gamma", "gamma must lie in (0, epsilon]")
     if "alpha" in needs and alpha is not None and not (0.0 < alpha < 0.5):
         diags.add("config.params.alpha", "alpha must lie in (0, 0.5)")
-    mode = params.get("mode")
-    if mode is not None and mode not in ("two-proxy", "single-proxy"):
+    mode = params.get("mode", "two-proxy")
+    if mode not in ("two-proxy", "single-proxy"):
         diags.add("config.params.mode", "mode must be 'two-proxy' or 'single-proxy'")
 
-    # Construction dry run: builders enforce the structural invariants
-    # (ladder nesting, grid sortedness, ...), so exercise them here.
-    ctx = ConfigContext(domain, config.get("seed"))
+    # Build once, in the order a run draws from the generator; the builders
+    # enforce the structural invariants (ladder nesting, grid order, ...).
+    ctx = ConfigContext(domain, seed)
+    reads = [f for f in _FIELDS[1:] if f in needs]
+    built: dict[str, Any] = {}
     try:
-        if "target" in config:
-            ctx.target = build_function(config["target"], ctx, "config.target")
-        for dkey in ("d", "d0", "d1"):
-            if dkey in dists:
-                build_distribution(dists[dkey], ctx, f"config.distributions.{dkey}")
-        if "simulator" in config and isinstance(config["simulator"], list):
-            build_function(config["simulator"], ctx, "config.simulator")
-        family = None
-        if "family" in config:
-            family = build_family(config["family"], ctx, "config.family")
-        ladder = None
-        if "ladder" in config:
-            ladder = build_ladder(config["ladder"], ctx, "config.ladder")
-        if "growth" in config:
-            if ladder is None:
-                diags.add("config.growth", "growth map needs a ladder")
-            else:
-                build_growth(config["growth"], ladder, "config.growth")
-        if "schedule" in config:
-            build_schedule(config["schedule"], "config.schedule")
+        for name in ["target"] + reads + [f for f in _FIELDS[1:] if f not in reads]:
+            spec, path = spec_and_path(name)
+            if spec is None:
+                continue
+            if name == "target":
+                built[name] = ctx.target = build_function(spec, ctx, path)
+            elif name in _DISTS:
+                built[name] = build_distribution(spec, ctx, path)
+            elif name == "family":
+                built[name] = build_family(spec, ctx, path)
+            elif name == "ladder":
+                built[name] = build_ladder(spec, ctx, path)
+            elif name == "growth":
+                if "ladder" not in built:
+                    diags.add(path, "growth map needs a ladder")
+                else:
+                    built[name] = build_growth(spec, built["ladder"], path)
+            elif name == "schedule":
+                built[name] = build_schedule(spec, path)
+            elif not (isinstance(spec, dict) and spec.get("kind") == "calibrated"):
+                built[name] = build_function(spec, ctx, path)
     except RegsimError as exc:
         diags.add("config", str(exc))
-    return diags.problems
+    if diags.problems:
+        return None, diags.problems
+    return Plan(
+        algorithm=algo,
+        **{name: built.get(name) for name in _FIELDS},
+        **{key: num.get(key) for key in _NUMERIC},
+        mode=mode,
+    ), []
 
 
 def load_config(path: str) -> dict:

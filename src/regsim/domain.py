@@ -10,6 +10,7 @@ summing to one), 1e-10 for derived sums.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Sequence, Union
 
 import numpy as np
@@ -48,6 +49,10 @@ class FiniteDomain:
     bit_width: int | None = None
 
     def __post_init__(self):
+        for key in ("size", "bit_width"):
+            value = getattr(self, key)
+            if value is not None and (isinstance(value, bool) or not isinstance(value, Integral)):
+                raise ValidationError(f"domain {key} must be an integer, got {value!r}")
         if self.size < 1:
             raise ValidationError("domain size must be >= 1")
         if self.bit_width is not None:

@@ -14,8 +14,10 @@ field survives so an approximate oracle can be swapped in later.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+import functools
+import itertools
+from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -66,52 +68,60 @@ class Distinguisher:
     label: ComplexityLabel = ComplexityLabel(1, 0)
     descriptor: str = "distinguisher"
 
-    @property
-    def size(self) -> int:
-        return self.values.size
-
 
 class Family:
-    """A nonempty, deterministically ordered list of distinguishers on one domain."""
+    """A nonempty, deterministically ordered family of distinguishers on one
+    domain: ``matrix`` is the (m, N) array of member values, row order =
+    enumeration order, with one entry of ``descriptors`` and ``labels`` per row.
 
-    def __init__(self, members: Sequence[Distinguisher], name: str = "family"):
-        members = list(members)
-        if not members:
+    The matrix is taken without a copy and made read-only, so a builder fills
+    one array in place; ``family[i]`` builds a ``Distinguisher`` when asked.
+    """
+
+    def __init__(
+        self,
+        matrix: np.ndarray,
+        descriptors: Sequence[str],
+        labels: Sequence[ComplexityLabel],
+        name: str = "family",
+    ):
+        matrix = np.asarray(matrix, dtype=float)
+        if matrix.shape[:1] == (0,):
             raise EmptyFamilyError("a family must have at least one member")
-        n = members[0].size
-        for i, m in enumerate(members):
-            if m.size != n:
-                raise DomainMismatchError(n, m.size, f"family member {i}")
-        self.members: tuple[Distinguisher, ...] = tuple(members)
-        self.name = name
-        self.domain_size = n
-        label = members[0].label
-        for m in members[1:]:
-            label = label.join(m.label)
-        self.label = label
-        matrix = np.stack([m.values.values for m in members])
+        if matrix.ndim != 2 or matrix.shape[1] == 0:
+            raise ValidationError(f"a family matrix must be (m, N) with N >= 1, got {matrix.shape}")
+        self.descriptors, self.labels = tuple(descriptors), tuple(labels)
+        if not len(self.descriptors) == len(self.labels) == matrix.shape[0]:
+            raise ValidationError("a family needs one descriptor and one label per row")
+        # min/max propagate NaN, so one comparison also rejects non-finite rows
+        if not (matrix.min() >= 0.0 and matrix.max() <= 1.0):
+            raise ValidationError("family values must be finite and lie in [0, 1]")
         matrix.setflags(write=False)
-        self._matrix = matrix
+        self.matrix = matrix
+        self.name = name
+        self.domain_size = matrix.shape[1]
+        self.label = functools.reduce(ComplexityLabel.join, set(self.labels))
 
     def __len__(self) -> int:
-        return len(self.members)
-
-    def __iter__(self):
-        return iter(self.members)
+        return self.matrix.shape[0]
 
     def __getitem__(self, i: int) -> Distinguisher:
-        return self.members[i]
+        return Distinguisher(BoundedFn(self.matrix[i]), self.labels[i], self.descriptors[i])
 
-    @property
-    def matrix(self) -> np.ndarray:
-        """(m, N) matrix of member values, row order = enumeration order."""
-        return self._matrix
-
-    def extended(self, extra: Sequence[Distinguisher], name: str | None = None) -> "Family":
-        return Family(list(self.members) + list(extra), name=name or self.name)
-
-    def value_set(self) -> set[tuple[float, ...]]:
-        return {tuple(row) for row in self._matrix}
+    def extended(
+        self,
+        rows: Sequence[np.ndarray],
+        descriptors: Sequence[str],
+        labels: Sequence[ComplexityLabel],
+        name: str | None = None,
+    ) -> "Family":
+        """This family with ``rows`` (and their descriptors and labels) appended."""
+        return Family(
+            np.vstack([self.matrix, *rows]),
+            self.descriptors + tuple(descriptors),
+            self.labels + tuple(labels),
+            name=name or self.name,
+        )
 
 
 @dataclass(frozen=True)
@@ -156,12 +166,10 @@ def best_response(
 
 @dataclass(frozen=True)
 class FamilyDistance:
-    """max_f |E_P[f] - E_Q[f]| with the witnessing member."""
+    """max_f |E_P[f] - E_Q[f]| with the index of the witnessing member."""
 
     value: float
     index: int
-    witness: Distinguisher
-    signed_gap: float
 
 
 def family_distance(family: Family, p: Distribution, q: Distribution) -> FamilyDistance:
@@ -171,22 +179,20 @@ def family_distance(family: Family, p: Distribution, q: Distribution) -> FamilyD
     use raw_family_distance for sub-probability vectors.
     """
     gaps = family.matrix @ (p.weights - q.weights)
-    return _distance_from_gaps(family, gaps)
+    return _distance_from_gaps(gaps)
 
 
 def raw_family_distance(family: Family, p_vec: np.ndarray, q_vec: np.ndarray) -> FamilyDistance:
     """family_distance against raw nonnegative vectors (hat measures)."""
     gaps = family.matrix @ (np.asarray(p_vec, float) - np.asarray(q_vec, float))
-    return _distance_from_gaps(family, gaps)
+    return _distance_from_gaps(gaps)
 
 
-def _distance_from_gaps(family: Family, gaps: np.ndarray) -> FamilyDistance:
+def _distance_from_gaps(gaps: np.ndarray) -> FamilyDistance:
     idx = int(np.argmax(np.abs(gaps)))
     return FamilyDistance(
         value=float(abs(gaps[idx])),
         index=idx,
-        witness=family[idx],
-        signed_gap=float(gaps[idx]),
     )
 
 
@@ -204,18 +210,13 @@ def build_coordinate_family(dom: FiniteDomain) -> Family:
     if dom.bit_width is None:
         raise ValidationError("coordinate family needs a domain with bit_width")
     n = dom.bit_width
-    members = []
-    elements = np.arange(dom.size)
-    for i in range(n):
-        bit = (elements >> (n - 1 - i)) & 1
-        members.append(
-            Distinguisher(
-                values=BoundedFn(bit.astype(float)),
-                label=ComplexityLabel(1, 0),
-                descriptor=f"coordinate[{i}]",
-            )
-        )
-    return Family(members, name=f"coordinates({n} bits)")
+    bits = (np.arange(dom.size)[None, :] >> (n - 1 - np.arange(n))[:, None]) & 1
+    return Family(
+        bits.astype(float),
+        [f"coordinate[{i}]" for i in range(n)],
+        [ComplexityLabel(1, 0)] * n,
+        name=f"coordinates({n} bits)",
+    )
 
 
 def build_threshold_family(h: BoundedFn, grid: Sequence[float]) -> Family:
@@ -227,23 +228,20 @@ def build_threshold_family(h: BoundedFn, grid: Sequence[float]) -> Family:
         raise ValidationError("threshold grid values must lie in [0, 1]")
     if any(a > b for a, b in zip(grid, grid[1:])):
         raise ValidationError("threshold grid must be sorted ascending")
-    members = [
-        Distinguisher(
-            values=BoundedFn((h.values > t).astype(float)),
-            label=ComplexityLabel(1, 1),
-            descriptor=f"threshold[h > {t!r}]",
-        )
-        for t in grid
-    ]
-    return Family(members, name=f"thresholds({len(grid)})")
+    return Family(
+        (h.values[None, :] > np.array(grid)[:, None]).astype(float),
+        [f"threshold[h > {t!r}]" for t in grid],
+        [ComplexityLabel(1, 1)] * len(grid),
+        name=f"thresholds({len(grid)})",
+    )
 
 
 def build_rectangle_family(rows: int, cols: int, cap: int = DEFAULT_FAMILY_CAP) -> Family:
     """All rectangle indicators 1_{S x T} on a rows x cols product domain.
 
     Elements are indexed row-major: element r * cols + c is (row r, col c).
-    Every (S, T) pair is enumerated, so rectangles that coincide as subsets
-    (anything with an empty side) appear once per pair.
+    Every (S, T) pair is enumerated, S-major, so rectangles that coincide as
+    subsets (anything with an empty side) appear once per pair.
     """
     if rows < 1 or cols < 1:
         raise ValidationError("rows and cols must be >= 1")
@@ -251,19 +249,18 @@ def build_rectangle_family(rows: int, cols: int, cap: int = DEFAULT_FAMILY_CAP) 
     if count > cap:
         raise CapExceededError(count, cap, f"rectangle family for {rows}x{cols}")
     r_idx, c_idx = np.divmod(np.arange(rows * cols), cols)
-    members = []
-    for s_mask in range(2 ** rows):
-        in_s = ((s_mask >> r_idx) & 1).astype(bool)
-        for t_mask in range(2 ** cols):
-            in_t = ((t_mask >> c_idx) & 1).astype(bool)
-            members.append(
-                Distinguisher(
-                    values=BoundedFn((in_s & in_t).astype(float)),
-                    label=ComplexityLabel(1, rows + cols),
-                    descriptor=f"rectangle[S={s_mask:#x}, T={t_mask:#x}]",
-                )
-            )
-    return Family(members, name=f"rectangles({rows}x{cols})")
+    in_s = ((np.arange(2 ** rows)[:, None] >> r_idx) & 1).astype(bool)
+    in_t = ((np.arange(2 ** cols)[:, None] >> c_idx) & 1).astype(bool)
+    matrix = (in_s[:, None, :] & in_t[None, :, :]).reshape(count, rows * cols)
+    return Family(
+        matrix.astype(float),
+        [
+            f"rectangle[S={s:#x}, T={t:#x}]"
+            for s, t in itertools.product(range(2 ** rows), range(2 ** cols))
+        ],
+        [ComplexityLabel(1, rows + cols)] * count,
+        name=f"rectangles({rows}x{cols})",
+    )
 
 
 def explicit_family(
@@ -271,15 +268,17 @@ def explicit_family(
     name: str = "explicit",
     label: ComplexityLabel = ComplexityLabel(1, 1),
 ) -> Family:
-    members = [
-        Distinguisher(
-            values=BoundedFn(np.asarray(v, dtype=float)),
-            label=label,
-            descriptor=f"{name}[{i}]",
-        )
-        for i, v in enumerate(vectors)
-    ]
-    return Family(members, name=name)
+    """A family with the given value vectors as rows (copied), in order."""
+    try:
+        matrix = np.array(vectors, dtype=float)
+    except ValueError as exc:
+        raise ValidationError(f"explicit family members differ in shape: {exc}") from exc
+    return Family(
+        matrix,
+        [f"{name}[{i}]" for i in range(len(matrix))],
+        [label] * len(matrix),
+        name=name,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +288,11 @@ def explicit_family(
 
 @dataclass(frozen=True)
 class Combinator:
-    """A bounded post-processing shape with a declared gate size."""
+    """A bounded post-processing shape with a declared gate size.
+
+    ``fn`` acts pointwise and broadcasts: applied to arrays of member values
+    it returns C(f_1(x), ..., f_a(x)) elementwise.
+    """
 
     name: str
     arity: int
@@ -331,7 +334,9 @@ def compose_level(
     """Enumerate C(f_{i1}, ..., f_{ia}) over catalog entries and index tuples.
 
     Entries of arity above s1 or declared size above s2 are skipped; the
-    resulting family is labeled (s1, s2).
+    resulting family is labeled (s1, s2).  Rows come catalog entry by entry,
+    index tuples in row-major order (last index fastest), one broadcast call
+    of ``fn`` per entry.
     """
     if s1 < 1:
         raise ValidationError("s1 must be >= 1")
@@ -340,38 +345,38 @@ def compose_level(
     usable = [c for c in combinators if c.arity <= s1 and c.size <= s2]
     if not usable:
         raise EmptyFamilyError("no catalog entry fits within (s1, s2)")
-    total = sum(len(base) ** c.arity for c in usable)
+    m, n = base.matrix.shape
+    total = sum(m ** c.arity for c in usable)
     if total > cap:
         raise CapExceededError(total, cap, "composed family")
-    label = ComplexityLabel(s1, s2)
-    members = []
+    matrix = np.empty((total, n))
+    descriptors = []
+    start = 0
     for comb in usable:
-        indices = [()] if comb.arity == 0 else _index_tuples(len(base), comb.arity)
-        for tup in indices:
-            args = [base[i].values.values for i in tup]
-            out = np.asarray(comb.fn(*args), dtype=float)
-            if np.any(out < -STRUCT_TOL) or np.any(out > 1 + STRUCT_TOL):
-                raise ValidationError(
-                    f"combinator {comb.name} left [0, 1] on inputs {tup}"
-                )
-            desc = f"{comb.name}({', '.join(base[i].descriptor for i in tup)})"
-            members.append(
-                Distinguisher(
-                    values=BoundedFn(np.clip(out, 0.0, 1.0)),
-                    label=label,
-                    descriptor=desc,
-                )
-            )
-    return Family(members, name=f"compose({base.name}; s1={s1}, s2={s2})")
-
-
-def _index_tuples(m: int, arity: int) -> Iterable[tuple[int, ...]]:
-    if arity == 1:
-        return [(i,) for i in range(m)]
-    out = [()]
-    for _ in range(arity):
-        out = [t + (i,) for t in out for i in range(m)]
-    return out
+        count, grid = m ** comb.arity, (m,) * comb.arity
+        # argument j varies along axis j of an (m, ..., m, N) grid
+        args = [
+            base.matrix.reshape((1,) * j + (m,) + (1,) * (comb.arity - 1 - j) + (n,))
+            for j in range(comb.arity)
+        ]
+        block = matrix[start:start + count]
+        block.reshape(grid + (n,))[...] = comb.fn(*args)
+        outside = (block.min(axis=1) < -STRUCT_TOL) | (block.max(axis=1) > 1 + STRUCT_TOL)
+        if outside.any():
+            tup = tuple(int(i) for i in np.unravel_index(int(np.argmax(outside)), grid))
+            raise ValidationError(f"combinator {comb.name} left [0, 1] on inputs {tup}")
+        np.clip(block, 0.0, 1.0, out=block)
+        descriptors.extend(
+            f"{comb.name}({', '.join(tup)})"
+            for tup in itertools.product(base.descriptors, repeat=comb.arity)
+        )
+        start += count
+    return Family(
+        matrix,
+        descriptors,
+        [ComplexityLabel(s1, s2)] * total,
+        name=f"compose({base.name}; s1={s1}, s2={s2})",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -383,8 +388,9 @@ class GradedLadder:
     """A finite chain of nested families with nondecreasing labels.
 
     Nesting is by value: every member value-vector of level i must appear in
-    level i+1.  Levels may repeat, which is how shallow chains are padded to
-    the depth a construction needs.
+    level i+1, compared as the bytes of rows with -0.0 made 0.0.  Levels may
+    repeat, which is how shallow chains are padded to the depth a
+    construction needs; a repeated level is not compared with itself.
     """
 
     def __init__(self, levels: Sequence[Family], name: str = "ladder"):
@@ -396,9 +402,10 @@ class GradedLadder:
             if lvl.domain_size != n:
                 raise DomainMismatchError(n, lvl.domain_size, f"ladder level {i}")
         for i in range(len(levels) - 1):
-            lower = levels[i].value_set()
-            upper = levels[i + 1].value_set()
-            if not lower <= upper:
+            if levels[i] is levels[i + 1]:
+                continue
+            upper = {row.tobytes() for row in levels[i + 1].matrix + 0.0}
+            if any(row.tobytes() not in upper for row in levels[i].matrix + 0.0):
                 raise ValidationError(
                     f"ladder levels not nested: level {i} has a member missing from level {i + 1}"
                 )

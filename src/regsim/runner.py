@@ -23,19 +23,8 @@ from .boosting import (
     multicalibrate,
     multicalibration_check,
 )
-from .config import (
-    ConfigContext,
-    build_distribution,
-    build_family,
-    build_function,
-    build_growth,
-    build_ladder,
-    build_schedule,
-    canonical_algorithm,
-    validate_config,
-)
-from .domain import FiniteDomain
-from .errors import InternalContractError, RegsimError, ValidationError
+from .config import Plan, plan_config
+from .errors import InternalContractError, RegsimError
 from .products import (
     Inequality,
     build_mixture,
@@ -66,85 +55,55 @@ class RunOutcome:
         return json.dumps(self.report, sort_keys=True, indent=2) + "\n"
 
 
-def _summarize(inequalities: list[dict]) -> dict:
-    failed = [iq["name"] for iq in inequalities if not iq["pass"]]
-    return {"passed": not failed, "failed": failed}
-
-
 def run_config(config: dict, seed_override: int | None = None) -> RunOutcome:
     """Validate and execute a config; never raises for user-level errors."""
     started = time.perf_counter()
-    config = dict(config)
-    if seed_override is not None:
-        config["seed"] = seed_override
-    problems = validate_config(config)
+    if isinstance(config, dict):
+        config = dict(config)
+        if seed_override is not None:
+            config["seed"] = seed_override
+    head = {"config": config, "version": __version__}
+
+    def failure(exit_code: int, **error) -> RunOutcome:
+        return RunOutcome({**head, "error": error}, exit_code)
+
+    plan, problems = plan_config(config)
     if problems:
-        report = {
-            "config": config,
-            "version": __version__,
-            "error": {"kind": "configuration", "problems": problems},
-        }
-        return RunOutcome(report, EXIT_CONFIG)
-    algo = canonical_algorithm(config["algorithm"])
+        return failure(EXIT_CONFIG, kind="configuration", problems=problems)
     try:
-        payload, inequalities = _execute(algo, config)
-        summary = _summarize(inequalities)
-        report = {
-            "config": config,
-            "version": __version__,
-            "algorithm": config["algorithm"],
-            "wall_time_s": round(time.perf_counter() - started, 6),
-            "payload": payload,
-            "inequalities": inequalities,
-            "summary": summary,
-        }
-        return RunOutcome(report, EXIT_OK if summary["passed"] else EXIT_ASSERTION)
+        payload, inequalities = _execute(plan)
     except InternalContractError as exc:
-        report = {
-            "config": config,
-            "version": __version__,
-            "error": {"kind": "internal-contract", "message": str(exc)},
-        }
-        return RunOutcome(report, EXIT_INTERNAL)
+        return failure(EXIT_INTERNAL, kind="internal-contract", message=str(exc))
     except RegsimError as exc:
-        report = {
-            "config": config,
-            "version": __version__,
-            "error": {"kind": "precondition", "message": str(exc)},
-        }
-        return RunOutcome(report, EXIT_CONFIG)
+        return failure(EXIT_CONFIG, kind="precondition", message=str(exc))
+    failed = [iq["name"] for iq in inequalities if not iq["pass"]]
+    report = {
+        **head,
+        "algorithm": config["algorithm"],
+        "wall_time_s": round(time.perf_counter() - started, 6),
+        "payload": payload,
+        "inequalities": inequalities,
+        "summary": {"passed": not failed, "failed": failed},
+    }
+    return RunOutcome(report, EXIT_ASSERTION if failed else EXIT_OK)
 
 
-def _execute(algo: str, config: dict) -> tuple[dict, list[dict]]:
-    domain = FiniteDomain.from_json(config["domain"])
-    ctx = ConfigContext(domain, config.get("seed"))
-    params = config.get("params", {})
-    dists = config.get("distributions", {})
-    if "target" in config:
-        ctx.target = build_function(config["target"], ctx, "config.target")
-
-    if algo in ("boost", "calibrated", "multicalibrate"):
-        return _execute_boost(algo, config, ctx, params, dists)
-    if algo == "supersim-expanding":
-        return _execute_expanding(config, ctx, params, dists)
-    if algo == "supersim-shrinking":
-        return _execute_shrinking(config, ctx, params, dists)
-    if algo in ("verify41", "verify42"):
-        return _execute_verify(algo, config, ctx, params, dists)
-    if algo == "characterize":
-        return _execute_characterize(config, ctx, params, dists, super_variant=False)
-    if algo == "characterize-super":
-        return _execute_characterize(config, ctx, params, dists, super_variant=True)
-    raise ValidationError(f"unknown algorithm {algo!r}")
+def _execute(plan: Plan) -> tuple[dict, list[dict]]:
+    if plan.algorithm in ("boost", "calibrated", "multicalibrate"):
+        return _execute_boost(plan)
+    if plan.algorithm == "supersim-expanding":
+        return _execute_expanding(plan)
+    if plan.algorithm == "supersim-shrinking":
+        return _execute_shrinking(plan)
+    if plan.algorithm in ("verify41", "verify42"):
+        return _execute_verify(plan)
+    return _execute_characterize(plan)
 
 
-def _execute_boost(algo, config, ctx, params, dists):
-    g = ctx.target
-    dist = build_distribution(dists["d"], ctx, "config.distributions.d")
-    family = build_family(config["family"], ctx, "config.family")
-    eps = float(params["epsilon"])
-    if algo == "multicalibrate":
-        h, trace = multicalibrate(g, dist, family, eps, max_iters=params.get("max_iters"))
+def _execute_boost(plan: Plan):
+    g, dist, family, eps = plan.target, plan.d, plan.family, plan.epsilon
+    if plan.algorithm == "multicalibrate":
+        h, trace = multicalibrate(g, dist, family, eps, max_iters=plan.max_iters)
         passed, mc = multicalibration_check(g, h, dist, family, eps)
         inequalities = [Inequality("multicalibration-bad-mass", mc.bad_mass, eps).to_json()]
         payload = {
@@ -156,16 +115,16 @@ def _execute_boost(algo, config, ctx, params, dists):
         return payload, inequalities
     bp = BoostParams(
         epsilon=eps,
-        gamma=float(params["gamma"]) if algo == "calibrated" else None,
-        max_iters=params.get("max_iters"),
+        gamma=plan.gamma if plan.algorithm == "calibrated" else None,
+        max_iters=plan.max_iters,
     )
-    if algo == "boost":
+    if plan.algorithm == "boost":
         h, trace = multiaccuracy_boost(g, dist, family, bp)
     else:
         h, trace = calibrated_multiaccuracy(g, dist, family, bp)
     ma, _ = multiaccuracy_error(family, g, h, dist)
     inequalities = [Inequality("multiaccuracy-error", ma, eps)]
-    if algo == "calibrated":
+    if plan.algorithm == "calibrated":
         inequalities.append(
             Inequality("calibration-error", calibration_error(g, h, dist), bp.gamma)
         )
@@ -179,13 +138,9 @@ def _execute_boost(algo, config, ctx, params, dists):
     return payload, [iq.to_json() for iq in inequalities]
 
 
-def _execute_expanding(config, ctx, params, dists):
-    g = ctx.target
-    dist = build_distribution(dists["d"], ctx, "config.distributions.d")
-    ladder = build_ladder(config["ladder"], ctx, "config.ladder")
-    growth = build_growth(config["growth"], ladder, "config.growth")
-    eps = float(params["epsilon"])
-    result = supersimulator_expanding(g, dist, ladder, growth, eps)
+def _execute_expanding(plan: Plan):
+    g, dist, ladder, eps = plan.target, plan.d, plan.ladder, plan.epsilon
+    result = supersimulator_expanding(g, dist, ladder, plan.growth, eps)
     ma, _ = multiaccuracy_error(ladder[result.fooled_level], g, result.h, dist)
     bound_label = result.recurrence.labels[
         min(result.bound_index, len(result.recurrence.labels) - 1)
@@ -200,15 +155,11 @@ def _execute_expanding(config, ctx, params, dists):
     return payload, [iq.to_json() for iq in inequalities]
 
 
-def _execute_shrinking(config, ctx, params, dists):
-    g = ctx.target
-    dist = build_distribution(dists["d"], ctx, "config.distributions.d")
-    ladder = build_ladder(config["ladder"], ctx, "config.ladder")
-    growth = build_growth(config["growth"], ladder, "config.growth")
-    schedule = build_schedule(config["schedule"], "config.schedule")
-    alpha = float(params["alpha"])
-    pair = supersimulator_shrinking(g, dist, ladder, growth, schedule, alpha)
-    ok, measured = corollary_check(pair, ladder, growth)
+def _execute_shrinking(plan: Plan):
+    pair = supersimulator_shrinking(
+        plan.target, plan.d, plan.ladder, plan.growth, plan.schedule, plan.alpha
+    )
+    ok, measured = corollary_check(pair, plan.ladder, plan.growth)
     inequalities = [
         Inequality("similarity", pair.similarity, pair.phi_gap + 4 * pair.eps_at_s),
         Inequality("markov-regularity-of-h", measured, _corollary_bound(pair)),
@@ -224,47 +175,28 @@ def _execute_shrinking(config, ctx, params, dists):
     return payload, [iq.to_json() for iq in inequalities]
 
 
-def _verify_simulator(config, ctx, inst, family, eps, gamma, tol):
-    spec = config.get("simulator")
-    if spec is None or (isinstance(spec, dict) and spec.get("kind") == "calibrated"):
-        h, _ = calibrated_multiaccuracy(
-            inst.g, inst.d_x, family, BoostParams(epsilon=tol, gamma=gamma)
-        )
-        return h
-    return build_function(spec, ctx, "config.simulator")
-
-
-def _execute_verify(algo, config, ctx, params, dists):
-    d0 = build_distribution(dists["d0"], ctx, "config.distributions.d0")
-    d1 = build_distribution(dists["d1"], ctx, "config.distributions.d1")
-    family = build_family(config["family"], ctx, "config.family")
-    eps = float(params["epsilon"])
-    gamma = float(params["gamma"])
-    k = int(params["k"])
-    if algo == "verify41":
-        inst = build_mixture(d0, d1, 0.5)
-        h = _verify_simulator(config, ctx, inst, family, eps, gamma, eps)
-        report = verify_two_proxy(inst, h, family, eps, gamma, k)
+def _execute_verify(plan: Plan):
+    eps, gamma = plan.epsilon, plan.gamma
+    if plan.algorithm == "verify41":
+        inst, tol, verify = build_mixture(plan.d0, plan.d1, 0.5), eps, verify_two_proxy
     else:
-        inst = build_mixture(d0, d1, eps)
-        h = _verify_simulator(config, ctx, inst, family, eps, gamma, eps ** 2)
-        report = verify_single_proxy(inst, h, family, eps, gamma, k)
+        inst, tol, verify = build_mixture(plan.d0, plan.d1, eps), eps ** 2, verify_single_proxy
+    h = plan.simulator
+    if h is None:
+        h, _ = calibrated_multiaccuracy(
+            inst.g, inst.d_x, plan.family, BoostParams(epsilon=tol, gamma=gamma)
+        )
+    report = verify(inst, h, plan.family, eps, gamma, plan.k)
     payload = {"report": report.to_json(), "simulator": h.to_json()}
     return payload, [iq.to_json() for iq in report.inequalities]
 
 
-def _execute_characterize(config, ctx, params, dists, super_variant):
-    d0 = build_distribution(dists["d0"], ctx, "config.distributions.d0")
-    d1 = build_distribution(dists["d1"], ctx, "config.distributions.d1")
-    eps = float(params["epsilon"])
-    k = int(params["k"])
-    mode = params.get("mode", "two-proxy")
-    if super_variant:
-        ladder = build_ladder(config["ladder"], ctx, "config.ladder")
-        growth = build_growth(config["growth"], ladder, "config.growth")
-        report = characterize_super(d0, d1, ladder, growth, eps, k, mode=mode)
+def _execute_characterize(plan: Plan):
+    if plan.algorithm == "characterize-super":
+        report = characterize_super(
+            plan.d0, plan.d1, plan.ladder, plan.growth, plan.epsilon, plan.k, mode=plan.mode
+        )
     else:
-        family = build_family(config["family"], ctx, "config.family")
-        report = characterize(d0, d1, family, eps, k, mode=mode)
+        report = characterize(plan.d0, plan.d1, plan.family, plan.epsilon, plan.k, mode=plan.mode)
     payload = {"report": report.to_json()}
     return payload, [iq.to_json() for iq in report.inequalities]

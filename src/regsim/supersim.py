@@ -35,7 +35,6 @@ from .domain import DERIVED_TOL, BoundedFn, Distribution, potential
 from .errors import InternalContractError, ValidationError
 from .families import (
     ComplexityLabel,
-    Distinguisher,
     ErrorSchedule,
     GradedLadder,
     GrowthMap,
@@ -278,13 +277,7 @@ def supersimulator_shrinking(
         eps_i = eps_schedule.eps_at(level)
         fooled = apply_growth(growth, level, phi)
         family = ladder[fooled].extended(
-            [
-                Distinguisher(
-                    values=h,
-                    label=ladder.label_of(level),
-                    descriptor="previous-predictor",
-                )
-            ],
+            [h.values], ["previous-predictor"], [ladder.label_of(level)],
             name=f"{ladder[fooled].name}+prev",
         )
         h_next, _ = calibrated_multiaccuracy(

@@ -117,3 +117,16 @@ def brute_lifted_gaps(member_rows, p_weights, q_weights, k):
         for pos in range(k):
             gaps.append(sum(row[t[pos]] * d for t, d in zip(tuples, diff)))
     return np.array(gaps)
+
+
+def compose_rows(base_rows, base_descriptors, catalog):
+    """compose_level by a plain loop: for each (name, arity, fn) entry, one
+    row per index tuple (last index fastest), clipped to [0, 1].  Returns
+    (rows, descriptors)."""
+    rows, descriptors = [], []
+    for name, arity, fn in catalog:
+        for tup in itertools.product(range(len(base_rows)), repeat=arity):
+            out = np.asarray(fn(*[np.asarray(base_rows[i], dtype=float) for i in tup]), dtype=float)
+            rows.append(np.clip(out, 0.0, 1.0))
+            descriptors.append(f"{name}({', '.join(base_descriptors[i] for i in tup)})")
+    return np.array(rows), descriptors

@@ -1,9 +1,10 @@
+import hashlib
 import json
 
 import pytest
 
 import regsim.runner as runner_mod
-from gap_golden import DIGESTS_PATH, demo_digests
+from gap_golden import DIGESTS_PATH, canonical_lines, demo_digests
 from regsim.cli import main
 from regsim.config import validate_config
 from regsim.demos import demo_config, demo_names
@@ -135,7 +136,7 @@ def test_seed_required_for_random_generators():
 
 
 def test_exit_code_two_on_failed_inequality(monkeypatch):
-    def fake_execute(algo, config):
+    def fake_execute(plan):
         return {}, [{"name": "forced", "lhs": 1.0, "rhs": 0.0, "slack": -1.0, "pass": False}]
 
     monkeypatch.setattr(runner_mod, "_execute", fake_execute)
@@ -145,7 +146,7 @@ def test_exit_code_two_on_failed_inequality(monkeypatch):
 
 
 def test_exit_code_three_on_internal_contract(monkeypatch):
-    def fake_execute(algo, config):
+    def fake_execute(plan):
         raise InternalContractError("library bug")
 
     monkeypatch.setattr(runner_mod, "_execute", fake_execute)
@@ -307,3 +308,112 @@ def test_wire_tokens_have_descriptive_aliases():
     }
     assert validate_config(cfg) == []
     assert run_config(cfg).exit_code == 0
+
+
+@pytest.mark.parametrize(
+    "config,path",
+    [
+        (minimal_boost_config(domain={"size": 4}, target=[0.9, 0.1, 0.8, 0.2],
+                              family={"builder": "rectangle", "rows": 2}), "config.family.cols"),
+        (minimal_boost_config(distributions={"d": {"kind": "two_point", "i": 0, "p": 0.5}}),
+         "config.distributions.d.j"),
+        (minimal_boost_config(family={"builder": "rectangle", "rows": "a", "cols": 1}),
+         "config.family.rows"),
+        (minimal_boost_config(domain={"size": 2.0}), "config.domain"),
+        ([1, 2], "config"),
+        ("x", "config"),
+    ],
+    ids=[
+        "rectangle-without-cols", "two-point-without-j", "rows-not-a-number", "float-domain-size",
+        "list", "string",
+    ],
+)
+def test_malformed_builder_input_is_a_named_problem(config, path):
+    problems = validate_config(config)
+    assert any(p.startswith(f"{path}:") or f": {path}:" in p for p in problems), problems
+    outcome = run_config(config)
+    assert outcome.exit_code == 1
+    assert outcome.report["error"]["problems"] == problems
+
+
+MULTICALIBRATE_7_STEPS = minimal_boost_config(
+    algorithm="multicalibrate",
+    domain={"size": 4},
+    target=[0.9, 0.1, 0.8, 0.2],
+    family={"builder": "explicit", "members": [[1.0, 0.0, 1.0, 0.0], [1.0, 1.0, 0.0, 0.0]]},
+)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [demo_config("boost-two-point"), MULTICALIBRATE_7_STEPS],
+    ids=["boost", "multicalibrate"],
+)
+def test_user_max_iters_cap_is_exit_one(config):
+    config = json.loads(json.dumps(config))
+    assert run_config(config).report["payload"]["updates"] >= 2
+    config["params"]["max_iters"] = 1
+    outcome = run_config(config)
+    assert outcome.exit_code == 1, outcome.report
+    assert outcome.report["error"]["kind"] == "precondition"
+    assert outcome.report["error"]["message"].startswith("params.max_iters:")
+
+
+# Report digests (gap_golden canonical form) of seeded configs whose
+# generators draw in a fixed order, written before the config was built
+# once: a run draws the target first, then what the algorithm reads (a
+# random simulator after the family), and unread fields last.
+RNG_ORDER_CASES = {
+    "boost-threshold-random-source": (
+        {
+            "domain": {"size": 8}, "algorithm": "boost", "seed": 5,
+            "target": {"kind": "random"},
+            "distributions": {"d": {"kind": "random"}},
+            "family": {"builder": "threshold", "source": {"kind": "random"},
+                       "grid": [0.2, 0.4, 0.6, 0.8]},
+            "params": {"epsilon": 0.05},
+        },
+        "867d2bd0eac1f8acb20d352a94fdece7552c7bcb37ab3310e8e16885cf096f8c",
+    ),
+    "verify41-random-simulator": (
+        {
+            "domain": {"size": 4}, "algorithm": "verify41", "seed": 54,
+            "distributions": {"d0": {"kind": "random"}, "d1": {"kind": "random"}},
+            "family": {"builder": "threshold", "source": {"kind": "random"}, "grid": [0.5]},
+            "simulator": {"kind": "random"},
+            "params": {"epsilon": 0.09, "gamma": 0.09, "k": 2},
+        },
+        "c4558de40635d7b5dea3ac670664884233bc55258c06e88a38f68edc08b8c240",
+    ),
+    "verify41-unused-random-d": (
+        {
+            "domain": {"size": 4}, "algorithm": "verify41", "seed": 7,
+            "distributions": {"d": {"kind": "random"}, "d0": {"kind": "random"},
+                              "d1": {"kind": "random"}},
+            "family": {"builder": "explicit",
+                       "members": [[1.0, 1.0, 0.0, 0.0], [0.0, 1.0, 0.0, 1.0]]},
+            "params": {"epsilon": 0.1, "gamma": 0.05, "k": 2},
+        },
+        "262b8efdf5f5facbb0e96080314f905a680e85006ad965d49485ce33178c3f89",
+    ),
+    "characterize-unused-random-target": (
+        {
+            "domain": {"size": 4}, "algorithm": "characterize", "seed": 8,
+            "target": {"kind": "random"},
+            "distributions": {"d0": {"kind": "random"}, "d1": {"kind": "random"}},
+            "family": {"builder": "explicit",
+                       "members": [[1.0, 1.0, 0.0, 0.0], [0.0, 1.0, 0.0, 1.0]]},
+            "params": {"epsilon": 0.1, "k": 2},
+        },
+        "7246eb67b1d035c18dbcf31376f495255da8e366eeeb402ff2554ffc5f81db94",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RNG_ORDER_CASES))
+def test_seeded_generators_draw_in_a_fixed_order(name):
+    config, digest = RNG_ORDER_CASES[name]
+    outcome = run_config(config)
+    assert outcome.exit_code == 0, outcome.report
+    text = "\n".join(canonical_lines(outcome.report)) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

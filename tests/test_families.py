@@ -3,7 +3,12 @@ import pytest
 
 import regsim as rs
 from conftest import nested_ladder, random_bounded, random_distribution, random_family
-from oracles import brute_best_response
+from oracles import brute_best_response, compose_rows
+
+
+def rows(family):
+    """The set of a family's member value vectors."""
+    return {tuple(row) for row in family.matrix}
 
 
 def two_member_family():
@@ -103,13 +108,13 @@ def test_threshold_family():
 def test_rectangle_family_1x1():
     fam = rs.build_rectangle_family(1, 1)
     assert len(fam) == 4  # every (S, T) pair, empty sides included
-    values = fam.value_set()
+    values = rows(fam)
     assert (1.0,) in values and (0.0,) in values
 
 
 def test_rectangle_family_2x1_distinct_functions():
     fam = rs.build_rectangle_family(2, 1)
-    assert fam.value_set() == {(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)}
+    assert rows(fam) == {(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)}
 
 
 def test_rectangle_family_2x2_count():
@@ -122,7 +127,7 @@ def test_rectangle_family_2x2_count():
 def test_compose_identity_is_base(uniform2):
     base = two_member_family()
     composed = rs.compose_level(base, 1, 1, [rs.combinator_identity()])
-    assert composed.value_set() == base.value_set()
+    assert rows(composed) == rows(base)
     # identity lift leaves the distance functional unchanged
     rng = np.random.default_rng(12)
     for _ in range(10):
@@ -135,14 +140,14 @@ def test_compose_identity_is_base(uniform2):
 def test_compose_negation():
     base = rs.explicit_family([[0.0, 1.0]])
     composed = rs.compose_level(base, 1, 1, [rs.combinator_identity(), rs.combinator_negation()])
-    assert (1.0, 0.0) in composed.value_set()
-    assert (0.0, 1.0) in composed.value_set()
+    assert (1.0, 0.0) in rows(composed)
+    assert (0.0, 1.0) in rows(composed)
 
 
 def test_compose_min_gives_pointwise_min():
     base = rs.explicit_family([[1.0, 0.0], [0.0, 1.0]])
     composed = rs.compose_level(base, 2, 1, [rs.combinator_min()])
-    assert (0.0, 0.0) in composed.value_set()
+    assert (0.0, 0.0) in rows(composed)
     assert composed.label == rs.ComplexityLabel(2, 1)
 
 
@@ -159,6 +164,32 @@ def test_ladder_nesting_enforced():
         rs.GradedLadder([a, b])
 
 
+def test_ladder_nesting_reads_negative_zero_as_zero():
+    lower = rs.explicit_family([[-0.0, 1.0]])
+    upper = rs.explicit_family([[1.0, 1.0], [0.0, 1.0]])
+    assert rs.GradedLadder([lower, upper, upper]).depth == 3
+    with pytest.raises(rs.ValidationError, match="level 1 has a member missing"):
+        rs.GradedLadder([lower, upper, rs.explicit_family([[1.0, 1.0], [0.0, 0.5]])])
+
+
+@pytest.mark.parametrize("s1", [1, 2])
+def test_compose_level_matches_per_tuple_loop(s1):
+    base = random_family(np.random.default_rng(17), 5, 4)
+    catalog = [
+        rs.combinator_identity(), rs.combinator_negation(),
+        rs.combinator_min(), rs.combinator_max(),
+    ]
+    composed = rs.compose_level(base, s1, 1, catalog)
+    rows, descriptors = compose_rows(
+        base.matrix,
+        base.descriptors,
+        [(c.name, c.arity, c.fn) for c in catalog if c.arity <= s1],
+    )
+    assert composed.matrix.tobytes() == rows.tobytes()
+    assert list(composed.descriptors) == descriptors
+    assert set(composed.labels) == {rs.ComplexityLabel(s1, 1)}
+
+
 def test_ladder_labels_monotone():
     lo = rs.explicit_family([[1.0, 1.0]], label=rs.ComplexityLabel(3, 3))
     hi = rs.explicit_family([[1.0, 1.0], [0.0, 1.0]], label=rs.ComplexityLabel(1, 1))
@@ -170,7 +201,7 @@ def test_ladder_padding_repeats_top():
     rng = np.random.default_rng(13)
     ladder = nested_ladder(rng, 4, 3, pad_to=7)
     assert ladder.depth == 7
-    assert ladder[6].value_set() == ladder[2].value_set()
+    assert rows(ladder[6]) == rows(ladder[2])
 
 
 def test_apply_growth_examples():
@@ -229,4 +260,4 @@ def test_complexity_label_partial_order():
 
 def test_empty_family_rejected():
     with pytest.raises(rs.EmptyFamilyError):
-        rs.Family([])
+        rs.Family(np.empty((0, 2)), [], [])
