@@ -13,6 +13,14 @@ ceil(1/(3 epsilon^2)) + 1 before the run even starts.  ``multicalibrate``
 is a separate loop: it shifts one level set at a time by a thresholded
 member and charges each shift epsilon^2 times the level's mass.
 
+Every per-level reduction (level masses, level residual sums, the (member,
+level) correlation matrix of ``multicalibration_check`` and
+``multicalibrate``) goes through ``np.bincount``, which adds each level
+cell's terms one at a time in point order, exactly as ``np.add.at`` does, so
+the sums are reproducible bit for bit.  Where a scan picks a (level, member)
+pair, ties go to the lowest level, then the lowest member: the first strict
+maximum in level-major order.
+
 Constructors never self-certify: they assert their own postconditions by
 re-running the audits in this module from scratch on the finished simulator,
 and the test suite audits them again through an independent path.
@@ -174,9 +182,31 @@ def multiaccuracy_error(
 
 def _level_sets(h: BoundedFn, dist: Distribution):
     values, inverse = np.unique(h.values, return_inverse=True)
-    masses = np.zeros(values.size)
-    np.add.at(masses, inverse, dist.weights)
+    masses = np.bincount(inverse, weights=dist.weights, minlength=values.size)
     return values, inverse, masses
+
+
+# Member rows reduced per np.bincount call: bounds the flat index and weight
+# temporaries at 16 * N entries, whatever the family size.
+_LEVEL_BLOCK = 16
+
+
+def _level_matrix(
+    matrix: np.ndarray, residual: np.ndarray, inverse: np.ndarray, n_levels: int
+) -> np.ndarray:
+    """(m, L) matrix whose entry (i, j) is the sum of matrix[i] * residual over
+    the points of level j, each cell summed in point order (as np.add.at)."""
+    m, n = matrix.shape
+    out = np.empty((m, n_levels))
+    block = min(_LEVEL_BLOCK, m)
+    index = (inverse[None, :] + n_levels * np.arange(block)[:, None]).ravel()
+    for start in range(0, m, block):
+        rows = matrix[start : start + block]
+        b = rows.shape[0]
+        out[start : start + b] = np.bincount(
+            index[: b * n], weights=(rows * residual).ravel(), minlength=b * n_levels
+        ).reshape(b, n_levels)
+    return out
 
 
 def calibration_error(g: BoundedFn, h: BoundedFn, dist: Distribution) -> float:
@@ -188,8 +218,7 @@ def calibration_error(g: BoundedFn, h: BoundedFn, dist: Distribution) -> float:
     """
     values, inverse, _ = _level_sets(h, dist)
     residual = dist.weights * (g.values - h.values)
-    level_mass = np.zeros(values.size)
-    np.add.at(level_mass, inverse, residual)
+    level_mass = np.bincount(inverse, weights=residual, minlength=values.size)
     pos = float(level_mass[level_mass > 0].sum())
     neg = float(-level_mass[level_mass < 0].sum())
     return max(pos, neg)
@@ -232,31 +261,34 @@ def multicalibration_check(
 ) -> tuple[bool, MulticalibrationAudit]:
     """Per-level regularity audit: the mass of level sets of h on which some
     family member keeps conditional correlation above epsilon must not
-    exceed epsilon."""
+    exceed epsilon.
+
+    Each level's member correlations are summed in point order (see
+    ``_level_matrix``); a level's witness is its lowest-index member of
+    largest |correlation|, and ``bad_mass`` adds the failing levels' masses
+    in ascending level order.  Levels of zero mass are not audited."""
     if epsilon < 0:
         raise ValidationError("epsilon must be nonnegative")
     values, inverse, masses = _level_sets(h, dist)
     residual = dist.weights * (g.values - h.values)
-    # (m, L): per member, per level, signed residual correlation mass
-    level_matrix = np.zeros((len(family), values.size))
-    contrib = family.matrix * residual[None, :]
-    np.add.at(level_matrix.T, inverse, contrib.T)
-    levels = []
-    bad_mass = 0.0
-    for j in range(values.size):
-        if masses[j] <= 0.0:
-            continue
-        errs = np.abs(level_matrix[:, j]) / masses[j]
-        w = int(np.argmax(errs))
-        worst = float(errs[w])
-        levels.append(
-            LevelAudit(value=float(values[j]), mass=float(masses[j]), max_error=worst, witness_index=w)
+    live = masses > 0.0
+    live_masses = masses[live]
+    errs = np.abs(_level_matrix(family.matrix, residual, inverse, values.size)[:, live])
+    errs /= live_masses
+    witnesses = np.argmax(errs, axis=0)
+    worst = errs.max(axis=0)
+    bad = live_masses[worst > epsilon]
+    # cumsum adds in level order, as the per-level audit always has
+    bad_mass = float(np.cumsum(bad)[-1]) if bad.size else 0.0
+    levels = tuple(
+        LevelAudit(value=v, mass=p, max_error=e, witness_index=w)
+        for v, p, e, w in zip(
+            values[live].tolist(), live_masses.tolist(), worst.tolist(), witnesses.tolist()
         )
-        if worst > epsilon:
-            bad_mass += float(masses[j])
+    )
     passes = bad_mass <= epsilon
     return passes, MulticalibrationAudit(
-        epsilon=epsilon, bad_mass=bad_mass, passes=passes, levels=tuple(levels)
+        epsilon=epsilon, bad_mass=bad_mass, passes=passes, levels=levels
     )
 
 
@@ -426,15 +458,11 @@ def recalibrate(
     if gamma <= 0:
         raise ValidationError("gamma must be positive")
     values, inverse, masses = _level_sets(h, dist)
-    new_values = h.values.copy()
-    for j in range(values.size):
-        mass = float(masses[j])
-        if mass <= 0.0:
-            continue
-        sel = inverse == j
-        mean = float(np.dot(dist.weights[sel], g.values[sel])) / mass
-        new_values[sel] = round_to_grid(np.array([mean]), gamma)[0]
-    return BoundedFn(new_values)
+    live = masses > 0.0
+    sums = np.bincount(inverse, weights=dist.weights * g.values, minlength=values.size)
+    new_levels = values.copy()
+    new_levels[live] = round_to_grid(sums[live] / masses[live], gamma)
+    return BoundedFn(new_levels[inverse])
 
 
 def calibrated_multiaccuracy(
@@ -546,27 +574,21 @@ def multicalibrate(
 
 def _worst_weighted_violation(g, h, dist, family, epsilon, floor):
     """Pick the (level, member, sign) with the largest |E[1_level f (g-h)]|
-    among levels with mass >= floor and conditional correlation > epsilon."""
+    among levels with mass >= floor and conditional correlation > epsilon;
+    ties go to the lowest level, then the lowest member."""
     values, inverse, masses = _level_sets(h, dist)
     residual = dist.weights * (g.values - h.values)
-    best = None
-    for j in range(values.size):
-        mass = float(masses[j])
-        if mass < floor or mass <= 0.0:
-            continue
-        sel = inverse == j
-        weighted = family.matrix[:, sel] @ residual[sel]
-        for m in range(len(family)):
-            w = float(weighted[m])
-            if abs(w) / mass <= epsilon:
-                continue
-            cand = (abs(w), float(values[j]), sel, m, +1 if w > 0 else -1)
-            if best is None or cand[0] > best[0]:
-                best = cand
-    if best is None:
+    cols = np.flatnonzero((masses >= floor) & (masses > 0.0))
+    weighted = _level_matrix(family.matrix, residual, inverse, values.size)[:, cols]
+    size = np.abs(weighted)
+    score = np.where(size / masses[cols] > epsilon, size, -1.0)
+    if score.size == 0 or score.max() < 0.0:
         return None
-    weighted_abs, level_value, sel, member_idx, sign = best
-    return level_value, sel, member_idx, sign, weighted_abs
+    # argmax over the level-major flattening returns the first maximum
+    col, member_idx = divmod(int(np.argmax(score.T)), len(family))
+    j = int(cols[col])
+    w = float(weighted[member_idx, col])
+    return float(values[j]), inverse == j, member_idx, +1 if w > 0 else -1, abs(w)
 
 
 def _best_threshold_shift(g, h, dist, sel, f_vals, sign, epsilon, level_value):
@@ -576,25 +598,22 @@ def _best_threshold_shift(g, h, dist, sel, f_vals, sign, epsilon, level_value):
     Since f = integral over t of 1[f >= t], some threshold keeps at least the
     full weighted correlation, so the maximizing drop is at least
     epsilon^2 * level mass whenever the conditional correlation exceeds
-    epsilon.
+    epsilon.  Candidates are the level's distinct positive member values;
+    among equal drops the largest threshold wins.
     """
-    residual_sel = dist.weights[sel] * (g.values[sel] - level_value)
-    f_sel = f_vals[sel]
-    w_sel = dist.weights[sel]
-    candidates = np.unique(f_sel[f_sel > 0.0])[::-1]
-    best_drop = -np.inf
-    best_t = None
-    for t in candidates:
-        above = f_sel >= t
-        gain = 2.0 * epsilon * sign * float(residual_sel[above].sum())
-        cost = epsilon * epsilon * float(w_sel[above].sum())
-        drop = gain - cost
-        if drop > best_drop:
-            best_drop = drop
-            best_t = float(t)
-    if best_t is None:
+    idx = np.flatnonzero(sel)
+    f_sel = f_vals[idx]
+    pos = idx[f_sel > 0.0]
+    if pos.size == 0:
         raise InternalContractError("qualifying violation had no positive member values")
+    # descending member value; each group of equal values ends one candidate
+    pos = pos[np.argsort(-f_vals[pos], kind="stable")]
+    f_desc = f_vals[pos]
+    ends = np.flatnonzero(np.append(f_desc[1:] != f_desc[:-1], True))
+    w_desc = dist.weights[pos]
+    gain = 2.0 * epsilon * sign * np.cumsum(w_desc * (g.values[pos] - level_value))[ends]
+    cost = epsilon * epsilon * np.cumsum(w_desc)[ends]
+    best_t = float(f_desc[ends[int(np.argmax(gain - cost))]])
     target = np.zeros(g.size, dtype=bool)
-    idx = np.where(sel)[0]
-    target[idx[f_vals[sel] >= best_t]] = True
+    target[idx[f_sel >= best_t]] = True
     return best_t, target

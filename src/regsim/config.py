@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from numbers import Integral, Real
-from typing import Any
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -69,6 +69,12 @@ _TOP_KEYS = {
 }
 
 _PARAM_KEYS = {*_NUMERIC, "mode"}
+
+# Deepest ladder a config may ask for through ``pad_to``.  2^16 levels cover
+# the updates_bound(epsilon) levels a shift-by-1 run can climb for every
+# epsilon >= 0.0023, and the per-level tables (the padded list, a growth
+# map) stay within a few MiB.
+_MAX_LADDER_DEPTH = 1 << 16
 
 # What each algorithm reads; a verify run reads an optional simulator.
 _NEEDS = {
@@ -137,18 +143,30 @@ def _field(spec: dict, key: str, path: str, kind: Any = float, default: Any = _R
 
 def _typed(value: Any, where: str, kind: Any) -> Any:
     """``value`` as a float or int, or (``kind`` [float] or [int]) as a
-    nonempty list of them; bools and numeric strings are rejected."""
+    nonempty sequence of them; bools, numeric strings and integers beyond
+    double range (for floats) are rejected."""
     if isinstance(kind, list):
         if not isinstance(value, list) or not value:
             raise ValidationError(f"{where}: expected a nonempty list")
+        if kind[0] is float and set(map(type, value)) <= {float, int}:
+            try:
+                return np.asarray(value, dtype=float)
+            except OverflowError:
+                pass  # the per-element path names the problem
         return [_typed(v, where, kind[0]) for v in value]
     if isinstance(value, bool) or not isinstance(value, Integral if kind is int else Real):
         noun = "an integer" if kind is int else "a number"
         raise ValidationError(f"{where}: expected {noun}, got {value!r}")
-    return kind(value)
+    try:
+        return kind(value)
+    except OverflowError:
+        raise ValidationError(
+            f"{where}: expected a number within double range, got an integer "
+            f"of {len(str(abs(value)))} digits"
+        ) from None
 
 
-def _vector(spec: Any, path: str, n: int) -> list[float]:
+def _vector(spec: Any, path: str, n: int) -> Sequence[float]:
     values = _typed(spec, path, [float])
     if len(values) != n:
         raise ValidationError(f"{path}: vector length {len(values)} != domain size {n}")
@@ -271,11 +289,15 @@ def build_ladder(spec: Any, ctx: ConfigContext, path: str) -> GradedLadder:
     levels = [
         build_family(s, ctx, f"{path}.levels[{i}]") for i, s in enumerate(levels_spec)
     ]
-    ladder = GradedLadder(levels)
-    pad_to = _field(spec, "pad_to", path, int, default=None)
-    if pad_to is not None:
-        ladder = ladder.padded(pad_to)
-    return ladder
+    pad_to = _field(spec, "pad_to", path, int, default=len(levels))
+    if pad_to > _MAX_LADDER_DEPTH:
+        raise ValidationError(
+            f"{path}.pad_to: at most {_MAX_LADDER_DEPTH} levels, got {pad_to}"
+        )
+    # Padding repeats the top level, as GradedLadder.padded does; building
+    # the full list first constructs and nesting-checks the ladder once.
+    levels += [levels[-1]] * (pad_to - len(levels))
+    return GradedLadder(levels)
 
 
 def build_growth(spec: Any, ladder: GradedLadder, path: str) -> GrowthMap:

@@ -130,3 +130,63 @@ def compose_rows(base_rows, base_descriptors, catalog):
             rows.append(np.clip(out, 0.0, 1.0))
             descriptors.append(f"{name}({', '.join(base_descriptors[i] for i in tup)})")
     return np.array(rows), descriptors
+
+
+def level_sets_loop(h, weights):
+    """(sorted distinct values of h, their masses), each mass added point by
+    point in index order."""
+    values = sorted(set(float(v) for v in h))
+    masses = []
+    for v in values:
+        total = 0.0
+        for hv, w in zip(h, weights):
+            if hv == v:
+                total += float(w)
+        masses.append(total)
+    return np.array(values), np.array(masses)
+
+
+def level_sums_by_point(matrix, residual, inverse, n_levels):
+    """(m, L) per-member level sums of matrix * residual, one domain point at
+    a time in index order (the order np.add.at adds in)."""
+    out = np.zeros((len(matrix), n_levels))
+    for x in range(len(residual)):
+        out[:, inverse[x]] += matrix[:, x] * residual[x]
+    return out
+
+
+def recalibrate_loop(g, h, weights, gamma):
+    """Each level of positive mass set to its conditional mean of g (sums in
+    index order), rounded half-to-even to the gamma grid and clipped to
+    [0, 1]; zero-mass levels keep their value."""
+    values, masses = level_sets_loop(h, weights)
+    out = [float(v) for v in h]
+    for v, mass in zip(values, masses):
+        if mass <= 0.0:
+            continue
+        total = 0.0
+        for hv, w, gv in zip(h, weights, g):
+            if hv == v:
+                total += float(w) * float(gv)
+        new = min(max(round(total / mass / gamma) * gamma, 0.0), 1.0)
+        out = [new if hv == v else o for hv, o in zip(h, out)]
+    return np.array(out)
+
+
+def best_threshold_loop(g, weights, sel, f_vals, sign, epsilon, level_value):
+    """Scan every distinct positive member value t on the level, largest
+    first, for the largest drop 2 eps sign sum(r) - eps^2 sum(w) over
+    {f >= t}; a later t must do strictly better.  Returns (t, target mask)."""
+    points = [x for x in range(len(g)) if sel[x]]
+    best = None
+    for t in sorted({float(f_vals[x]) for x in points if f_vals[x] > 0.0}, reverse=True):
+        gain = cost = 0.0
+        for x in points:
+            if f_vals[x] >= t:
+                gain += float(weights[x]) * (float(g[x]) - level_value)
+                cost += float(weights[x])
+        drop = 2.0 * epsilon * sign * gain - epsilon * epsilon * cost
+        if best is None or drop > best[0]:
+            best = (drop, t)
+    target = np.array([bool(sel[x]) and f_vals[x] >= best[1] for x in range(len(g))])
+    return best[1], target

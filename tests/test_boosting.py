@@ -6,7 +6,19 @@ import pytest
 
 import regsim as rs
 from conftest import random_bounded, random_distribution, random_family
-from oracles import calibration_error_extreme_points
+from oracles import (
+    best_threshold_loop,
+    calibration_error_extreme_points,
+    level_sets_loop,
+    level_sums_by_point,
+    recalibrate_loop,
+)
+from regsim.boosting import (
+    _best_threshold_shift,
+    _level_matrix,
+    _level_sets,
+    _worst_weighted_violation,
+)
 
 TOL = 1e-10
 
@@ -283,3 +295,124 @@ def test_audit_report_shape(uniform2, g10):
     }
     assert payload["calibration_error"] == pytest.approx(0.25, abs=TOL)
     assert payload["multicalibration"]["levels"]
+
+
+# -- level-set layer against loop oracles ------------------------------------
+
+
+def _level_instance(rng, n, m, n_values, two_point):
+    """g, h with repeated levels, real-valued members (m rows) and either
+    random weights or two-point weights that leave most levels massless."""
+    g = rng.uniform(size=n)
+    h = rng.choice(rs.round_to_grid(rng.uniform(size=n_values), 0.125), size=n)
+    if two_point:
+        w = np.zeros(n)
+        w[rng.integers(n)] += 0.25
+        w[rng.integers(n)] += 0.75
+    else:
+        w = rng.gamma(1.0, size=n) + 1e-9
+        w /= w.sum()
+    members = np.where(rng.uniform(size=(m, n)) < 0.3, 0.0, rng.uniform(size=(m, n)))
+    return rs.BoundedFn(g), rs.BoundedFn(h), rs.Distribution(w), members
+
+
+def test_level_layer_matches_loop_oracles():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    @hyp.settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @hyp.given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 40),
+        m=st.sampled_from([1, 3, 15, 16, 17, 33]),
+        n_values=st.integers(1, 6),
+        two_point=st.booleans(),
+        gamma=st.sampled_from([0.01, 0.1, 0.3]),
+    )
+    def check(seed, n, m, n_values, two_point, gamma):
+        rng = np.random.default_rng(seed)
+        g, h, d, members = _level_instance(rng, n, m, n_values, two_point)
+        values, inverse, masses = _level_sets(h, d)
+        loop_values, loop_masses = level_sets_loop(h.values, d.weights)
+        assert np.array_equal(values, loop_values)
+        assert np.array_equal(masses, loop_masses)
+
+        residual = d.weights * (g.values - h.values)
+        assert np.array_equal(
+            _level_matrix(members, residual, inverse, values.size),
+            level_sums_by_point(members, residual, inverse, values.size),
+        )
+
+        assert np.array_equal(
+            rs.recalibrate(g, h, d, gamma).values,
+            recalibrate_loop(g.values, h.values, d.weights, gamma),
+        )
+
+        level_res = level_sums_by_point(np.ones((1, n)), residual, inverse, values.size)[0]
+        closed = max(level_res[level_res > 0].sum(), -level_res[level_res < 0].sum())
+        assert rs.calibration_error(g, h, d) == pytest.approx(closed, rel=0, abs=1e-15)
+
+    check()
+
+
+def test_threshold_shift_matches_loop_oracle():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    @hyp.settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @hyp.given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 40),
+        sign=st.sampled_from([1, -1]),
+        epsilon=st.sampled_from([0.05, 0.2, 0.5]),
+    )
+    def check(seed, n, sign, epsilon):
+        rng = np.random.default_rng(seed)
+        g, h, d, members = _level_instance(rng, n, 1, 2, False)
+        # real-valued member with repeated values, at least one positive
+        f_vals = rng.choice([0.0, 0.25, 0.5, 0.6, 1.0], size=n)
+        f_vals[rng.integers(n)] = 0.6
+        level_value = float(h.values[0])
+        sel = h.values == level_value
+        f_vals[np.flatnonzero(sel)[0]] = 0.5
+        t, target = _best_threshold_shift(g, h, d, sel, f_vals, sign, epsilon, level_value)
+        t_loop, target_loop = best_threshold_loop(
+            g.values, d.weights, sel, f_vals, sign, epsilon, level_value
+        )
+        assert t == t_loop
+        assert np.array_equal(target, target_loop)
+
+    check()
+
+
+def test_threshold_shift_equal_drops_pick_largest_threshold():
+    # eps = 1/2, w = 1/4: t = 1 drops the potential by 1/16, and the point
+    # at f = 0.5 (g - level = 1/4) adds 2 eps w (g - level) - eps^2 w = 0,
+    # so t = 1 and t = 0.5 tie
+    d = rs.Distribution.uniform(4)
+    g = rs.BoundedFn(np.array([1.0, 0.75, 0.5, 0.5]))
+    h = rs.BoundedFn(np.array([0.5, 0.5, 0.5, 0.5]))
+    sel = np.array([True, True, False, False])
+    f_vals = np.array([1.0, 0.5, 0.0, 0.0])
+    t, target = _best_threshold_shift(g, h, d, sel, f_vals, +1, 0.5, 0.5)
+    assert t == 1.0 == best_threshold_loop(g.values, d.weights, sel, f_vals, +1, 0.5, 0.5)[0]
+    assert list(target) == [True, False, False, False]
+
+
+def test_violation_scan_exact_ties_pick_lowest_level_then_member():
+    # two levels of mass 1/2 with opposite residuals; members 2 and 3 are
+    # identical, and (level 0.25, member 2), (level 0.25, member 3) and
+    # (level 0.75, member 1) all reach |E[1_level f (g - h)]| = 1/8
+    d = rs.Distribution.uniform(4)
+    g = rs.BoundedFn(np.full(4, 0.5))
+    h = rs.BoundedFn(np.array([0.25, 0.25, 0.75, 0.75]))
+    fam = rs.explicit_family(
+        [[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0], [1.0, 1.0, 0.0, 0.0], [1.0, 1.0, 0.0, 0.0]]
+    )
+    level_value, sel, member, sign, weighted = _worst_weighted_violation(
+        g, h, d, fam, 0.1, 0.01
+    )
+    assert (level_value, member, sign, weighted) == (0.25, 2, +1, 0.125)
+    assert list(sel) == [True, True, False, False]
+    _, audit = rs.multicalibration_check(g, h, d, fam, 0.1)
+    assert [lvl.witness_index for lvl in audit.levels] == [2, 1]

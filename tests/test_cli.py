@@ -310,6 +310,17 @@ def test_wire_tokens_have_descriptive_aliases():
     assert run_config(cfg).exit_code == 0
 
 
+def demo_with(name, path, value):
+    """Demo config ``name`` with the field at dotted ``path`` set to ``value``."""
+    config = demo_config(name)
+    *parents, key = path.split(".")
+    node = config
+    for part in parents:
+        node = node[part]
+    node[key] = value
+    return config
+
+
 @pytest.mark.parametrize(
     "config,path",
     [
@@ -322,10 +333,15 @@ def test_wire_tokens_have_descriptive_aliases():
         (minimal_boost_config(domain={"size": 2.0}), "config.domain"),
         ([1, 2], "config"),
         ("x", "config"),
+        (demo_with("boost-two-point", "target", [10**400, 0]), "config.target"),
+        (demo_with("boost-two-point", "params.epsilon", 10**400), "config.params.epsilon"),
+        (demo_with("supersim-expanding", "ladder.pad_to", 10**30), "config.ladder.pad_to"),
+        (demo_with("supersim-expanding", "ladder.pad_to", 10**9), "config.ladder.pad_to"),
     ],
     ids=[
         "rectangle-without-cols", "two-point-without-j", "rows-not-a-number", "float-domain-size",
-        "list", "string",
+        "list", "string", "vector-int-beyond-double", "scalar-int-beyond-double",
+        "pad-to-beyond-index", "pad-to-huge",
     ],
 )
 def test_malformed_builder_input_is_a_named_problem(config, path):
