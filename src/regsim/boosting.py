@@ -17,9 +17,13 @@ Every per-level reduction (level masses, level residual sums, the (member,
 level) correlation matrix of ``multicalibration_check`` and
 ``multicalibrate``) goes through ``np.bincount``, which adds each level
 cell's terms one at a time in point order, exactly as ``np.add.at`` does, so
-the sums are reproducible bit for bit.  Where a scan picks a (level, member)
-pair, ties go to the lowest level, then the lowest member: the first strict
-maximum in level-major order.
+the sums are reproducible bit for bit.  ``multicalibrate`` carries its level
+sums across steps and re-sums only the two levels a shift changed, each over
+all of its points in point order, so its carried sums equal a from-scratch
+``_level_matrix`` bit for bit; its stop rule and ``multicalibration_check``
+both compare |sum| / mass > epsilon strictly on those same sums.  Where a
+scan picks a (level, member) pair, ties go to the lowest level, then the
+lowest member: the first strict maximum in level-major order.
 
 Constructors never self-certify: they assert their own postconditions by
 re-running the audits in this module from scratch on the finished simulator,
@@ -192,19 +196,36 @@ _LEVEL_BLOCK = 16
 
 
 def _level_matrix(
-    matrix: np.ndarray, residual: np.ndarray, inverse: np.ndarray, n_levels: int
+    matrix: np.ndarray,
+    residual: np.ndarray,
+    inverse: np.ndarray,
+    n_levels: int,
+    points: np.ndarray | None = None,
 ) -> np.ndarray:
     """(m, L) matrix whose entry (i, j) is the sum of matrix[i] * residual over
-    the points of level j, each cell summed in point order (as np.add.at)."""
-    m, n = matrix.shape
+    the points of level j, each cell summed in point order (as np.add.at).
+
+    With ``points`` (ascending point indices) only those points are summed,
+    so a level whose points all lie in ``points`` gets the same bits as
+    without it.  Each block gathers its rows' columns with ``np.take``, which
+    keeps the temporaries at 16 * len(points) entries."""
+    m = matrix.shape[0]
     out = np.empty((m, n_levels))
     block = min(_LEVEL_BLOCK, m)
+    if points is not None:
+        residual, inverse = residual[points], inverse[points]
+    n = inverse.size
     index = (inverse[None, :] + n_levels * np.arange(block)[:, None]).ravel()
     for start in range(0, m, block):
         rows = matrix[start : start + block]
+        if points is None:
+            weights = rows * residual
+        else:
+            weights = np.take(rows, points, axis=1)
+            weights *= residual
         b = rows.shape[0]
         out[start : start + b] = np.bincount(
-            index[: b * n], weights=(rows * residual).ravel(), minlength=b * n_levels
+            index[: b * n], weights=weights.ravel(), minlength=b * n_levels
         ).reshape(b, n_levels)
     return out
 
@@ -503,6 +524,14 @@ def multicalibrate(
     maximizing threshold provably drops the potential by at least
     epsilon^2 times the level mass.  A max_iters below the default bound is
     a user cap, and reaching it is a ValidationError.
+
+    The level sets and their (member, level) sums are built once and carried
+    from step to step; a shift re-sums only the level it left and the level
+    it landed on, over their points in point order, so every carried sum
+    equals the from-scratch ``_level_matrix`` bit for bit.  The run stops
+    when no level of mass >= floor has some |sum| / mass strictly above
+    epsilon, on those point-order sums, with no tolerance: a level within
+    rounding of epsilon is shifted or not as its rounded sum falls.
     """
     if not (0.0 < epsilon < 1.0):
         raise ValidationError("epsilon must lie in (0, 1)")
@@ -514,9 +543,14 @@ def multicalibrate(
     h = BoundedFn(round_to_grid(np.full(g.size, 0.5), epsilon))
     records: list[TraceRecord] = []
     phi = potential(g, h, dist)
+    # the carried level state: sorted level values (an emptied level stays
+    # as a zero-mass column), each point's level, level masses, level sums
+    values, inverse, masses = _level_sets(h, dist)
+    residual = dist.weights * (g.values - h.values)
+    sums = _level_matrix(family.matrix, residual, inverse, values.size)
     step = 0
     while True:
-        choice = _worst_weighted_violation(g, h, dist, family, epsilon, floor)
+        choice = _worst_weighted_violation(masses, sums, epsilon, floor)
         if choice is None:
             trace = BoostTrace(
                 epsilon=epsilon,
@@ -535,13 +569,16 @@ def multicalibrate(
             raise InternalContractError(
                 f"multicalibration exceeded {max_iters} iterations"
             )
-        level_value, sel, member_idx, sign, weighted = choice
+        j, member_idx, sign, weighted = choice
+        level_value = float(values[j])
+        sel = inverse == j
         f_vals = family.matrix[member_idx]
         threshold, target = _best_threshold_shift(
             g, h, dist, sel, f_vals, sign, epsilon, level_value
         )
+        new_value = np.clip(level_value + epsilon * sign, 0.0, 1.0)
         new_values = h.values.copy()
-        new_values[target] = np.clip(level_value + epsilon * sign, 0.0, 1.0)
+        new_values[target] = new_value
         h_new = BoundedFn(new_values)
         phi_new = potential(g, h_new, dist)
         mass = float(dist.weights[sel].sum())
@@ -568,27 +605,41 @@ def multicalibrate(
                 },
             )
         )
+        k = int(np.searchsorted(values, new_value))
+        if k == values.size or values[k] != new_value:
+            values = np.insert(values, k, new_value)
+            masses = np.insert(masses, k, 0.0)
+            sums = np.insert(sums, k, 0.0, axis=1)
+            inverse[inverse >= k] += 1
+            j += j >= k
+        inverse[target] = k
+        residual = dist.weights * (g.values - h_new.values)
+        pts = np.flatnonzero((inverse == j) | (inverse == k))
+        cols = [j, k]
+        masses[cols] = np.bincount(
+            inverse[pts], weights=dist.weights[pts], minlength=values.size
+        )[cols]
+        sums[:, cols] = _level_matrix(family.matrix, residual, inverse, values.size, pts)[:, cols]
         h, phi = h_new, phi_new
         step += 1
 
 
-def _worst_weighted_violation(g, h, dist, family, epsilon, floor):
+def _worst_weighted_violation(masses, sums, epsilon, floor):
     """Pick the (level, member, sign) with the largest |E[1_level f (g-h)]|
     among levels with mass >= floor and conditional correlation > epsilon;
-    ties go to the lowest level, then the lowest member."""
-    values, inverse, masses = _level_sets(h, dist)
-    residual = dist.weights * (g.values - h.values)
+    ties go to the lowest level, then the lowest member.  Returns (level
+    index, member index, sign, |weighted sum|), or None if no level
+    qualifies."""
     cols = np.flatnonzero((masses >= floor) & (masses > 0.0))
-    weighted = _level_matrix(family.matrix, residual, inverse, values.size)[:, cols]
+    weighted = sums[:, cols]
     size = np.abs(weighted)
     score = np.where(size / masses[cols] > epsilon, size, -1.0)
     if score.size == 0 or score.max() < 0.0:
         return None
     # argmax over the level-major flattening returns the first maximum
-    col, member_idx = divmod(int(np.argmax(score.T)), len(family))
-    j = int(cols[col])
+    col, member_idx = divmod(int(np.argmax(score.T)), sums.shape[0])
     w = float(weighted[member_idx, col])
-    return float(values[j]), inverse == j, member_idx, +1 if w > 0 else -1, abs(w)
+    return int(cols[col]), member_idx, +1 if w > 0 else -1, abs(w)
 
 
 def _best_threshold_shift(g, h, dist, sel, f_vals, sign, epsilon, level_value):

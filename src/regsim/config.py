@@ -70,10 +70,11 @@ _TOP_KEYS = {
 
 _PARAM_KEYS = {*_NUMERIC, "mode"}
 
-# Deepest ladder a config may ask for through ``pad_to``.  2^16 levels cover
-# the updates_bound(epsilon) levels a shift-by-1 run can climb for every
-# epsilon >= 0.0023, and the per-level tables (the padded list, a growth
-# map) stay within a few MiB.
+# Deepest ladder a config may ask for through ``pad_to``, and longest
+# geometric schedule ``depth``.  2^16 levels cover the updates_bound(epsilon)
+# levels a shift-by-1 run can climb for every epsilon >= 0.0023, and the
+# per-level tables (the padded list, a growth map, the schedule's values)
+# stay within a few MiB.
 _MAX_LADDER_DEPTH = 1 << 16
 
 # What each algorithm reads; a verify run reads an optional simulator.
@@ -328,10 +329,15 @@ def build_schedule(spec: Any, path: str) -> ErrorSchedule:
         return ErrorSchedule.constant(_field(spec, "value", path))
     if kind == "geometric":
         _only_keys(spec, {"kind", "start", "factor", "depth", "floor"}, path)
+        depth = _field(spec, "depth", path, int)
+        if depth > _MAX_LADDER_DEPTH:
+            raise ValidationError(
+                f"{path}.depth: at most {_MAX_LADDER_DEPTH} levels, got {depth}"
+            )
         return ErrorSchedule.geometric(
             _field(spec, "start", path),
             _field(spec, "factor", path),
-            _field(spec, "depth", path, int),
+            depth,
             _field(spec, "floor", path, default=1e-3),
         )
     if kind == "explicit":

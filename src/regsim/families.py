@@ -361,11 +361,15 @@ def compose_level(
         ]
         block = matrix[start:start + count]
         block.reshape(grid + (n,))[...] = comb.fn(*args)
-        outside = (block.min(axis=1) < -STRUCT_TOL) | (block.max(axis=1) > 1 + STRUCT_TOL)
+        lo, hi = block.min(axis=1), block.max(axis=1)
+        outside = (lo < -STRUCT_TOL) | (hi > 1 + STRUCT_TOL)
         if outside.any():
             tup = tuple(int(i) for i in np.unravel_index(int(np.argmax(outside)), grid))
             raise ValidationError(f"combinator {comb.name} left [0, 1] on inputs {tup}")
-        np.clip(block, 0.0, 1.0, out=block)
+        # clip leaves values in [0, 1] (and -0.0) as they are, so a block
+        # already inside skips the pass
+        if not (lo.min() >= 0.0 and hi.max() <= 1.0):
+            np.clip(block, 0.0, 1.0, out=block)
         descriptors.extend(
             f"{comb.name}({', '.join(tup)})"
             for tup in itertools.product(base.descriptors, repeat=comb.arity)

@@ -17,7 +17,6 @@ from .boosting import (
     BoostParams,
     audit,
     calibrated_multiaccuracy,
-    calibration_error,
     multiaccuracy_boost,
     multiaccuracy_error,
     multicalibrate,
@@ -122,18 +121,16 @@ def _execute_boost(plan: Plan):
         h, trace = multiaccuracy_boost(g, dist, family, bp)
     else:
         h, trace = calibrated_multiaccuracy(g, dist, family, bp)
-    ma, _ = multiaccuracy_error(family, g, h, dist)
-    inequalities = [Inequality("multiaccuracy-error", ma, eps)]
+    report = audit(g, h, dist, family, eps)
+    inequalities = [Inequality("multiaccuracy-error", report.multiaccuracy_error, eps)]
     if plan.algorithm == "calibrated":
-        inequalities.append(
-            Inequality("calibration-error", calibration_error(g, h, dist), bp.gamma)
-        )
+        inequalities.append(Inequality("calibration-error", report.calibration_error, bp.gamma))
     payload = {
         "simulator": h.to_json(),
         "updates": trace.update_count,
         "termination": trace.termination,
         "trace": [r.to_json() for r in trace.records],
-        "audit": audit(g, h, dist, family, eps).to_json(),
+        "audit": report.to_json(),
     }
     return payload, [iq.to_json() for iq in inequalities]
 

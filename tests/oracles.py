@@ -6,8 +6,19 @@ the code path they are checking.
 """
 
 import itertools
+import math
 
 import numpy as np
+
+from regsim.boosting import (
+    BoostTrace,
+    TraceRecord,
+    _best_threshold_shift,
+    _digest,
+    _level_matrix,
+    _level_sets,
+)
+from regsim.domain import BoundedFn, potential, round_to_grid
 
 
 def brute_kfold_tv(p_weights, q_weights, k):
@@ -190,3 +201,67 @@ def best_threshold_loop(g, weights, sel, f_vals, sign, epsilon, level_value):
             best = (drop, t)
     target = np.array([bool(sel[x]) and f_vals[x] >= best[1] for x in range(len(g))])
     return best[1], target
+
+
+def multicalibrate_rescan(g, dist, family, epsilon):
+    """multicalibrate with nothing carried between steps: each step rebuilds
+    the level sets and the full (member, level) sums from scratch and scans
+    them in plain loops, level-major, for the first strict maximum of
+    |sum| among levels of mass >= floor whose |sum| / mass > epsilon.
+
+    Returns (h, trace, kinds): kinds is the set of step kinds seen, out of
+    "onto-new" / "onto-existing" (the shifted value was or was not a level
+    already), "emptied" (the shift moved a whole level) and "zero-mass" (a
+    scan saw a level whose points all weigh 0)."""
+    floor = epsilon / (math.ceil(1.0 / epsilon) + 1)
+    h = BoundedFn(round_to_grid(np.full(g.size, 0.5), epsilon))
+    phi = potential(g, h, dist)
+    records, kinds = [], set()
+    while True:
+        values, inverse, masses = _level_sets(h, dist)
+        residual = dist.weights * (g.values - h.values)
+        sums = _level_matrix(family.matrix, residual, inverse, values.size)
+        if (masses == 0.0).any():
+            kinds.add("zero-mass")
+        best = None
+        for j in range(values.size):
+            if not (masses[j] >= floor and masses[j] > 0.0):
+                continue
+            for i in range(len(family)):
+                size = abs(float(sums[i, j]))
+                if size / masses[j] > epsilon and (best is None or size > best[0]):
+                    best = (size, j, i)
+        if best is None:
+            trace = BoostTrace(epsilon, tuple(records), h, "violating-mass-below-floor")
+            return h, trace, kinds
+        weighted, j, i = best
+        sign = +1 if sums[i, j] > 0 else -1
+        level_value = float(values[j])
+        sel = inverse == j
+        threshold, target = _best_threshold_shift(
+            g, h, dist, sel, family.matrix[i], sign, epsilon, level_value
+        )
+        new_value = np.clip(level_value + epsilon * sign, 0.0, 1.0)
+        kinds.add("onto-existing" if new_value in values else "onto-new")
+        if target.sum() == sel.sum():
+            kinds.add("emptied")
+        new_values = h.values.copy()
+        new_values[target] = new_value
+        h_new = BoundedFn(new_values)
+        phi_new = potential(g, h_new, dist)
+        mass = float(dist.weights[sel].sum())
+        records.append(
+            TraceRecord(
+                step=len(records),
+                kind="level-update",
+                phi_before=phi,
+                phi_after=phi_new,
+                digest=_digest(h_new),
+                correlation=weighted / mass,
+                sign=sign,
+                member_index=i,
+                descriptor=family.descriptors[i],
+                detail={"level": level_value, "level_mass": mass, "threshold": threshold},
+            )
+        )
+        h, phi = h_new, phi_new

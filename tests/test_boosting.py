@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from oracles import (
     calibration_error_extreme_points,
     level_sets_loop,
     level_sums_by_point,
+    multicalibrate_rescan,
     recalibrate_loop,
 )
 from regsim.boosting import (
@@ -409,10 +411,100 @@ def test_violation_scan_exact_ties_pick_lowest_level_then_member():
     fam = rs.explicit_family(
         [[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0], [1.0, 1.0, 0.0, 0.0], [1.0, 1.0, 0.0, 0.0]]
     )
-    level_value, sel, member, sign, weighted = _worst_weighted_violation(
-        g, h, d, fam, 0.1, 0.01
-    )
-    assert (level_value, member, sign, weighted) == (0.25, 2, +1, 0.125)
-    assert list(sel) == [True, True, False, False]
+    values, inverse, masses = _level_sets(h, d)
+    sums = _level_matrix(fam.matrix, d.weights * (g.values - h.values), inverse, values.size)
+    assert _worst_weighted_violation(masses, sums, 0.1, 0.01) == (0, 2, +1, 0.125)
     _, audit = rs.multicalibration_check(g, h, d, fam, 0.1)
     assert [lvl.witness_index for lvl in audit.levels] == [2, 1]
+
+
+def test_level_matrix_over_points_sums_only_those_points():
+    rng = np.random.default_rng(31)
+    for m in (1, 15, 16, 17, 40):
+        g, h, d, members = _level_instance(rng, 50, m, 5, False)
+        values, inverse, _ = _level_sets(h, d)
+        residual = d.weights * (g.values - h.values)
+        full = _level_matrix(members, residual, inverse, values.size)
+        covered = rng.choice(values.size, size=2, replace=True)
+        for p in (
+            np.flatnonzero(np.isin(inverse, covered)),
+            np.sort(rng.choice(50, size=17, replace=False)),
+            np.arange(0),
+        ):
+            part = _level_matrix(members, residual, inverse, values.size, points=p)
+            assert np.array_equal(
+                part, level_sums_by_point(members[:, p], residual[p], inverse[p], values.size)
+            )
+            # a level with no point outside p gets the full result's bits
+            whole = ~np.isin(np.arange(values.size), np.delete(inverse, p))
+            assert np.array_equal(part[:, whole], full[:, whole])
+
+
+def test_level_matrix_over_points_allocates_only_block_temporaries():
+    rng = np.random.default_rng(32)
+    m, n, n_points = 256, 4096, 2048
+    members = rng.uniform(size=(m, n))
+    residual = rng.uniform(-1.0, 1.0, size=n)
+    inverse = rng.integers(0, 4, size=n)
+    points = np.sort(rng.choice(n, size=n_points, replace=False))
+    tracemalloc.start()
+    try:
+        _level_matrix(members, residual, inverse, 4, points=points)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the temporaries are per 16-row block (gathered rows, flat index), a few
+    # times 16 * P * 8 bytes; a whole (m, P) gather would be m * P * 8 = 4 MiB
+    assert peak < 4 * 16 * n_points * 8 == m * n_points * 8 // 4
+
+
+def _multicalibrate_instance(rng, n, m, flavor):
+    """g, weights and members for multicalibrate.  "random" and "two-point"
+    (most points weigh 0) draw real g and mixed 0/1 and real members;
+    "dyadic" takes 2^(n % 5) points of equal weight, g on quarters and 0/1
+    members, so the sums are exact and ties and |sum| / mass = epsilon
+    occur at the dyadic epsilons."""
+    if flavor == "dyadic":
+        n = 1 << (n % 5)
+        g = rng.integers(0, 5, size=n) / 4.0
+        w = np.full(n, 1.0 / n)
+        members = (rng.uniform(size=(m, n)) < 0.5).astype(float)
+        return rs.BoundedFn(g), rs.Distribution(w), rs.explicit_family(members.tolist())
+    g = rng.choice(rng.uniform(size=3), size=n) if rng.uniform() < 0.5 else rng.uniform(size=n)
+    if flavor == "two-point":
+        w = np.zeros(n)
+        w[rng.integers(n)] += 0.25
+        w[rng.integers(n)] += 0.75
+    else:
+        w = rng.gamma(1.0, size=n) + 1e-9
+        w /= w.sum()
+    binary = (rng.uniform(size=(m, n)) < 0.5).astype(float)
+    real = np.where(rng.uniform(size=(m, n)) < 0.3, 0.0, rng.uniform(size=(m, n)))
+    members = np.where(rng.uniform(size=(m, 1)) < 0.5, binary, real)
+    return rs.BoundedFn(g), rs.Distribution(w), rs.explicit_family(members.tolist())
+
+
+def test_multicalibrate_carried_levels_match_full_rescan():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    kinds_seen = set()
+
+    @hyp.settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @hyp.given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 30),
+        m=st.sampled_from([1, 3, 17]),
+        flavor=st.sampled_from(["random", "two-point", "dyadic"]),
+        epsilon=st.sampled_from([0.125, 0.2, 0.25, 0.3]),
+    )
+    def check(seed, n, m, flavor, epsilon):
+        rng = np.random.default_rng(seed)
+        g, d, fam = _multicalibrate_instance(rng, n, m, flavor)
+        h, trace = rs.multicalibrate(g, d, fam, epsilon)
+        h_rescan, trace_rescan, kinds = multicalibrate_rescan(g, d, fam, epsilon)
+        assert trace.to_jsonl() == trace_rescan.to_jsonl()
+        assert h.values.tobytes() == h_rescan.values.tobytes()
+        kinds_seen.update(kinds)
+
+    check()
+    assert kinds_seen == {"onto-new", "onto-existing", "emptied", "zero-mass"}

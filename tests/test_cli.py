@@ -337,11 +337,14 @@ def demo_with(name, path, value):
         (demo_with("boost-two-point", "params.epsilon", 10**400), "config.params.epsilon"),
         (demo_with("supersim-expanding", "ladder.pad_to", 10**30), "config.ladder.pad_to"),
         (demo_with("supersim-expanding", "ladder.pad_to", 10**9), "config.ladder.pad_to"),
+        (demo_with("supersim-shrinking", "schedule",
+                   {"kind": "geometric", "start": 0.1, "factor": 0.5, "depth": 10**30}),
+         "config.schedule.depth"),
     ],
     ids=[
         "rectangle-without-cols", "two-point-without-j", "rows-not-a-number", "float-domain-size",
         "list", "string", "vector-int-beyond-double", "scalar-int-beyond-double",
-        "pad-to-beyond-index", "pad-to-huge",
+        "pad-to-beyond-index", "pad-to-huge", "schedule-depth-huge",
     ],
 )
 def test_malformed_builder_input_is_a_named_problem(config, path):
