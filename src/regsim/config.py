@@ -16,7 +16,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .domain import BoundedFn, Distribution, FiniteDomain
+from .domain import MIN_ACCURACY, BoundedFn, Distribution, FiniteDomain
 from .errors import RegsimError, ValidationError
 from .families import (
     ErrorSchedule,
@@ -76,6 +76,11 @@ _PARAM_KEYS = {*_NUMERIC, "mode"}
 # per-level tables (the padded list, a growth map, the schedule's values)
 # stay within a few MiB.
 _MAX_LADDER_DEPTH = 1 << 16
+
+# Largest domain a config may ask for: one vector over it is 128 MiB.  A
+# coordinate encoding reads int64 element indices, so at most 64 bits.
+_MAX_DOMAIN_SIZE = 1 << 24
+_MAX_BIT_WIDTH = 64
 
 # What each algorithm reads; a verify run reads an optional simulator.
 _NEEDS = {
@@ -396,6 +401,12 @@ def plan_config(config: Any) -> tuple[Plan | None, list[str]]:
     except (RegsimError, KeyError, TypeError) as exc:
         diags.add("config.domain", str(exc))
         return None, diags.problems
+    if domain.size > _MAX_DOMAIN_SIZE:
+        diags.add("config.domain.size", f"at most {_MAX_DOMAIN_SIZE} points, got {domain.size}")
+    if (domain.bit_width or 0) > _MAX_BIT_WIDTH:
+        diags.add("config.domain.bit_width", f"at most {_MAX_BIT_WIDTH}, got {domain.bit_width}")
+    if diags.problems:
+        return None, diags.problems
 
     algorithm = config.get("algorithm")
     if algorithm not in ALGORITHMS:
@@ -472,6 +483,9 @@ def plan_config(config: Any) -> tuple[Plan | None, list[str]]:
             diags.add("config.params.gamma", "gamma must lie in (0, epsilon]")
     if "alpha" in needs and alpha is not None and not (0.0 < alpha < 0.5):
         diags.add("config.params.alpha", "alpha must lie in (0, 0.5)")
+    for key in ("epsilon", "gamma", "alpha"):
+        if key in needs and 0.0 < num.get(key, 1.0) < MIN_ACCURACY:
+            diags.add(f"config.params.{key}", f"{key} must be at least 2^-100")
     mode = params.get("mode", "two-proxy")
     if mode not in ("two-proxy", "single-proxy"):
         diags.add("config.params.mode", "mode must be 'two-proxy' or 'single-proxy'")

@@ -19,6 +19,11 @@ from .errors import DomainMismatchError, ValidationError
 
 STRUCT_TOL = 1e-12
 DERIVED_TOL = 1e-10
+# Smallest accuracy parameter (epsilon, gamma, alpha) a construction takes:
+# at 2^-100 the default boost grid epsilon^10 is still a normal double, and
+# every bound derived from one (updates_bound, multicalibrate's
+# 4 n_grid / epsilon^3, the shrinking run's 1 / alpha rounds) is finite.
+MIN_ACCURACY = 2.0 ** -100
 
 VectorLike = Union["BoundedFn", np.ndarray, Sequence[float]]
 
@@ -58,7 +63,7 @@ class FiniteDomain:
         if self.bit_width is not None:
             if self.bit_width < 0:
                 raise ValidationError("bit_width must be nonnegative")
-            if self.size > 2 ** self.bit_width:
+            if (self.size - 1).bit_length() > self.bit_width:
                 raise ValidationError(
                     f"domain size {self.size} does not fit in {self.bit_width} bits"
                 )

@@ -16,12 +16,13 @@ from __future__ import annotations
 
 import functools
 import itertools
+import mmap
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .domain import STRUCT_TOL, BoundedFn, Distribution, FiniteDomain
+from .domain import MIN_ACCURACY, STRUCT_TOL, BoundedFn, Distribution, FiniteDomain
 from .errors import (
     CapExceededError,
     EmptyFamilyError,
@@ -104,6 +105,25 @@ class Family:
 
     def __len__(self) -> int:
         return self.matrix.shape[0]
+
+    @functools.cached_property
+    def by_point(self) -> np.ndarray:
+        """Read-only point-major (N, m) copy of ``matrix``: row x holds every
+        member's value at point x.  Built on first use and kept for the
+        family's lifetime, so it costs m * N * 8 bytes from then on; only
+        ``boosting.multicalibrate`` reads it."""
+        m, n = self.matrix.shape
+        # An anonymous mapping of its own, released whole when the family
+        # is freed.  From the malloc heap (np.empty) the copy stayed
+        # resident after the family was gone, and the next large build
+        # peaked about 13 MiB higher (boost-wide benchmark, m = 364).
+        by_point = np.frombuffer(mmap.mmap(-1, 8 * m * n), dtype=float).reshape(n, m)
+        # 32 members at a time: on a 2-core Xeon this ran 1.5-3x faster than
+        # one strided copy at m = 364, N = 8192 and m = 420, N = 16384
+        for start in range(0, len(self), 32):
+            by_point[:, start : start + 32] = self.matrix[start : start + 32].T
+        by_point.setflags(write=False)
+        return by_point
 
     def __getitem__(self, i: int) -> Distinguisher:
         return Distinguisher(BoundedFn(self.matrix[i]), self.labels[i], self.descriptors[i])
@@ -540,6 +560,8 @@ class ErrorSchedule:
         for v in values:
             if not (0.0 < v < 0.5):
                 raise ValidationError("schedule values must lie in (0, 0.5)")
+            if v < MIN_ACCURACY:
+                raise ValidationError("schedule values must be at least 2^-100")
         if any(a < b for a, b in zip(values, values[1:])):
             raise ValidationError("error schedule must be nonincreasing")
         self.values = tuple(values)

@@ -31,7 +31,7 @@ from .boosting import (
     multiaccuracy_error,
     updates_bound,
 )
-from .domain import DERIVED_TOL, BoundedFn, Distribution, potential
+from .domain import DERIVED_TOL, MIN_ACCURACY, BoundedFn, Distribution, potential
 from .errors import InternalContractError, ValidationError
 from .families import (
     ComplexityLabel,
@@ -42,6 +42,10 @@ from .families import (
 )
 
 LABEL_SATURATION = 10 ** 15
+# Most rounds a recurrence table may span: it holds one label per round of
+# the construction's bound, so 2^16 rounds (updates_bound(epsilon) for
+# epsilon >= 0.0023, 1 / alpha for alpha >= 1.6e-5) keep it to a few MiB.
+MAX_RECURRENCE_ROUNDS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -93,6 +97,11 @@ def recurrence_bound(
     """
     if rounds < 0:
         raise ValidationError("rounds must be >= 0")
+    if rounds > MAX_RECURRENCE_ROUNDS:
+        raise ValidationError(
+            f"the recurrence bound spans {rounds} rounds, above the cap of "
+            f"{MAX_RECURRENCE_ROUNDS}; use a larger epsilon or alpha"
+        )
     if mode not in ("expanding", "shrinking"):
         raise ValidationError("mode must be 'expanding' or 'shrinking'")
     if mode == "expanding" and epsilon is None:
@@ -166,12 +175,12 @@ def supersimulator_expanding(
     params = BoostParams(epsilon=epsilon)
     if growth.depth != ladder.depth:
         raise ValidationError("growth map and ladder depth disagree")
+    bound_index = math.floor(1.0 / (3.0 * epsilon * epsilon))
+    recurrence = recurrence_bound(growth, bound_index, mode="expanding", epsilon=epsilon)
     h, trace, (level, fooled) = _boost(
         g, dist, params, ladder,
         growth=partial(apply_growth, growth), termination="regular-above-level",
     )
-    bound_index = math.floor(1.0 / (3.0 * epsilon * epsilon))
-    recurrence = recurrence_bound(growth, bound_index, mode="expanding", epsilon=epsilon)
     result = SupersimResult(
         level=level,
         label=ladder.label_of(level),
@@ -267,9 +276,12 @@ def supersimulator_shrinking(
     """
     if not (0.0 < alpha < 0.5):
         raise ValidationError("alpha must lie in (0, 0.5)")
+    if alpha < MIN_ACCURACY:
+        raise ValidationError("alpha must be at least 2^-100")
     if growth.depth != ladder.depth:
         raise ValidationError("growth map and ladder depth disagree")
     round_bound = math.floor(1.0 / alpha)
+    recurrence = recurrence_bound(growth, round_bound, mode="shrinking", schedule=eps_schedule)
     h = BoundedFn.constant(g.size, 0.5)
     level = 0
     phi = potential(g, h, dist)
@@ -287,8 +299,8 @@ def supersimulator_shrinking(
         gap = phi - phi_next
         if gap <= alpha:
             return _finish_pair(
-                g, dist, ladder, growth, eps_schedule, alpha, h, level, h_next,
-                fooled, gap, i, round_bound,
+                g, dist, ladder, eps_schedule, alpha, h, level, h_next,
+                fooled, gap, i, round_bound, recurrence,
             )
         h, phi, level = h_next, phi_next, fooled
     raise InternalContractError(
@@ -298,8 +310,8 @@ def supersimulator_shrinking(
 
 
 def _finish_pair(
-    g, dist, ladder, growth, eps_schedule, alpha, h, level, h_prime, fooled,
-    gap, round_index, round_bound,
+    g, dist, ladder, eps_schedule, alpha, h, level, h_prime, fooled,
+    gap, round_index, round_bound, recurrence,
 ):
     eps_i = eps_schedule.eps_at(level)
     diff = h.values - h_prime.values
@@ -330,9 +342,6 @@ def _finish_pair(
         raise InternalContractError(
             f"h' not calibrated at {eps_i!r} (measured {cal!r})"
         )
-    recurrence = recurrence_bound(
-        growth, round_bound, mode="shrinking", schedule=eps_schedule
-    )
     return PairResult(
         h=h,
         level_s=level,

@@ -249,7 +249,7 @@ def multicalibrate_rescan(g, dist, family, epsilon):
         new_values[target] = new_value
         h_new = BoundedFn(new_values)
         phi_new = potential(g, h_new, dist)
-        mass = float(dist.weights[sel].sum())
+        mass = float(masses[j])
         records.append(
             TraceRecord(
                 step=len(records),

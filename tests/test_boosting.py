@@ -16,9 +16,11 @@ from oracles import (
     recalibrate_loop,
 )
 from regsim.boosting import (
+    _POINT_BLOCK,
     _best_threshold_shift,
     _level_matrix,
     _level_sets,
+    _point_sums,
     _worst_weighted_violation,
 )
 
@@ -63,6 +65,22 @@ def test_boost_params_validation():
     params = rs.BoostParams(epsilon=0.1)
     assert params.round_grid == pytest.approx(1e-10)
     assert params.max_iters == rs.updates_bound(0.1)
+
+
+def test_accuracy_below_two_to_minus_100_is_a_validation_error(uniform2, g10):
+    # below 2^-100 the default grid epsilon^10 leaves the normal doubles and
+    # the update bounds overflow: 1e-300 once raised ZeroDivisionError
+    floor = 2.0 ** -100
+    assert rs.BoostParams(epsilon=floor, gamma=floor).round_grid == floor ** 10 > 0.0
+    fam = ind_x1_family()
+    for make in (
+        lambda: rs.BoostParams(epsilon=1e-300),
+        lambda: rs.BoostParams(epsilon=floor / 2),
+        lambda: rs.BoostParams(epsilon=0.1, gamma=5e-324),
+        lambda: rs.multicalibrate(g10, uniform2, fam, 1e-100),
+    ):
+        with pytest.raises(rs.ValidationError, match=r"at least 2\^-100"):
+            make()
 
 
 def test_boost_iteration_bound_and_potential_law():
@@ -418,44 +436,51 @@ def test_violation_scan_exact_ties_pick_lowest_level_then_member():
     assert [lvl.witness_index for lvl in audit.levels] == [2, 1]
 
 
-def test_level_matrix_over_points_sums_only_those_points():
+def test_point_sums_match_point_order_oracle():
     rng = np.random.default_rng(31)
-    for m in (1, 15, 16, 17, 40):
-        g, h, d, members = _level_instance(rng, 50, m, 5, False)
+    n = 3 * _POINT_BLOCK + 5
+    for m in (1, 2, 15, 16, 17, 40):
+        g, h, d, members = _level_instance(rng, n, m, 5, False)
         values, inverse, _ = _level_sets(h, d)
         residual = d.weights * (g.values - h.values)
+        by_point = np.ascontiguousarray(members.T)
         full = _level_matrix(members, residual, inverse, values.size)
-        covered = rng.choice(values.size, size=2, replace=True)
+        # a level's points give its _level_matrix column bit for bit
+        for j in range(values.size):
+            sums = _point_sums(by_point, residual, np.flatnonzero(inverse == j))
+            assert sums.tobytes() == full[:, j].tobytes()
+        zero_members = np.zeros_like(by_point)
+        negative = -np.abs(residual)
         for p in (
-            np.flatnonzero(np.isin(inverse, covered)),
-            np.sort(rng.choice(50, size=17, replace=False)),
+            np.sort(rng.choice(n, size=_POINT_BLOCK + 17, replace=False)),
+            np.sort(rng.choice(n, size=17, replace=False)),
+            np.arange(1),
             np.arange(0),
         ):
-            part = _level_matrix(members, residual, inverse, values.size, points=p)
-            assert np.array_equal(
-                part, level_sums_by_point(members[:, p], residual[p], inverse[p], values.size)
-            )
-            # a level with no point outside p gets the full result's bits
-            whole = ~np.isin(np.arange(values.size), np.delete(inverse, p))
-            assert np.array_equal(part[:, whole], full[:, whole])
+            one_level = np.zeros(p.size, dtype=int)
+            assert _point_sums(by_point, residual, p).tobytes() == level_sums_by_point(
+                members[:, p], residual[p], one_level, 1
+            )[:, 0].tobytes()
+            # all-zero terms are -0.0 here; summed from 0.0 they give +0.0
+            assert _point_sums(zero_members, negative, p).tobytes() == np.zeros(m).tobytes()
 
 
-def test_level_matrix_over_points_allocates_only_block_temporaries():
+def test_point_sums_allocate_only_block_temporaries():
     rng = np.random.default_rng(32)
     m, n, n_points = 256, 4096, 2048
-    members = rng.uniform(size=(m, n))
+    by_point = rng.uniform(size=(n, m))
     residual = rng.uniform(-1.0, 1.0, size=n)
-    inverse = rng.integers(0, 4, size=n)
     points = np.sort(rng.choice(n, size=n_points, replace=False))
     tracemalloc.start()
     try:
-        _level_matrix(members, residual, inverse, 4, points=points)
+        _point_sums(by_point, residual, points)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # the temporaries are per 16-row block (gathered rows, flat index), a few
-    # times 16 * P * 8 bytes; a whole (m, P) gather would be m * P * 8 = 4 MiB
-    assert peak < 4 * 16 * n_points * 8 == m * n_points * 8 // 4
+    # the temporaries are per block of points: a block's gathered rows live
+    # until the next block's replace them, so two blocks of _POINT_BLOCK * m
+    # * 8 bytes at most; a whole (P, m) gather would be P * m * 8 = 4 MiB
+    assert peak < 3 * _POINT_BLOCK * m * 8 <= n_points * m * 8 // 4
 
 
 def _multicalibrate_instance(rng, n, m, flavor):

@@ -1,5 +1,9 @@
+import copy
+import functools
 import hashlib
 import json
+import operator
+import random
 
 import pytest
 
@@ -321,6 +325,12 @@ def demo_with(name, path, value):
     return config
 
 
+# The fuzz case that raised MemoryError: a domain too large to allocate,
+# read by a uniform distribution before any size mismatch is noticed.
+HUGE_DOMAIN = demo_with("verify41-disjoint", "domain.size", 2**53 + 1)
+HUGE_DOMAIN["distributions"]["d0"] = {"kind": "uniform"}
+
+
 @pytest.mark.parametrize(
     "config,path",
     [
@@ -340,11 +350,21 @@ def demo_with(name, path, value):
         (demo_with("supersim-shrinking", "schedule",
                    {"kind": "geometric", "start": 0.1, "factor": 0.5, "depth": 10**30}),
          "config.schedule.depth"),
+        (demo_with("boost-two-point", "params.epsilon", 1e-300), "config.params.epsilon"),
+        (demo_with("multicalibrate-two-point", "params.epsilon", 1e-100),
+         "config.params.epsilon"),
+        (demo_with("verify41-disjoint", "params.gamma", 5e-324), "config.params.gamma"),
+        (demo_with("supersim-shrinking", "params.alpha", 5e-324), "config.params.alpha"),
+        (HUGE_DOMAIN, "config.domain.size"),
+        (demo_with("supersim-shrinking", "schedule.value", 1e-300), "config"),
+        (demo_with("boost-two-point", "domain.bit_width", 65), "config.domain.bit_width"),
     ],
     ids=[
         "rectangle-without-cols", "two-point-without-j", "rows-not-a-number", "float-domain-size",
         "list", "string", "vector-int-beyond-double", "scalar-int-beyond-double",
-        "pad-to-beyond-index", "pad-to-huge", "schedule-depth-huge",
+        "pad-to-beyond-index", "pad-to-huge", "schedule-depth-huge", "epsilon-underflow",
+        "multicalibrate-epsilon-overflows-bound", "gamma-subnormal", "alpha-subnormal",
+        "domain-beyond-memory", "schedule-value-underflow", "bit-width-beyond-64",
     ],
 )
 def test_malformed_builder_input_is_a_named_problem(config, path):
@@ -353,6 +373,78 @@ def test_malformed_builder_input_is_a_named_problem(config, path):
     outcome = run_config(config)
     assert outcome.exit_code == 1
     assert outcome.report["error"]["problems"] == problems
+
+
+@pytest.mark.parametrize("name", demo_names())
+def test_only_multicalibrate_builds_the_point_major_copy(name, monkeypatch):
+    plans, plan_config = [], runner_mod.plan_config
+
+    def spy(config):
+        plan, problems = plan_config(config)
+        plans.append(plan)
+        return plan, problems
+
+    monkeypatch.setattr(runner_mod, "plan_config", spy)
+    assert run_config(demo_config(name)).exit_code == 0
+    (plan,) = plans
+    families = [plan.family] if plan.ladder is None else list(plan.ladder.levels)
+    built = ["by_point" in family.__dict__ for family in families]
+    assert built == [plan.algorithm == "multicalibrate"] * len(families)
+
+
+# Leaf values a config-fuzz mutation writes: wrong types, values at and past
+# the edges of each range, huge integers, non-finite and underflowing floats
+# (1e-300 as epsilon once raised ZeroDivisionError out of run_config).
+# Small valid accuracies such as 1e-8 are left out: such a run is correct
+# but takes about 1/epsilon steps.
+FUZZ_VALUES = (
+    None, True, False, 0, 1, -1, 2, 3, 7, 0.5, -0.5, -0.0, 0.999, 1e-300, 1e300,
+    2**53 + 1, 10**30, float("inf"), float("nan"), "", "abc", "uniform", [], {},
+    [0.5], [[1.0]], [1.0, 0.0], {"kind": "uniform"}, {"kind": "random"},
+)
+
+
+def _key_paths(node, path=()):
+    """The key path of every field below ``node``, containers included."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in items:
+        yield path + (key,)
+        if isinstance(child, (dict, list)):
+            yield from _key_paths(child, path + (key,))
+
+
+def test_mutated_demo_configs_are_runs_or_named_problems():
+    rng = random.Random(2012)
+    names = demo_names()
+    for i in range(300):
+        config, edits = demo_config(names[i % len(names)]), []
+        for _ in range(rng.choice((1, 1, 2))):
+            *parents, key = rng.choice(list(_key_paths(config)))
+            node = functools.reduce(operator.getitem, parents, config)
+            if isinstance(node, dict) and rng.random() < 0.1:
+                del node[key]
+                edits.append((*parents, key, "deleted"))
+            else:
+                node[key] = copy.deepcopy(rng.choice(FUZZ_VALUES))
+                edits.append((*parents, key, node[key]))
+        assert isinstance(validate_config(config), list), edits
+        outcome = run_config(config)
+        assert outcome.exit_code in (0, 1, 2), (names[i % len(names)], edits, outcome.report)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {**demo_with("supersim-expanding", "params.epsilon", 1e-3), "target": [0.5, 0.5]},
+        demo_with("supersim-shrinking", "params.alpha", 1e-5),
+    ],
+    ids=["expanding-epsilon", "shrinking-alpha"],
+)
+def test_recurrence_beyond_cap_is_exit_one(config):
+    outcome = run_config(config)
+    assert outcome.exit_code == 1
+    assert outcome.report["error"]["kind"] == "precondition"
+    assert "above the cap of 65536" in outcome.report["error"]["message"]
 
 
 MULTICALIBRATE_7_STEPS = minimal_boost_config(

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -99,6 +100,24 @@ def test_domain_invariants():
     dom = rs.FiniteDomain(size=4, bit_width=2)
     assert dom.to_json() == {"size": 4, "bit_width": 2}
     assert rs.FiniteDomain.from_json({"size": 3}) == rs.FiniteDomain(size=3)
+
+
+def test_domain_fit_check_never_builds_two_to_the_bit_width():
+    # the check compared size with 2 ** bit_width: 8 MiB of integer at 2^26
+    # bits, and MemoryError from run_config at 10^12
+    tracemalloc.start()
+    try:
+        assert rs.FiniteDomain(size=2, bit_width=2**26).bit_width == 2**26
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
+    assert rs.FiniteDomain(size=1, bit_width=0).size == 1
+    assert rs.FiniteDomain(size=2**40, bit_width=40).size == 2**40
+    with pytest.raises(rs.ValidationError):
+        rs.FiniteDomain(size=2**40 + 1, bit_width=40)
+    with pytest.raises(rs.ValidationError):
+        rs.FiniteDomain(size=2, bit_width=0)
 
 
 def test_json_round_trip_vectors():

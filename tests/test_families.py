@@ -261,3 +261,13 @@ def test_complexity_label_partial_order():
 def test_empty_family_rejected():
     with pytest.raises(rs.EmptyFamilyError):
         rs.Family(np.empty((0, 2)), [], [])
+
+
+@pytest.mark.parametrize("m, n", [(1, 5), (33, 7), (70, 1)])
+def test_by_point_is_a_cached_read_only_point_major_copy(m, n):
+    fam = random_family(np.random.default_rng(m), n, m)
+    by_point = fam.by_point
+    assert by_point.shape == (n, m) and by_point.flags.c_contiguous
+    assert not by_point.flags.writeable
+    assert by_point.tobytes() == np.ascontiguousarray(fam.matrix.T).tobytes()
+    assert fam.by_point is by_point

@@ -118,6 +118,29 @@ def test_shrinking_first_gap_qualifies(uniform2, g10):
     assert pair.similarity <= pair.phi_gap + 4 * pair.eps_at_s + TOL
 
 
+def test_shrinking_alpha_below_two_to_minus_100_is_a_validation_error(uniform2, g10):
+    # 1 / 5e-324 is inf, and the round bound floor(1 / alpha) raised OverflowError
+    ladder = demo_ladder()
+    growth = rs.GrowthMap.shift(ladder, 1)
+    sched = rs.ErrorSchedule.constant(0.05)
+    with pytest.raises(rs.ValidationError, match=r"alpha must be at least 2\^-100"):
+        rs.supersimulator_shrinking(g10, uniform2, ladder, growth, sched, 5e-324)
+
+
+def test_recurrence_beyond_cap_is_refused_before_the_run(uniform2, g10):
+    # one label per round of the bound: epsilon = 1e-3 (333,333 updates) and
+    # alpha = 1e-5 (10^5 rounds) built tables of that many labels, and
+    # epsilon = 1e-4 ran out of memory
+    ladder = demo_ladder()
+    growth = rs.GrowthMap.shift(ladder, 1)
+    sched = rs.ErrorSchedule.constant(0.05)
+    with pytest.raises(rs.ValidationError, match="above the cap of 65536"):
+        rs.supersimulator_expanding(g10, uniform2, ladder, growth, 1e-3)
+    with pytest.raises(rs.ValidationError, match="above the cap of 65536"):
+        rs.supersimulator_shrinking(g10, uniform2, ladder, growth, sched, 1e-5)
+    assert len(rs.recurrence_bound(growth, 1 << 16, mode="expanding", epsilon=0.1).labels) == 65537
+
+
 def test_shrinking_constant_target_zero_similarity(uniform2):
     g = rs.BoundedFn(np.array([0.3, 0.3]))
     ladder = demo_ladder()
