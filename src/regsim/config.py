@@ -518,7 +518,10 @@ def plan_config(config: Any) -> tuple[Plan | None, list[str]]:
             elif not (isinstance(spec, dict) and spec.get("kind") == "calibrated"):
                 built[name] = build_function(spec, ctx, path)
     except RegsimError as exc:
-        diags.add("config", str(exc))
+        # a builder names its own field; a library check inside it names
+        # none, so file it under the field being built
+        message = str(exc)
+        diags.problems.append(message if message.startswith("config.") else f"{path}: {message}")
     if diags.problems:
         return None, diags.problems
     return Plan(

@@ -9,6 +9,13 @@ of coordinates, are sums over types too, reached one coordinate at a time
 through the successor maps (a type of size i plus one point).  This module
 is the library's only enumeration of types; brute-force enumeration over
 all N^k tuples remains the oracle the test suite checks it against.
+
+Every statistic is read off shared pieces: one table holds the masses of
+all the measures a caller reads (``TypeClassTable.tv`` and
+``TypeClassTable.expectation`` take rows of it), and one call of
+``_mixed_expectations`` builds the successor maps once for all its
+hybrid pairs.  The public functions are thin wrappers over the same
+pieces, so a verification that builds them once reports the same bits.
 """
 
 from __future__ import annotations
@@ -142,6 +149,11 @@ class TypeClassTable:
             raise DomainMismatchError(self.num_types, values.size, "per-type values")
         return float(np.dot(self.weights * self.masses[index], values))
 
+    def tv(self, i: int, j: int) -> float:
+        """Total variation between the k-fold products of measures i and j:
+        half the L1 distance when they are raw."""
+        return 0.5 * float(np.dot(self.weights, np.abs(self.masses[i] - self.masses[j])))
+
 
 def kfold_type_classes(
     measures: Sequence[MeasureLike], k: int, cap: int = DEFAULT_TYPE_CAP
@@ -181,10 +193,7 @@ def kfold_tv(
     Accepts raw nonnegative vectors as well as distributions, in which case
     this is half the L1 distance between the raw product measures.
     """
-    table = kfold_type_classes([p, q], k, cap=cap)
-    return 0.5 * float(
-        np.dot(table.weights, np.abs(table.masses[0] - table.masses[1]))
-    )
+    return kfold_type_classes([p, q], k, cap=cap).tv(0, 1)
 
 
 def _test_values(test, counts: np.ndarray) -> np.ndarray:
@@ -216,32 +225,49 @@ def kfold_expectation(test, p: MeasureLike, k: int, cap: int = DEFAULT_TYPE_CAP)
     return table.expectation(0, _test_values(test, table.counts))
 
 
-def _mixed_expectations(test, p: MeasureLike, q: MeasureLike, k: int) -> np.ndarray:
-    """E[test] under p^j x q^(k-j) for j = 0..k, in O(k N T) with no tuples.
-
-    A forward pass over the successor maps weights each type of size j by
-    the p-mass of its tuples; a backward pass gives, per type of size j,
-    the test's expectation when the other k - j coordinates are drawn from
-    q.  Entry j is the dot product of the two at size j.
-    """
-    if k < 1:
-        raise ValidationError("k must be >= 1")
-    pv = _measure_vector(p, None, "measure 0")
-    qv = _measure_vector(q, pv.size, "measure 1")
-    n = pv.size
+def _check_successor_cap(n: int, k: int) -> None:
     # the successor maps hold N entries per type of every size below k
     needed = n * type_count(n + 1, k - 1)
     if needed > DEFAULT_TYPE_CAP:
         raise CapExceededError(needed, DEFAULT_TYPE_CAP, f"successor maps for N={n}, k={k}")
+
+
+def _mixed_expectations(
+    values: np.ndarray, pairs: Sequence[tuple[MeasureLike, MeasureLike]], k: int
+) -> list[np.ndarray]:
+    """Per (p, q) pair, E[test] under p^j x q^(k-j) for j = 0..k, in
+    O(k N T) with no tuples; ``values`` is the test on the rows of the
+    size-k type table.
+
+    The successor maps are built once and shared by every pair.  Per pair,
+    a forward pass over them weights each type of size j by the p-mass of
+    its tuples; a backward pass gives, per type of size j, the test's
+    expectation when the other k - j coordinates are drawn from q.  Entry j
+    is the dot product of the two at size j.
+    """
+    if k < 1:
+        raise ValidationError("k must be >= 1")
+    n = None
+    vecs = []
+    for i, (p, q) in enumerate(pairs):
+        pv = _measure_vector(p, n, f"measure {2 * i}")
+        n = pv.size
+        vecs.append((pv, _measure_vector(q, n, f"measure {2 * i + 1}")))
+    if values.shape != (type_count(n, k),):
+        raise DomainMismatchError(type_count(n, k), values.size, "per-type values")
+    _check_successor_cap(n, k)
     succ = _successors(n, k)
-    forward = [np.ones(1)]
-    for i in range(k):
-        mass = (forward[i][:, None] * pv[None, :]).ravel()
-        forward.append(np.bincount(succ[i].ravel(), mass, minlength=type_count(n, i + 1)))
-    backward = _test_values(test, _type_table(n, k)[0])
-    out = np.empty(k + 1)
-    out[k] = float(np.dot(forward[k], backward))
-    for j in range(k - 1, -1, -1):
-        backward = backward[succ[j]] @ qv
-        out[j] = float(np.dot(forward[j], backward))
+    out = []
+    for pv, qv in vecs:
+        forward = [np.ones(1)]
+        for i in range(k):
+            mass = (forward[i][:, None] * pv[None, :]).ravel()
+            forward.append(np.bincount(succ[i].ravel(), mass, minlength=type_count(n, i + 1)))
+        backward = values
+        sums = np.empty(k + 1)
+        sums[k] = float(np.dot(forward[k], backward))
+        for j in range(k - 1, -1, -1):
+            backward = backward[succ[j]] @ qv
+            sums[j] = float(np.dot(forward[j], backward))
+        out.append(sums)
     return out

@@ -14,6 +14,13 @@ Two hat vectors appear throughout: the closed-form reweightings
 (1-h) D_X / (1-prior) and h D_X / prior.  They are raw nonnegative measures
 (mass near, not exactly, one) that the true Bayes proxies approximate in
 total variation; expectations against them are plain weighted sums.
+
+A verification makes one k-fold pass: one type-class table over every
+measure it reads, one scoring of the product test on that table's types
+(its fire and tie vectors together) and one successor build for all its
+hybrids.  Each statistic is read off these with the same expression as the
+standalone function (``kfold_tv``, ``test_advantage``, ``tie_mass``,
+``hybrid_bound_check``), so the reported floats equal theirs bit for bit.
 """
 
 from __future__ import annotations
@@ -42,7 +49,16 @@ from .families import (
     family_distance,
     raw_family_distance,
 )
-from .kfold import _mixed_expectations, kfold_expectation, kfold_tv
+from .kfold import (
+    TypeClassTable,
+    _check_successor_cap,
+    _measure_vector,
+    _mixed_expectations,
+    _test_values,
+    _type_table,
+    kfold_expectation,
+    kfold_type_classes,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -199,13 +215,17 @@ class ProductTest:
             rhs = np.full(counts.shape[0], self._rhs_const)
         return lhs, rhs
 
-    def on_counts(self, counts: np.ndarray) -> np.ndarray:
+    def outcomes(self, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The test's value (lhs > rhs) and its tie indicator (lhs == rhs)
+        on every row, from one scoring pass."""
         lhs, rhs = self._scores(np.atleast_2d(counts))
-        return (lhs > rhs).astype(float)
+        return (lhs > rhs).astype(float), (lhs == rhs).astype(float)
+
+    def on_counts(self, counts: np.ndarray) -> np.ndarray:
+        return self.outcomes(counts)[0]
 
     def tie_on_counts(self, counts: np.ndarray) -> np.ndarray:
-        lhs, rhs = self._scores(np.atleast_2d(counts))
-        return (lhs == rhs).astype(float)
+        return self.outcomes(counts)[1]
 
     def describe(self) -> str:
         if self.kind == "balanced":
@@ -232,7 +252,12 @@ def test_advantage(test: ProductTest, m0, m1, k: int) -> float:
 
     Accepts raw measures; the expectations are then raw weighted sums.
     """
-    return abs(kfold_expectation(test, m0, k) - kfold_expectation(test, m1, k))
+    table = kfold_type_classes([m0, m1], k)
+    return _advantage(table, _test_values(test, table.counts), 0, 1)
+
+
+def _advantage(table: TypeClassTable, values: np.ndarray, i: int, j: int) -> float:
+    return abs(table.expectation(i, values) - table.expectation(j, values))
 
 
 def tie_mass(test: ProductTest, m, k: int) -> float:
@@ -260,8 +285,17 @@ def hybrid_bound_check(
     test = test or product_distinguisher(h, k, "balanced")
     if test.k != k:
         raise ValidationError("test arity does not match k")
-    expectations = _mixed_expectations(test, dist_b, hat_b, k)
-    return float(np.max(np.abs(np.diff(expectations))))
+    n = _measure_vector(dist_b, None, "measure 0").size
+    _check_successor_cap(n, k)
+    values = _test_values(test, _type_table(n, k)[0])
+    return _hybrid_gaps(values, [(dist_b, hat_b)], k)[0]
+
+
+def _hybrid_gaps(values: np.ndarray, pairs, k: int) -> list[float]:
+    """Per (dist, hat) pair, the largest gap between adjacent hybrids."""
+    return [
+        float(np.max(np.abs(np.diff(sums)))) for sums in _mixed_expectations(values, pairs, k)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -381,12 +415,20 @@ def verify_two_proxy(
     tv_th0 = l1_half(proxies.tilde0.weights, proxies.hat0)
     tv_th1 = l1_half(proxies.tilde1.weights, proxies.hat1)
 
-    tv_proxies = kfold_tv(proxies.tilde0, proxies.tilde1, k)
-    tv_true = kfold_tv(inst.d0, inst.d1, k)
-    advantage = test_advantage(test, inst.d0, inst.d1, k)
-    advantage_hat = test_advantage(test, proxies.hat0, proxies.hat1, k)
-    hybrid0 = hybrid_bound_check(h, inst.d0, proxies.hat0, k, test=test)
-    hybrid1 = hybrid_bound_check(h, inst.d1, proxies.hat1, k, test=test)
+    # One k-fold pass: one table (rows tilde0, tilde1, d0, d1, hat0, hat1,
+    # the order in which the statistics below first read them, so the sum
+    # check meets a bad measure first where the standalone calls would),
+    # one scoring of the size-k types and one successor build for both
+    # hybrids.
+    table = kfold_type_classes(
+        [proxies.tilde0, proxies.tilde1, inst.d0, inst.d1, proxies.hat0, proxies.hat1], k
+    )
+    fire, tie = test.outcomes(table.counts)
+    tv_proxies = table.tv(0, 1)
+    tv_true = table.tv(2, 3)
+    advantage = _advantage(table, fire, 2, 3)
+    advantage_hat = _advantage(table, fire, 4, 5)
+    hybrid0, hybrid1 = _hybrid_gaps(fire, [(inst.d0, proxies.hat0), (inst.d1, proxies.hat1)], k)
 
     ident_d1 = float(np.max(np.abs(inst.d1.weights - inst.g.values * inst.d_x.weights / inst.prior)))
     ident_d0 = float(
@@ -421,8 +463,8 @@ def verify_two_proxy(
             "advantage_hat_pair": advantage_hat,
             "tv_kfold_proxies": tv_proxies,
             "tv_kfold_true": tv_true,
-            "tie_mass_d0": tie_mass(test, inst.d0, k),
-            "tie_mass_d1": tie_mass(test, inst.d1, k),
+            "tie_mass_d0": table.expectation(2, tie),
+            "tie_mass_d1": table.expectation(3, tie),
         },
         inequalities=inequalities,
         witnesses={
@@ -470,10 +512,13 @@ def verify_single_proxy(
 
     fd1 = family_distance(family, inst.d1, proxies.tilde1)
     tv_th1 = l1_half(proxies.tilde1.weights, proxies.hat1)
-    tv_proxy = kfold_tv(inst.d0, proxies.tilde1, k)
-    tv_true = kfold_tv(inst.d0, inst.d1, k)
-    advantage = test_advantage(test, inst.d0, inst.d1, k)
-    hybrid1 = hybrid_bound_check(h, inst.d1, proxies.hat1, k, test=test)
+    # One k-fold pass, as in verify_two_proxy: rows d0, tilde1, d1.
+    table = kfold_type_classes([inst.d0, proxies.tilde1, inst.d1], k)
+    fire, tie = test.outcomes(table.counts)
+    tv_proxy = table.tv(0, 1)
+    tv_true = table.tv(0, 2)
+    advantage = _advantage(table, fire, 0, 2)
+    (hybrid1,) = _hybrid_gaps(fire, [(inst.d1, proxies.hat1)], k)
     ident_d1 = float(
         np.max(np.abs(inst.d1.weights - inst.g.values * inst.d_x.weights / inst.prior))
     )
@@ -501,8 +546,8 @@ def verify_single_proxy(
             "advantage": advantage,
             "tv_kfold_d0_proxy": tv_proxy,
             "tv_kfold_true": tv_true,
-            "tie_mass_d0": tie_mass(test, inst.d0, k),
-            "tie_mass_d1": tie_mass(test, inst.d1, k),
+            "tie_mass_d0": table.expectation(0, tie),
+            "tie_mass_d1": table.expectation(2, tie),
         },
         inequalities=inequalities,
         witnesses={

@@ -72,9 +72,12 @@ def _clamp_label(lbl: ComplexityLabel) -> tuple[ComplexityLabel, bool]:
 
 
 def polylog_gates(epsilon: float) -> int:
-    """Gate cost charged per update for grid arithmetic: ceil(log2(1/grid))^2
-    with the default grid epsilon^10."""
-    return math.ceil(math.log2(1.0 / epsilon ** 10)) ** 2
+    """Gate cost charged per update for grid arithmetic: b^2 for the
+    b = min(52, ceil(log2(1/grid))) bits the default grid epsilon^10 uses;
+    a grid below the 2^-52 spacing of doubles near 1 holds no more bits."""
+    grid = epsilon ** 10
+    bits = 52 if grid < 2.0 ** -52 else math.ceil(math.log2(1.0 / grid))
+    return bits ** 2
 
 
 def _recal_gates(epsilon: float) -> int:

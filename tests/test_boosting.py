@@ -2,6 +2,7 @@ import json
 import math
 import tracemalloc
 
+import hypothesis as hyp
 import numpy as np
 import pytest
 
@@ -337,7 +338,6 @@ def _level_instance(rng, n, m, n_values, two_point):
 
 
 def test_level_layer_matches_loop_oracles():
-    hyp = pytest.importorskip("hypothesis")
     st = hyp.strategies
 
     @hyp.settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -376,7 +376,6 @@ def test_level_layer_matches_loop_oracles():
 
 
 def test_threshold_shift_matches_loop_oracle():
-    hyp = pytest.importorskip("hypothesis")
     st = hyp.strategies
 
     @hyp.settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -510,7 +509,6 @@ def _multicalibrate_instance(rng, n, m, flavor):
 
 
 def test_multicalibrate_carried_levels_match_full_rescan():
-    hyp = pytest.importorskip("hypothesis")
     st = hyp.strategies
     kinds_seen = set()
 

@@ -1,5 +1,7 @@
+import functools
 import itertools
 
+import hypothesis as hyp
 import numpy as np
 import pytest
 
@@ -488,3 +490,141 @@ def test_report_json_schema():
     }
     for iq in payload["inequalities"]:
         assert set(iq) == {"name", "lhs", "rhs", "slack", "pass"}
+
+
+# -- one k-fold pass per verification -------------------------------------------
+
+
+def _coordinates(n):
+    return rs.explicit_family(np.eye(n).tolist(), name="coord")
+
+
+def _verify(mode, inst, h, fam, k):
+    if mode == "two-proxy":
+        return rs.verify_two_proxy(inst, h, fam, 0.1, 0.01, k)
+    return rs.verify_single_proxy(inst, h, fam, 0.1, 0.01, k)
+
+
+@pytest.mark.parametrize("mode,measures", [("two-proxy", 6), ("single-proxy", 3)])
+def test_verify_builds_kfold_state_once(monkeypatch, mode, measures):
+    from regsim import kfold, products
+
+    tables, successors, scores = [], [], []
+
+    def spy(log, fn, size=lambda *a: 1):
+        def wrapped(*args, **kwargs):
+            log.append(size(*args))
+            return fn(*args, **kwargs)
+        return wrapped
+
+    table_fn = kfold.kfold_type_classes
+    table_spy = spy(tables, table_fn, lambda measures, *rest: len(measures))
+    for mod in (kfold, products):
+        if getattr(mod, "kfold_type_classes", None) is table_fn:
+            monkeypatch.setattr(mod, "kfold_type_classes", table_spy)
+    monkeypatch.setattr(kfold, "_successors", spy(successors, kfold._successors))
+    monkeypatch.setattr(products.ProductTest, "_scores", spy(scores, products.ProductTest._scores))
+
+    # the exact posterior passes every hypothesis gate
+    rng = np.random.default_rng(61)
+    d0, d1 = random_distribution(rng, 3), random_distribution(rng, 3)
+    inst = rs.build_mixture(d0, d1, 0.5 if mode == "two-proxy" else 0.1)
+    report = _verify(mode, inst, inst.g, _coordinates(3), 3)
+    assert report.passed, report.failed_names()
+    assert (tables, len(successors), len(scores)) == ([measures], 1, 1)
+
+
+def _hex(x) -> str:
+    return float(x).hex()
+
+
+def test_verify_kfold_fields_equal_the_standalone_functions(monkeypatch):
+    st = hyp.strategies
+    from regsim import products
+    from regsim.kfold import _mixed_expectations, _type_table
+
+    # the gates audit h, not the k-fold pass; any h exercises the pass
+    monkeypatch.setattr(products, "_require_hypothesis", lambda *a: None)
+    tie_modes_seen = set()
+
+    @hyp.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @hyp.given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 8),
+        k=st.integers(1, 6),
+        mode=st.sampled_from(["two-proxy", "single-proxy"]),
+        ties=st.booleans(),
+    )
+    def check(seed, n, k, mode, ties):
+        rng = np.random.default_rng(seed)
+        d0, d1 = random_distribution(rng, n), random_distribution(rng, n)
+        eps = 0.1
+        if ties:
+            # repeated levels; eps^k = prod h on the all-eps tuple (tilted)
+            # and h = 1 - h at 1/2 (balanced) are exact score ties
+            h_vals = rng.choice([eps, 0.5, 1.0 - eps, 0.3], size=n)
+            h_vals[rng.integers(n)] = eps
+        else:
+            h_vals = rng.uniform(0.01, 0.99, size=n)
+        h = rs.BoundedFn(h_vals)
+        inst = rs.build_mixture(d0, d1, 0.5 if mode == "two-proxy" else eps)
+        report = _verify(mode, inst, h, _coordinates(n), k)
+        proxies = rs.build_proxies(inst, h)
+        audits = report.audits
+        if mode == "two-proxy":
+            test = rs.product_distinguisher(h, k, "balanced")
+            expected = {
+                "tv_kfold_proxies": rs.kfold_tv(proxies.tilde0, proxies.tilde1, k),
+                "advantage_hat_pair": rs.test_advantage(test, proxies.hat0, proxies.hat1, k),
+            }
+            hybrids = {"hybrid-step-0": (d0, proxies.hat0), "hybrid-step-1": (d1, proxies.hat1)}
+        else:
+            test = rs.product_distinguisher(h, k, "tilted", epsilon=eps)
+            expected = {"tv_kfold_d0_proxy": rs.kfold_tv(d0, proxies.tilde1, k)}
+            hybrids = {"hybrid-step-1": (d1, proxies.hat1)}
+        expected.update(
+            tv_kfold_true=rs.kfold_tv(d0, d1, k),
+            advantage=rs.test_advantage(test, d0, d1, k),
+            tie_mass_d0=rs.tie_mass(test, d0, k),
+            tie_mass_d1=rs.tie_mass(test, d1, k),
+        )
+        for name, value in expected.items():
+            assert _hex(audits[name]) == _hex(value), name
+        if audits["tie_mass_d0"] > 0:
+            tie_modes_seen.add(mode)
+        for name, (dist, hat) in hybrids.items():
+            standalone = rs.hybrid_bound_check(h, dist, hat, k, test=test)
+            assert _hex(report.inequality(name).lhs) == _hex(standalone), name
+
+        # one multi-pair sweep equals per-pair sweeps, bit for bit
+        values = test.on_counts(_type_table(n, k)[0])
+        pairs = list(hybrids.values()) + [(proxies.hat1, d0)]
+        together = _mixed_expectations(values, pairs, k)
+        for pair, sums in zip(pairs, together):
+            assert sums.tobytes() == _mixed_expectations(values, [pair], k)[0].tobytes()
+        if n**k <= 1000:
+            value_of = functools.lru_cache(maxsize=None)(
+                lambda tup: float(test.on_counts(counts_of(tup, n)[None, :])[0])
+            )
+            for (p, q), sums in zip(pairs, together):
+                pw = np.asarray(getattr(p, "weights", p))
+                qw = np.asarray(getattr(q, "weights", q))
+                brute = brute_hybrid_expectations(value_of, pw, qw, k)
+                # 1e-12 per unit of hybrid mass (single-proxy hats weigh ~1/eps)
+                mass = max(pw.sum() ** j * qw.sum() ** (k - j) for j in range(k + 1))
+                assert np.allclose(sums, brute, rtol=0, atol=1e-12 * max(1.0, mass))
+
+    check()
+    assert tie_modes_seen == {"two-proxy", "single-proxy"}
+
+
+@pytest.mark.parametrize("mode", ["two-proxy", "single-proxy"])
+def test_characterize_names_the_successor_cap(mode):
+    d0 = rs.Distribution(np.array([0.5, 0.3, 0.2]))
+    d1 = rs.Distribution(np.array([0.2, 0.3, 0.5]))
+    with pytest.raises(rs.CapExceededError) as err:
+        rs.characterize(d0, d1, _coordinates(3), 0.1, 300, mode=mode)
+    assert str(err.value) == (
+        "successor maps for N=3, k=300 would need 13635300 entries, above the cap of "
+        "5000000; use a Monte Carlo estimate outside this library instead"
+    )

@@ -201,3 +201,15 @@ def test_shrinking_alpha_range(uniform2, g10):
     sched = rs.ErrorSchedule.constant(0.1)
     with pytest.raises(rs.ValidationError):
         rs.supersimulator_shrinking(g10, uniform2, ladder, growth, sched, 0.7)
+
+
+@pytest.mark.parametrize(
+    "epsilon,bits",
+    # eps^10 = 2^-33.2, 2^-50.6, 2^-66.4 and 2^-1000: the grid is charged the
+    # bits it holds, at most the 52 of a double near 1
+    [(0.1, 34), (0.03, 51), (0.01, 52), (2.0**-100, 52)],
+)
+def test_polylog_gates_charge_at_most_double_precision(epsilon, bits):
+    from regsim.supersim import polylog_gates
+
+    assert polylog_gates(epsilon) == bits**2
