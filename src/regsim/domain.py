@@ -99,7 +99,7 @@ class Distribution:
         return int(self.weights.size)
 
     def to_json(self) -> list[float]:
-        return [float(w) for w in self.weights]
+        return self.weights.tolist()
 
     @classmethod
     def uniform(cls, n: int) -> "Distribution":
@@ -133,7 +133,7 @@ class BoundedFn:
         return int(self.values.size)
 
     def to_json(self) -> list[float]:
-        return [float(v) for v in self.values]
+        return self.values.tolist()
 
     @classmethod
     def constant(cls, n: int, value: float) -> "BoundedFn":

@@ -101,7 +101,10 @@ class Family:
         self.matrix = matrix
         self.name = name
         self.domain_size = matrix.shape[1]
-        self.label = functools.reduce(ComplexityLabel.join, set(self.labels))
+        # the join of every row's label, taken componentwise
+        self.label = ComplexityLabel(
+            max(lbl.s1 for lbl in self.labels), max(lbl.s2 for lbl in self.labels)
+        )
 
     def __len__(self) -> int:
         return self.matrix.shape[0]
@@ -310,8 +313,10 @@ def explicit_family(
 class Combinator:
     """A bounded post-processing shape with a declared gate size.
 
-    ``fn`` acts pointwise and broadcasts: applied to arrays of member values
-    it returns C(f_1(x), ..., f_a(x)) elementwise.
+    ``fn(*args, out=None)`` acts pointwise and broadcasts, like a numpy
+    ufunc: applied to arrays of member values it computes
+    C(f_1(x), ..., f_a(x)) elementwise, writes it into ``out`` when given
+    (an array of the broadcast shape) and returns a fresh array otherwise.
     """
 
     name: str
@@ -320,12 +325,17 @@ class Combinator:
     fn: Callable[..., np.ndarray]
 
 
+def _negate(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    return np.subtract(1.0, a, out=out)
+
+
 def combinator_identity() -> Combinator:
-    return Combinator("identity", 1, 0, lambda a: a)
+    # np.positive copies, keeping -0.0 as it is
+    return Combinator("identity", 1, 0, np.positive)
 
 
 def combinator_negation() -> Combinator:
-    return Combinator("negation", 1, 1, lambda a: 1.0 - a)
+    return Combinator("negation", 1, 1, _negate)
 
 
 def combinator_min() -> Combinator:
@@ -356,7 +366,8 @@ def compose_level(
     Entries of arity above s1 or declared size above s2 are skipped; the
     resulting family is labeled (s1, s2).  Rows come catalog entry by entry,
     index tuples in row-major order (last index fastest), one broadcast call
-    of ``fn`` per entry.
+    of ``fn`` per entry writing straight into that entry's block of the
+    output, so no (m^arity, N) temporary is built.
     """
     if s1 < 1:
         raise ValidationError("s1 must be >= 1")
@@ -380,7 +391,7 @@ def compose_level(
             for j in range(comb.arity)
         ]
         block = matrix[start:start + count]
-        block.reshape(grid + (n,))[...] = comb.fn(*args)
+        comb.fn(*args, out=block.reshape(grid + (n,)))
         lo, hi = block.min(axis=1), block.max(axis=1)
         outside = (lo < -STRUCT_TOL) | (hi > 1 + STRUCT_TOL)
         if outside.any():
@@ -412,8 +423,13 @@ class GradedLadder:
     """A finite chain of nested families with nondecreasing labels.
 
     Nesting is by value: every member value-vector of level i must appear in
-    level i+1, compared as the bytes of rows with -0.0 made 0.0.  Levels may
-    repeat, which is how shallow chains are padded to the depth a
+    level i+1, with -0.0 equal to 0.0.  Each distinct level gets one float
+    key per row, its dot product with ``_row_key_weights``; a lower row's
+    candidate is the upper row whose key matches, and the two are compared
+    exactly.  Rows without an exactly equal candidate (a key collision, or
+    a row that is really missing) go to the exact test on row bytes
+    (``_missing_by_bytes``), so the verdict never rests on a key.  Levels
+    may repeat, which is how shallow chains are padded to the depth a
     construction needs; a repeated level is not compared with itself.
     """
 
@@ -425,11 +441,18 @@ class GradedLadder:
         for i, lvl in enumerate(levels):
             if lvl.domain_size != n:
                 raise DomainMismatchError(n, lvl.domain_size, f"ladder level {i}")
+        keys: dict[int, np.ndarray] = {}  # id of a distinct level -> its row keys
         for i in range(len(levels) - 1):
-            if levels[i] is levels[i + 1]:
+            lower, upper = levels[i], levels[i + 1]
+            if lower is upper:
                 continue
-            upper = {row.tobytes() for row in levels[i + 1].matrix + 0.0}
-            if any(row.tobytes() not in upper for row in levels[i].matrix + 0.0):
+            for lvl in (lower, upper):
+                if id(lvl) not in keys:
+                    # einsum sums each row in the same order whatever matrix
+                    # holds it, so equal rows get equal keys; a BLAS matvec
+                    # gave equal rows different keys in different matrices
+                    keys[id(lvl)] = np.einsum("ij,j->i", lvl.matrix, _row_key_weights(n))
+            if not _nested(lower.matrix, keys[id(lower)], upper.matrix, keys[id(upper)]):
                 raise ValidationError(
                     f"ladder levels not nested: level {i} has a member missing from level {i + 1}"
                 )
@@ -457,6 +480,37 @@ class GradedLadder:
             return self
         levels = list(self.levels) + [self.levels[-1]] * (depth - self.depth)
         return GradedLadder(levels, name=self.name)
+
+
+@functools.lru_cache(maxsize=8)
+def _row_key_weights(n: int) -> np.ndarray:
+    """The fixed weights, uniform on [0.5, 1) and seeded by N, that turn a
+    ladder row into its key; read-only, since callers share them."""
+    weights = np.random.default_rng(n).uniform(0.5, 1.0, size=n)
+    weights.setflags(write=False)
+    return weights
+
+
+def _nested(
+    lower: np.ndarray, lower_keys: np.ndarray, upper: np.ndarray, upper_keys: np.ndarray
+) -> bool:
+    """Whether every row of ``lower`` is a row of ``upper`` (-0.0 == 0.0).
+
+    Each lower row is compared with ``==`` to the first upper row of its
+    key; only the rows that candidate does not equal reach the exact
+    fallback."""
+    order = np.argsort(upper_keys, kind="stable")
+    pos = np.searchsorted(upper_keys[order], lower_keys)
+    candidates = order[np.minimum(pos, len(order) - 1)]
+    matched = (upper[candidates] == lower).all(axis=1)
+    return bool(matched.all()) or not _missing_by_bytes(lower[~matched], upper)
+
+
+def _missing_by_bytes(rows: np.ndarray, upper: np.ndarray) -> bool:
+    """Whether some row of ``rows`` is absent from ``upper``, comparing the
+    bytes of rows with -0.0 made 0.0."""
+    present = {row.tobytes() for row in upper + 0.0}
+    return any(row.tobytes() not in present for row in rows + 0.0)
 
 
 class GrowthMap:
@@ -526,10 +580,13 @@ def _induced_label_map(ladder: GradedLadder, table: Sequence[int]):
     recurrences stay monotone past the chain's reach."""
     labels = [ladder.label_of(i) for i in range(ladder.depth)]
     table = list(table)
+    # Only the first level of a run of equal labels can be the lowest that
+    # dominates, so the scan skips the rest of each run.
+    firsts = [j for j in range(len(labels)) if j == 0 or labels[j] != labels[j - 1]]
 
     def label_map(lbl: ComplexityLabel) -> ComplexityLabel:
-        for j, lj in enumerate(labels):
-            if lbl.le(lj):
+        for j in firsts:
+            if lbl.le(labels[j]):
                 return labels[min(table[j], ladder.depth - 1)]
         return labels[-1].join(lbl)
 

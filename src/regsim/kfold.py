@@ -74,10 +74,7 @@ def _type_table(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     """The types of size k and their multinomial weights, built once per
     (N, k) while among the last four pairs asked for; read-only, since
     callers share them."""
-    q, r = divmod(k, n)
-    log_top = math.lgamma(k + 1) - r * math.lgamma(q + 2) - (n - r) * math.lgamma(q + 1)
-    if log_top > _LOG_FLOAT_MAX:
-        raise ValidationError(f"multinomial weights for N={n}, k={k} exceed double precision")
+    _check_multinomial_bound(n, k)
     counts = _types(n, k)
     fact = [math.factorial(v) for v in range(k + 1)]
     # k! / prod(c!) per row, exact in integers and rounded to float once
@@ -169,8 +166,7 @@ def kfold_type_classes(
         vec = _measure_vector(m, n, f"measure {i}")
         n = vec.size
         vecs.append(vec)
-    if type_count(n, k) > cap:
-        raise CapExceededError(type_count(n, k), cap, f"type-class table for N={n}, k={k}")
+    _check_type_cap(n, k, cap)
     counts, weights = _type_table(n, k)
     masses = np.stack([_product_masses(counts, v) for v in vecs])
     table = TypeClassTable(k=k, counts=counts, weights=weights, masses=masses)
@@ -223,6 +219,19 @@ def kfold_expectation(test, p: MeasureLike, k: int, cap: int = DEFAULT_TYPE_CAP)
     """
     table = kfold_type_classes([p], k, cap=cap)
     return table.expectation(0, _test_values(test, table.counts))
+
+
+def _check_type_cap(n: int, k: int, cap: int = DEFAULT_TYPE_CAP) -> None:
+    if type_count(n, k) > cap:
+        raise CapExceededError(type_count(n, k), cap, f"type-class table for N={n}, k={k}")
+
+
+def _check_multinomial_bound(n: int, k: int) -> None:
+    # the largest multinomial k! / prod(c!) is at the most balanced type
+    q, r = divmod(k, n)
+    log_top = math.lgamma(k + 1) - r * math.lgamma(q + 2) - (n - r) * math.lgamma(q + 1)
+    if log_top > _LOG_FLOAT_MAX:
+        raise ValidationError(f"multinomial weights for N={n}, k={k} exceed double precision")
 
 
 def _check_successor_cap(n: int, k: int) -> None:

@@ -51,7 +51,9 @@ from .families import (
 )
 from .kfold import (
     TypeClassTable,
+    _check_multinomial_bound,
     _check_successor_cap,
+    _check_type_cap,
     _measure_vector,
     _mixed_expectations,
     _test_values,
@@ -144,8 +146,8 @@ class ProxyPair:
             "p": self.p,
             "tilde0": self.tilde0.to_json(),
             "tilde1": self.tilde1.to_json(),
-            "hat0": [float(v) for v in self.hat0],
-            "hat1": [float(v) for v in self.hat1],
+            "hat0": self.hat0.tolist(),
+            "hat1": self.hat1.tolist(),
         }
 
 
@@ -586,6 +588,11 @@ def _fit_and_verify(
         raise ValidationError("mode must be 'two-proxy' or 'single-proxy'")
     if k < 1:
         raise ValidationError("k must be >= 1")
+    # The k-fold limits depend on N and k alone, so an over-reach k is
+    # refused before the simulator is fitted.
+    _check_type_cap(d0.size, k)
+    _check_multinomial_bound(d0.size, k)
+    _check_successor_cap(d0.size, k)
     if mode == "two-proxy":
         prior, tol, gamma = 0.5, epsilon, epsilon ** 2 / 20.0
     else:

@@ -143,6 +143,17 @@ def compose_rows(base_rows, base_descriptors, catalog):
     return np.array(rows), descriptors
 
 
+def ladder_nested_bytes(levels):
+    """The first i at which level matrix i has a row missing from level
+    i + 1, rows compared as bytes with -0.0 made 0.0, or None when every
+    level is nested in the next."""
+    for i, (lower, upper) in enumerate(zip(levels, levels[1:])):
+        present = {row.tobytes() for row in np.asarray(upper, dtype=float) + 0.0}
+        if any(row.tobytes() not in present for row in np.asarray(lower, dtype=float) + 0.0):
+            return i
+    return None
+
+
 def level_sets_loop(h, weights):
     """(sorted distinct values of h, their masses), each mass added point by
     point in index order."""

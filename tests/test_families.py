@@ -1,14 +1,27 @@
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import regsim as rs
+from regsim import families
+from regsim.config import plan_config
+from regsim.demos import demo_config, demo_names
 from conftest import nested_ladder, random_bounded, random_distribution, random_family
-from oracles import brute_best_response, compose_rows
+from oracles import brute_best_response, compose_rows, ladder_nested_bytes
 
 
 def rows(family):
     """The set of a family's member value vectors."""
     return {tuple(row) for row in family.matrix}
+
+
+def full_catalog():
+    return [
+        rs.combinator_identity(), rs.combinator_negation(),
+        rs.combinator_min(), rs.combinator_max(),
+    ]
 
 
 def two_member_family():
@@ -175,10 +188,7 @@ def test_ladder_nesting_reads_negative_zero_as_zero():
 @pytest.mark.parametrize("s1", [1, 2])
 def test_compose_level_matches_per_tuple_loop(s1):
     base = random_family(np.random.default_rng(17), 5, 4)
-    catalog = [
-        rs.combinator_identity(), rs.combinator_negation(),
-        rs.combinator_min(), rs.combinator_max(),
-    ]
+    catalog = full_catalog()
     composed = rs.compose_level(base, s1, 1, catalog)
     rows, descriptors = compose_rows(
         base.matrix,
@@ -188,6 +198,124 @@ def test_compose_level_matches_per_tuple_loop(s1):
     assert composed.matrix.tobytes() == rows.tobytes()
     assert list(composed.descriptors) == descriptors
     assert set(composed.labels) == {rs.ComplexityLabel(s1, 1)}
+
+
+def test_compose_level_range_check_names_the_inputs():
+    def doubled(a, out=None):
+        return np.multiply(2.0, a, out=out)
+
+    base = rs.explicit_family([[0.0, 0.25], [0.75, 0.5]])
+    with pytest.raises(rs.ValidationError) as err:
+        rs.compose_level(base, 1, 0, [rs.Combinator("double", 1, 0, doubled)])
+    assert str(err.value) == "combinator double left [0, 1] on inputs (1,)"
+
+
+def test_compose_level_allocates_only_its_output():
+    base = rs.build_coordinate_family(rs.FiniteDomain(size=4096, bit_width=12))
+    catalog = full_catalog()
+    tracemalloc.start()
+    try:
+        composed = rs.compose_level(base, 2, 1, catalog)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # an (m^2, N) temporary per binary combinator would put this near 1.47
+    assert peak <= 1.1 * composed.matrix.nbytes
+
+
+def random_nesting_levels(rng):
+    """Level matrices of a random chain: each level holds the rows below it,
+    shuffled, some duplicated and some zeros written as -0.0, plus new
+    rows.  A third of the chains then move one entry of a lower level by
+    one ulp, and a sixth drop the first row of an upper level."""
+    n = int(rng.integers(1, 7))
+
+    def member():
+        if rng.uniform() < 0.5:
+            return (rng.uniform(size=n) > rng.uniform()).astype(float)
+        return rng.uniform(size=n)
+
+    rows, levels = [member()], []
+    for _ in range(int(rng.integers(2, 5))):
+        rows = rows + [member() for _ in range(int(rng.integers(0, 3)))]
+        level = np.array(rows)[rng.permutation(len(rows))]
+        level = np.vstack([level, level[rng.integers(len(level), size=int(rng.integers(0, 3)))]])
+        level[(level == 0.0) & (rng.uniform(size=level.shape) < 0.5)] = -0.0
+        levels.append(level)
+    defect = rng.uniform()
+    if defect < 1 / 3:
+        level = levels[int(rng.integers(len(levels) - 1))]
+        r, c = int(rng.integers(len(level))), int(rng.integers(n))
+        level[r, c] = np.nextafter(level[r, c], 1.0 if level[r, c] < 1.0 else 0.0)
+    elif defect < 1 / 2:
+        j = int(rng.integers(1, len(levels)))
+        levels[j] = levels[j][1:]
+    return levels
+
+
+def ladder_verdict(levels):
+    """None when GradedLadder accepts the levels, else the level it names."""
+    try:
+        rs.GradedLadder([rs.explicit_family(level) for level in levels])
+    except rs.ValidationError as err:
+        return int(re.search(r"level (\d+) has a member missing", str(err)).group(1))
+    return None
+
+
+@pytest.mark.parametrize("collide", [False, True])
+def test_ladder_nesting_matches_the_bytes_rule(monkeypatch, collide):
+    fallbacks = []
+    exact = families._missing_by_bytes
+    monkeypatch.setattr(
+        families, "_missing_by_bytes", lambda rows, upper: fallbacks.append(1) or exact(rows, upper)
+    )
+    if collide:
+        # every row keys to 0.0, so every lower row not equal to the first
+        # upper row is settled by the exact fallback
+        monkeypatch.setattr(families, "_row_key_weights", lambda n: np.zeros(n))
+    rng = np.random.default_rng(31)
+    verdicts = []
+    for _ in range(300):
+        levels = random_nesting_levels(rng)
+        before = len(fallbacks)
+        expected = ladder_nested_bytes(levels)
+        assert ladder_verdict(levels) == expected
+        if not collide:
+            # the key path settles every nested chain on its own
+            assert (len(fallbacks) > before) == (expected is not None)
+        verdicts.append(expected)
+    assert verdicts.count(None) > 100 and len(set(verdicts)) > 2
+    assert fallbacks
+
+
+def test_ladder_builds_stay_on_the_key_path(monkeypatch):
+    calls = {"nested": 0, "fallback": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(families, "_nested", counted("nested", families._nested))
+    monkeypatch.setattr(
+        families, "_missing_by_bytes", counted("fallback", families._missing_by_bytes)
+    )
+    laddered = [name for name in demo_names() if "ladder" in demo_config(name)]
+    assert len(laddered) == 3
+    for name in laddered:
+        plan, problems = plan_config(demo_config(name))
+        assert problems == [] and plan.ladder is not None
+    # a composed chain as the supersimulators climb it: 256 points, binary
+    # members, the four catalogs in turn
+    base = rs.build_coordinate_family(rs.FiniteDomain(size=256, bit_width=8))
+    catalog = full_catalog()
+    levels = [base] + [
+        rs.compose_level(base, 2 if size > 2 else 1, 1, catalog[:size]) for size in (2, 3, 4)
+    ]
+    rs.GradedLadder(levels).padded(12)
+    assert calls["nested"] > 0 and calls["fallback"] == 0
 
 
 def test_ladder_labels_monotone():

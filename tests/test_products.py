@@ -619,6 +619,24 @@ def test_verify_kfold_fields_equal_the_standalone_functions(monkeypatch):
 
 
 @pytest.mark.parametrize("mode", ["two-proxy", "single-proxy"])
+@pytest.mark.parametrize("ladder", [False, True])
+def test_over_reach_k_is_refused_before_fitting(monkeypatch, mode, ladder):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("the simulator was fitted")
+
+    monkeypatch.setattr(rs.boosting, "_boost", no_fit)
+    monkeypatch.setattr(rs.products, "_boost", no_fit)
+    rng = np.random.default_rng(29)
+    d0, d1 = random_distribution(rng, 4), random_distribution(rng, 4)
+    with pytest.raises(rs.CapExceededError, match=r"^successor maps for N=4, k=300 "):
+        if ladder:
+            chain = rs.GradedLadder([_coordinates(4)])
+            rs.characterize_super(d0, d1, chain, rs.GrowthMap.identity(chain), 0.1, 300, mode)
+        else:
+            rs.characterize(d0, d1, _coordinates(4), 0.1, 300, mode=mode)
+
+
+@pytest.mark.parametrize("mode", ["two-proxy", "single-proxy"])
 def test_characterize_names_the_successor_cap(mode):
     d0 = rs.Distribution(np.array([0.5, 0.3, 0.2]))
     d1 = rs.Distribution(np.array([0.2, 0.3, 0.5]))
