@@ -28,9 +28,9 @@ def main():
     print("== plain regularity boost ==")
     eps = 0.1
     h, trace = rs.multiaccuracy_boost(g, dist, family, rs.BoostParams(epsilon=eps))
-    ma, witness = rs.multiaccuracy_error(family, g, h, dist)
+    br = rs.best_response(family, g, h, dist)
     print(f"updates: {trace.update_count} (cap {rs.updates_bound(eps)})")
-    print(f"multiaccuracy error: {ma:.6f} <= {eps}  (witness member {witness.index})")
+    print(f"multiaccuracy error: {br.correlation:.6f} <= {eps}  (witness member {br.index})")
     for r in trace.records:
         drop = r.phi_before - r.phi_after
         print(f"  step {r.step}: corr={r.correlation:+.4f} drop={drop:.5f} via {r.descriptor}")
@@ -41,7 +41,7 @@ def main():
         g, dist, family, rs.BoostParams(epsilon=eps, gamma=gamma)
     )
     print(f"updates: {trace_c.update_count}")
-    print(f"multiaccuracy error: {rs.multiaccuracy_error(family, g, hc, dist)[0]:.6f} <= {eps}")
+    print(f"multiaccuracy error: {rs.best_response(family, g, hc, dist).correlation:.6f} <= {eps}")
     print(f"calibration error:   {rs.calibration_error(g, hc, dist):.6f} <= {gamma}")
     print(f"distinct values of h: {len(np.unique(hc.values))}")
 
@@ -52,7 +52,7 @@ def main():
     print(f"level updates: {trace_m.update_count}, passes: {ok}, bad mass: {report.bad_mass:.4f}")
     for lvl in report.levels:
         print(f"  level {lvl.value:.2f}: mass={lvl.mass:.3f} worst conditional error={lvl.max_error:.4f}")
-    ma3, _ = rs.multiaccuracy_error(family, g, hm, dist)
+    ma3 = rs.best_response(family, g, hm, dist).correlation
     print(f"implied multiaccuracy: {ma3:.4f} <= 3*eps = {3 * eps_mc}")
 
 

@@ -42,7 +42,7 @@ def main():
     result = rs.supersimulator_expanding(g, dist, ladder, growth, eps)
     print(f"simulator level: {result.level}, audited against level {result.fooled_level}")
     print(f"updates: {result.updates} (bound index {result.bound_index})")
-    ma, _ = rs.multiaccuracy_error(ladder[result.fooled_level], g, result.h, dist)
+    ma = rs.best_response(ladder[result.fooled_level], g, result.h, dist).correlation
     print(f"regularity against the grown family: {ma:.6f} <= {eps}")
     formal = result.recurrence.labels[min(result.bound_index, len(result.recurrence.labels) - 1)]
     print(f"measured label {result.label.to_json()} vs formal bound {formal.to_json()}"

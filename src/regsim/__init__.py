@@ -14,7 +14,6 @@ from .boosting import (
     calibrated_multiaccuracy,
     calibration_error,
     multiaccuracy_boost,
-    multiaccuracy_error,
     multicalibrate,
     multicalibration_check,
     recalibrate,
@@ -26,7 +25,6 @@ from .domain import (
     FiniteDomain,
     correlation,
     expectation,
-    l1_half,
     potential,
     round_to_grid,
     tv_distance,
@@ -44,7 +42,6 @@ from .families import (
     BestResponse,
     Combinator,
     ComplexityLabel,
-    Distinguisher,
     ErrorSchedule,
     Family,
     FamilyDistance,
@@ -81,7 +78,6 @@ from .products import (
     characterize,
     characterize_super,
     hybrid_bound_check,
-    product_distinguisher,
     test_advantage,
     tie_mass,
     verify_single_proxy,

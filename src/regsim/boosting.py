@@ -46,7 +46,7 @@ import numpy as np
 
 from .domain import DERIVED_TOL, MIN_ACCURACY, BoundedFn, Distribution, potential, round_to_grid
 from .errors import InternalContractError, ValidationError
-from .families import BestResponse, Family, GradedLadder, best_response
+from .families import Family, GradedLadder, best_response
 
 
 def updates_bound(epsilon: float) -> int:
@@ -59,14 +59,14 @@ class BoostParams:
     """Shared knobs for the boosting constructors.
 
     round_grid is the arithmetic grid the simulator is rounded to after each
-    update; it defaults to exactly epsilon**10, the coarsest grid that keeps
-    rounding losses negligible against the per-update potential drop.
-    Rounding direction is round-half-to-even throughout.  Reaching a user
-    max_iters below updates_bound(epsilon) is a ValidationError.
+    update: exactly epsilon**10, the coarsest grid that keeps rounding
+    losses negligible against the per-update potential drop, and the grid
+    ``supersim.polylog_gates`` charges for.  Rounding direction is
+    round-half-to-even throughout.  Reaching a user max_iters below
+    updates_bound(epsilon) is a ValidationError.
     """
 
     epsilon: float
-    round_grid: float | None = None
     max_iters: int | None = None
     gamma: float | None = None
 
@@ -75,12 +75,6 @@ class BoostParams:
             raise ValidationError("epsilon must lie in (0, 0.5)")
         if self.epsilon < MIN_ACCURACY:
             raise ValidationError("epsilon must be at least 2^-100")
-        grid = self.round_grid
-        if grid is None:
-            object.__setattr__(self, "round_grid", self.epsilon ** 10)
-        else:
-            if not (0.0 < grid <= self.epsilon ** 10):
-                raise ValidationError("round_grid must lie in (0, epsilon^10]")
         if self.max_iters is None:
             object.__setattr__(self, "max_iters", updates_bound(self.epsilon))
         elif self.max_iters < 1:
@@ -89,6 +83,10 @@ class BoostParams:
             raise ValidationError("gamma must lie in (0, epsilon]")
         if self.gamma is not None and self.gamma < MIN_ACCURACY:
             raise ValidationError("gamma must be at least 2^-100")
+
+    @property
+    def round_grid(self) -> float:
+        return self.epsilon ** 10
 
     def require_gamma(self) -> float:
         if self.gamma is None:
@@ -182,14 +180,6 @@ class BoostTrace:
 # ---------------------------------------------------------------------------
 # Audits
 # ---------------------------------------------------------------------------
-
-
-def multiaccuracy_error(
-    family: Family, g: BoundedFn, h: BoundedFn, dist: Distribution
-) -> tuple[float, BestResponse]:
-    """Worst |E[f (g - h)]| over the family, with the witnessing member."""
-    br = best_response(family, g, h, dist)
-    return br.correlation, br
 
 
 def _level_sets(h: BoundedFn, dist: Distribution):
@@ -360,12 +350,12 @@ def audit(
     family: Family,
     epsilon: float,
 ) -> AuditReport:
-    ma, witness = multiaccuracy_error(family, g, h, dist)
+    br = best_response(family, g, h, dist)
     cal = calibration_error(g, h, dist)
     _, mc = multicalibration_check(g, h, dist, family, epsilon)
     return AuditReport(
-        multiaccuracy_error=ma,
-        multiaccuracy_witness=witness.index,
+        multiaccuracy_error=br.correlation,
+        multiaccuracy_witness=br.index,
         calibration_error=cal,
         multicalibration=mc,
     )
@@ -424,7 +414,8 @@ def _boost(
             h, phi = h_cal, phi_cal
         if growth is not None:
             fooled = growth(level, phi)
-        br = best_response(families[fooled], g, h, dist)
+        family = families[fooled]
+        br = best_response(family, g, h, dist)
         if br.correlation <= eps + DERIVED_TOL:
             break
         if updates >= params.max_iters:
@@ -437,7 +428,7 @@ def _boost(
                 f"boost ({termination}) exceeded {params.max_iters} updates; "
                 "the potential argument rules this out for a valid family"
             )
-        shifted = np.clip(h.values + eps * br.sign * br.distinguisher.values.values, 0.0, 1.0)
+        shifted = np.clip(h.values + eps * br.sign * family.matrix[br.index], 0.0, 1.0)
         h_new = BoundedFn(round_to_grid(shifted, grid))
         phi_new = potential(g, h_new, dist)
         if phi_new > phi - 2 * eps * br.correlation + eps * eps + 2 * grid + DERIVED_TOL:
@@ -455,7 +446,7 @@ def _boost(
                 correlation=br.correlation,
                 sign=br.sign,
                 member_index=br.index,
-                descriptor=br.distinguisher.descriptor,
+                descriptor=family.descriptors[br.index],
                 detail={} if growth is None else {"level": level, "fooled_level": fooled},
             )
         )

@@ -26,6 +26,8 @@ DERIVED_TOL = 1e-10
 MIN_ACCURACY = 2.0 ** -100
 
 VectorLike = Union["BoundedFn", np.ndarray, Sequence[float]]
+# A Distribution or a raw nonnegative vector; _measure_vector converts both.
+MeasureLike = Union["Distribution", np.ndarray, Sequence[float]]
 
 
 def _frozen_array(values, name: str) -> np.ndarray:
@@ -161,6 +163,23 @@ def _check_size(n: int, arr: np.ndarray, what: str) -> None:
         raise DomainMismatchError(n, arr.size, what)
 
 
+def _measure_vector(m: MeasureLike, n: int | None, what: str) -> np.ndarray:
+    """A measure's weight vector, of size ``n`` when given: a Distribution's
+    own weights, validated when it was built, or a finite nonnegative vector."""
+    if isinstance(m, Distribution):
+        vec = m.weights
+    else:
+        vec = np.asarray(m, dtype=float)
+        if vec.ndim != 1:
+            raise ValidationError(f"{what} must be a vector")
+        # min and max propagate NaN, so one comparison also rejects it
+        if not (vec.min(initial=0.0) >= 0.0 and vec.max(initial=0.0) < np.inf):
+            raise ValidationError(f"{what} must be finite and nonnegative")
+    if n is not None:
+        _check_size(n, vec, what)
+    return vec
+
+
 def expectation(f: VectorLike, dist: Distribution) -> float:
     """E_{x~D}[f(x)] as an exact weighted sum.
 
@@ -183,19 +202,11 @@ def correlation(f: VectorLike, g: BoundedFn, h: BoundedFn, dist: Distribution) -
     return float(np.dot(dist.weights, fv * (g.values - h.values)))
 
 
-def tv_distance(p: Distribution, q: Distribution) -> float:
-    """Total variation distance: half the L1 gap between the weight vectors."""
-    _check_size(p.size, q.weights, "second distribution")
-    return 0.5 * float(np.abs(p.weights - q.weights).sum())
-
-
-def l1_half(a: np.ndarray, b: np.ndarray) -> float:
-    """Half L1 distance between raw nonnegative vectors (sub-probability safe)."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.size != b.size:
-        raise DomainMismatchError(a.size, b.size, "vector")
-    return 0.5 * float(np.abs(a - b).sum())
+def tv_distance(p: MeasureLike, q: MeasureLike) -> float:
+    """Total variation distance: half the L1 gap between the weight vectors,
+    of raw nonnegative vectors as well as distributions."""
+    pv = _measure_vector(p, None, "first measure")
+    return 0.5 * float(np.abs(pv - _measure_vector(q, pv.size, "second measure")).sum())
 
 
 def potential(g: BoundedFn, h: BoundedFn, dist: Distribution) -> float:

@@ -8,8 +8,9 @@ desk-scale stand-in for a graded complexity lattice: exact search over all
 circuits of a given size is out of reach, but a monotone chain of explicit
 families supports every construction built here.
 
-Best-response search is exhaustive, so its slack is exactly zero; the slack
-field survives so an approximate oracle can be swapped in later.
+A member crosses a module boundary as its row index: ``best_response`` and
+``family_distance`` return the index of their witness, and callers read
+``family.matrix``, ``family.descriptors`` and ``family.labels`` at it.
 """
 
 from __future__ import annotations
@@ -22,7 +23,15 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .domain import MIN_ACCURACY, STRUCT_TOL, BoundedFn, Distribution, FiniteDomain
+from .domain import (
+    MIN_ACCURACY,
+    STRUCT_TOL,
+    BoundedFn,
+    Distribution,
+    FiniteDomain,
+    MeasureLike,
+    _measure_vector,
+)
 from .errors import (
     CapExceededError,
     EmptyFamilyError,
@@ -61,22 +70,13 @@ class ComplexityLabel:
         return [self.s1, self.s2]
 
 
-@dataclass(frozen=True)
-class Distinguisher:
-    """A single [0, 1]-valued test with provenance string and label."""
-
-    values: BoundedFn
-    label: ComplexityLabel = ComplexityLabel(1, 0)
-    descriptor: str = "distinguisher"
-
-
 class Family:
     """A nonempty, deterministically ordered family of distinguishers on one
     domain: ``matrix`` is the (m, N) array of member values, row order =
     enumeration order, with one entry of ``descriptors`` and ``labels`` per row.
 
     The matrix is taken without a copy and made read-only, so a builder fills
-    one array in place; ``family[i]`` builds a ``Distinguisher`` when asked.
+    one array in place.
     """
 
     def __init__(
@@ -128,9 +128,6 @@ class Family:
         by_point.setflags(write=False)
         return by_point
 
-    def __getitem__(self, i: int) -> Distinguisher:
-        return Distinguisher(BoundedFn(self.matrix[i]), self.labels[i], self.descriptors[i])
-
     def extended(
         self,
         rows: Sequence[np.ndarray],
@@ -151,16 +148,14 @@ class Family:
 class BestResponse:
     """Maximizer of the signed correlation over a family.
 
-    ``correlation`` is the signed value E[(sign * f)(g - h)] of the winner,
-    which the exhaustive scan makes the exact maximum (slack 0).  Ties break
-    to the lowest member index, then to sign +1.
+    ``correlation`` is the signed value E[(sign * f)(g - h)] of the winner
+    f = ``family.matrix[index]``, which the exhaustive scan makes the exact
+    maximum.  Ties break to the lowest member index, then to sign +1.
     """
 
-    distinguisher: Distinguisher
     index: int
     sign: int
     correlation: float
-    slack: float = 0.0
 
 
 def best_response(
@@ -179,12 +174,7 @@ def best_response(
     flat = int(np.argmax(candidates))
     index, sign = divmod(flat, 2)
     sign = +1 if sign == 0 else -1
-    return BestResponse(
-        distinguisher=family[index],
-        index=index,
-        sign=sign,
-        correlation=float(candidates[flat]),
-    )
+    return BestResponse(index=index, sign=sign, correlation=float(candidates[flat]))
 
 
 @dataclass(frozen=True)
@@ -195,28 +185,13 @@ class FamilyDistance:
     index: int
 
 
-def family_distance(family: Family, p: Distribution, q: Distribution) -> FamilyDistance:
-    """Best distinguishing advantage of the family between two distributions.
-
-    Raw nonnegative measures are accepted for q/p via Distribution only;
-    use raw_family_distance for sub-probability vectors.
-    """
-    gaps = family.matrix @ (p.weights - q.weights)
-    return _distance_from_gaps(gaps)
-
-
-def raw_family_distance(family: Family, p_vec: np.ndarray, q_vec: np.ndarray) -> FamilyDistance:
-    """family_distance against raw nonnegative vectors (hat measures)."""
-    gaps = family.matrix @ (np.asarray(p_vec, float) - np.asarray(q_vec, float))
-    return _distance_from_gaps(gaps)
-
-
-def _distance_from_gaps(gaps: np.ndarray) -> FamilyDistance:
+def family_distance(family: Family, p: MeasureLike, q: MeasureLike) -> FamilyDistance:
+    """Best distinguishing advantage of the family between two measures,
+    each a Distribution or a raw nonnegative vector (such as a hat measure)."""
+    pv = _measure_vector(p, family.domain_size, "first measure")
+    gaps = family.matrix @ (pv - _measure_vector(q, family.domain_size, "second measure"))
     idx = int(np.argmax(np.abs(gaps)))
-    return FamilyDistance(
-        value=float(abs(gaps[idx])),
-        index=idx,
-    )
+    return FamilyDistance(value=float(abs(gaps[idx])), index=idx)
 
 
 # ---------------------------------------------------------------------------
@@ -471,9 +446,6 @@ class GradedLadder:
     def __getitem__(self, i: int) -> Family:
         return self.levels[i]
 
-    def label_of(self, i: int) -> ComplexityLabel:
-        return self.levels[i].label
-
     def padded(self, depth: int) -> "GradedLadder":
         """Extend to the requested depth by repeating the top level."""
         if depth <= self.depth:
@@ -578,7 +550,7 @@ def _induced_label_map(ladder: GradedLadder, table: Sequence[int]):
     the mapped image of the lowest level that dominates it.  Labels beyond
     the ladder saturate to their join with the top label, so formal
     recurrences stay monotone past the chain's reach."""
-    labels = [ladder.label_of(i) for i in range(ladder.depth)]
+    labels = [lvl.label for lvl in ladder.levels]
     table = list(table)
     # Only the first level of a run of equal labels can be the lowest that
     # dominates, so the scan skips the rest of each run.

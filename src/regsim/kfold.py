@@ -16,6 +16,8 @@ all the measures a caller reads (``TypeClassTable.tv`` and
 ``_mixed_expectations`` builds the successor maps once for all its
 hybrid pairs.  The public functions are thin wrappers over the same
 pieces, so a verification that builds them once reports the same bits.
+A measure is a Distribution or a raw nonnegative vector, converted by
+``domain._measure_vector`` as everywhere else in the library.
 """
 
 from __future__ import annotations
@@ -25,28 +27,15 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
-from .domain import DERIVED_TOL, Distribution
+from .domain import DERIVED_TOL, Distribution, MeasureLike, _measure_vector
 from .errors import CapExceededError, DomainMismatchError, ValidationError
 
 DEFAULT_TYPE_CAP = 5_000_000
 _LOG_FLOAT_MAX = math.log(sys.float_info.max) - 1e-6  # margin for lgamma rounding
-
-MeasureLike = Union[Distribution, np.ndarray, Sequence[float]]
-
-
-def _measure_vector(m: MeasureLike, n: int | None, what: str) -> np.ndarray:
-    vec = m.weights if isinstance(m, Distribution) else np.asarray(m, dtype=float)
-    if vec.ndim != 1:
-        raise ValidationError(f"{what} must be a vector")
-    if np.any(vec < 0):
-        raise ValidationError(f"{what} must be nonnegative")
-    if n is not None and vec.size != n:
-        raise DomainMismatchError(n, vec.size, what)
-    return vec
 
 
 def type_count(n: int, k: int) -> int:
@@ -160,12 +149,8 @@ def kfold_type_classes(
         raise ValidationError("k must be >= 1")
     if not measures:
         raise ValidationError("at least one base measure is required")
-    vecs = []
-    n = None
-    for i, m in enumerate(measures):
-        vec = _measure_vector(m, n, f"measure {i}")
-        n = vec.size
-        vecs.append(vec)
+    n = _measure_vector(measures[0], None, "measure 0").size
+    vecs = [_measure_vector(m, n, f"measure {i}") for i, m in enumerate(measures)]
     _check_type_cap(n, k, cap)
     counts, weights = _type_table(n, k)
     masses = np.stack([_product_masses(counts, v) for v in vecs])
@@ -241,6 +226,18 @@ def _check_successor_cap(n: int, k: int) -> None:
         raise CapExceededError(needed, DEFAULT_TYPE_CAP, f"successor maps for N={n}, k={k}")
 
 
+def _check_kfold_reach(n: int, k: int) -> None:
+    """Refuse a k the k-fold engine cannot reach on N points: k below 1,
+    then the size-k type table's cap, its multinomial weights' range and
+    the successor maps' cap.  They depend on N and k alone, so callers
+    check before any fit or table build."""
+    if k < 1:
+        raise ValidationError("k must be >= 1")
+    _check_type_cap(n, k)
+    _check_multinomial_bound(n, k)
+    _check_successor_cap(n, k)
+
+
 def _mixed_expectations(
     values: np.ndarray, pairs: Sequence[tuple[MeasureLike, MeasureLike]], k: int
 ) -> list[np.ndarray]:
@@ -256,12 +253,11 @@ def _mixed_expectations(
     """
     if k < 1:
         raise ValidationError("k must be >= 1")
-    n = None
-    vecs = []
-    for i, (p, q) in enumerate(pairs):
-        pv = _measure_vector(p, n, f"measure {2 * i}")
-        n = pv.size
-        vecs.append((pv, _measure_vector(q, n, f"measure {2 * i + 1}")))
+    n = _measure_vector(pairs[0][0], None, "measure 0").size
+    vecs = [
+        (_measure_vector(p, n, f"measure {2 * i}"), _measure_vector(q, n, f"measure {2 * i + 1}"))
+        for i, (p, q) in enumerate(pairs)
+    ]
     if values.shape != (type_count(n, k),):
         raise DomainMismatchError(type_count(n, k), values.size, "per-type values")
     _check_successor_cap(n, k)

@@ -13,7 +13,8 @@ reported with its slack.
 Two hat vectors appear throughout: the closed-form reweightings
 (1-h) D_X / (1-prior) and h D_X / prior.  They are raw nonnegative measures
 (mass near, not exactly, one) that the true Bayes proxies approximate in
-total variation; expectations against them are plain weighted sums.
+total variation; expectations against them are plain weighted sums, and
+``family_distance`` and ``tv_distance`` take them as they are.
 
 A verification makes one k-fold pass: one type-class table over every
 measure it reads, one scoring of the product test on that table's types
@@ -32,29 +33,21 @@ from typing import Sequence
 
 import numpy as np
 
-from .boosting import (
-    BoostParams,
-    _boost,
-    calibrated_multiaccuracy,
-    calibration_error,
-    multiaccuracy_error,
-)
-from .domain import DERIVED_TOL, STRUCT_TOL, BoundedFn, Distribution, l1_half
+from .boosting import BoostParams, _boost, calibrated_multiaccuracy, calibration_error
+from .domain import DERIVED_TOL, STRUCT_TOL, BoundedFn, Distribution, _measure_vector, tv_distance
 from .errors import InternalContractError, ValidationError
 from .families import (
     Family,
     GradedLadder,
     GrowthMap,
     apply_growth,
+    best_response,
     family_distance,
-    raw_family_distance,
 )
 from .kfold import (
     TypeClassTable,
-    _check_multinomial_bound,
+    _check_kfold_reach,
     _check_successor_cap,
-    _check_type_cap,
-    _measure_vector,
     _mixed_expectations,
     _test_values,
     _type_table,
@@ -242,13 +235,6 @@ def _masked_score(counts: np.ndarray, logvec: np.ndarray) -> np.ndarray:
     return terms.sum(axis=1)
 
 
-def product_distinguisher(
-    h: BoundedFn, k: int, variant: str = "balanced", epsilon: float | None = None
-) -> ProductTest:
-    """The optimal product test read off a simulator; see ProductTest."""
-    return ProductTest(h, k, variant, eps=epsilon)
-
-
 def test_advantage(test: ProductTest, m0, m1, k: int) -> float:
     """|E_{m0^k}[test] - E_{m1^k}[test]| by exact type-class sums.
 
@@ -284,7 +270,7 @@ def hybrid_bound_check(
     assert it against the applicable bound.  The k + 1 hybrids
     dist_b^j x hat_b^(k-j) are exact type sums (kfold's mixed products).
     """
-    test = test or product_distinguisher(h, k, "balanced")
+    test = test or ProductTest(h, k, "balanced")
     if test.k != k:
         raise ValidationError("test arity does not match k")
     n = _measure_vector(dist_b, None, "measure 0").size
@@ -402,20 +388,21 @@ def verify_two_proxy(
         raise ValidationError("two-proxy verification needs prior 1/2")
     if not (0.0 < gamma < 0.1):
         raise ValidationError("gamma must lie in (0, 1/10)")
-    ma, ma_witness = multiaccuracy_error(family, inst.g, h, inst.d_x)
-    _require_hypothesis("regularity (multiaccuracy) of h", ma, epsilon)
+    _check_kfold_reach(inst.size, k)
+    br = best_response(family, inst.g, h, inst.d_x)
+    _require_hypothesis("regularity (multiaccuracy) of h", br.correlation, epsilon)
     cal = calibration_error(inst.g, h, inst.d_x)
     _require_hypothesis("calibration of h", cal, gamma)
 
     proxies = build_proxies(inst, h)
-    test = product_distinguisher(h, k, "balanced")
+    test = ProductTest(h, k, "balanced")
 
     fd0 = family_distance(family, inst.d0, proxies.tilde0)
     fd1 = family_distance(family, inst.d1, proxies.tilde1)
-    hat_fd0 = raw_family_distance(family, inst.d0.weights, proxies.hat0)
-    hat_fd1 = raw_family_distance(family, inst.d1.weights, proxies.hat1)
-    tv_th0 = l1_half(proxies.tilde0.weights, proxies.hat0)
-    tv_th1 = l1_half(proxies.tilde1.weights, proxies.hat1)
+    hat_fd0 = family_distance(family, inst.d0, proxies.hat0)
+    hat_fd1 = family_distance(family, inst.d1, proxies.hat1)
+    tv_th0 = tv_distance(proxies.tilde0, proxies.hat0)
+    tv_th1 = tv_distance(proxies.tilde1, proxies.hat1)
 
     # One k-fold pass: one table (rows tilde0, tilde1, d0, d1, hat0, hat1,
     # the order in which the statistics below first read them, so the sum
@@ -458,7 +445,7 @@ def verify_two_proxy(
         instance=inst.to_json(),
         params={"epsilon": epsilon, "gamma": gamma, "k": k},
         audits={
-            "multiaccuracy_error": ma,
+            "multiaccuracy_error": br.correlation,
             "calibration_error": cal,
             "p": proxies.p,
             "advantage": advantage,
@@ -470,7 +457,7 @@ def verify_two_proxy(
         },
         inequalities=inequalities,
         witnesses={
-            "regularity_witness": ma_witness.index,
+            "regularity_witness": br.index,
             "proxy0_witness": fd0.index,
             "proxy1_witness": fd1.index,
             "test": test.describe(),
@@ -504,16 +491,19 @@ def verify_single_proxy(
         raise ValidationError("single-proxy verification needs prior == epsilon")
     if not (0.0 < gamma < epsilon / 2.0):
         raise ValidationError("gamma must lie in (0, epsilon / 2)")
-    ma, ma_witness = multiaccuracy_error(family, inst.g, h, inst.d_x)
-    _require_hypothesis("regularity (multiaccuracy at epsilon^2) of h", ma, epsilon ** 2)
+    _check_kfold_reach(inst.size, k)
+    br = best_response(family, inst.g, h, inst.d_x)
+    _require_hypothesis(
+        "regularity (multiaccuracy at epsilon^2) of h", br.correlation, epsilon ** 2
+    )
     cal = calibration_error(inst.g, h, inst.d_x)
     _require_hypothesis("calibration of h", cal, gamma)
 
     proxies = build_proxies(inst, h)
-    test = product_distinguisher(h, k, "tilted", epsilon=epsilon)
+    test = ProductTest(h, k, "tilted", eps=epsilon)
 
     fd1 = family_distance(family, inst.d1, proxies.tilde1)
-    tv_th1 = l1_half(proxies.tilde1.weights, proxies.hat1)
+    tv_th1 = tv_distance(proxies.tilde1, proxies.hat1)
     # One k-fold pass, as in verify_two_proxy: rows d0, tilde1, d1.
     table = kfold_type_classes([inst.d0, proxies.tilde1, inst.d1], k)
     fire, tie = test.outcomes(table.counts)
@@ -542,7 +532,7 @@ def verify_single_proxy(
         instance=inst.to_json(),
         params={"epsilon": epsilon, "gamma": gamma, "k": k},
         audits={
-            "multiaccuracy_error": ma,
+            "multiaccuracy_error": br.correlation,
             "calibration_error": cal,
             "p": proxies.p,
             "advantage": advantage,
@@ -553,7 +543,7 @@ def verify_single_proxy(
         },
         inequalities=inequalities,
         witnesses={
-            "regularity_witness": ma_witness.index,
+            "regularity_witness": br.index,
             "proxy1_witness": fd1.index,
             "test": test.describe(),
             "tilde0": "d0 (single-proxy mode: no proxy constructed for d0)",
@@ -586,13 +576,8 @@ def _fit_and_verify(
     """
     if mode not in ("two-proxy", "single-proxy"):
         raise ValidationError("mode must be 'two-proxy' or 'single-proxy'")
-    if k < 1:
-        raise ValidationError("k must be >= 1")
-    # The k-fold limits depend on N and k alone, so an over-reach k is
-    # refused before the simulator is fitted.
-    _check_type_cap(d0.size, k)
-    _check_multinomial_bound(d0.size, k)
-    _check_successor_cap(d0.size, k)
+    # an over-reach k is refused before the simulator is fitted
+    _check_kfold_reach(d0.size, k)
     if mode == "two-proxy":
         prior, tol, gamma = 0.5, epsilon, epsilon ** 2 / 20.0
     else:
@@ -632,7 +617,7 @@ def _chain_gaps(
     advantage; it comes last, so it is the witness only when strictly larger.
     """
     fd = family_distance(family, d0, d1)
-    lift = (fd.value, lift_name, f"{family[fd.index].descriptor}@coord0")
+    lift = (fd.value, lift_name, f"{family.descriptors[fd.index]}@coord0")
     advantage = base.audits["advantage"]
     top = (advantage, base.witnesses["test"]) if advantage > fd.value else (lift[0], lift[2])
     return lift, (top[0], f"{lift_name}+product-test", top[1])

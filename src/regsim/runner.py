@@ -18,12 +18,12 @@ from .boosting import (
     audit,
     calibrated_multiaccuracy,
     multiaccuracy_boost,
-    multiaccuracy_error,
     multicalibrate,
     multicalibration_check,
 )
 from .config import Plan, plan_config
 from .errors import InternalContractError, RegsimError
+from .families import best_response
 from .products import (
     Inequality,
     build_mixture,
@@ -138,7 +138,7 @@ def _execute_boost(plan: Plan):
 def _execute_expanding(plan: Plan):
     g, dist, ladder, eps = plan.target, plan.d, plan.ladder, plan.epsilon
     result = supersimulator_expanding(g, dist, ladder, plan.growth, eps)
-    ma, _ = multiaccuracy_error(ladder[result.fooled_level], g, result.h, dist)
+    ma = best_response(ladder[result.fooled_level], g, result.h, dist).correlation
     bound_label = result.recurrence.labels[
         min(result.bound_index, len(result.recurrence.labels) - 1)
     ]

@@ -28,7 +28,6 @@ from .boosting import (
     _boost,
     calibrated_multiaccuracy,
     calibration_error,
-    multiaccuracy_error,
     updates_bound,
 )
 from .domain import DERIVED_TOL, MIN_ACCURACY, BoundedFn, Distribution, potential
@@ -39,6 +38,7 @@ from .families import (
     GradedLadder,
     GrowthMap,
     apply_growth,
+    best_response,
 )
 
 LABEL_SATURATION = 10 ** 15
@@ -73,8 +73,9 @@ def _clamp_label(lbl: ComplexityLabel) -> tuple[ComplexityLabel, bool]:
 
 def polylog_gates(epsilon: float) -> int:
     """Gate cost charged per update for grid arithmetic: b^2 for the
-    b = min(52, ceil(log2(1/grid))) bits the default grid epsilon^10 uses;
-    a grid below the 2^-52 spacing of doubles near 1 holds no more bits."""
+    b = min(52, ceil(log2(1/grid))) bits of the boosting grid epsilon^10
+    (``BoostParams.round_grid``); a grid below the 2^-52 spacing of doubles
+    near 1 holds no more bits."""
     grid = epsilon ** 10
     bits = 52 if grid < 2.0 ** -52 else math.ceil(math.log2(1.0 / grid))
     return bits ** 2
@@ -186,9 +187,9 @@ def supersimulator_expanding(
     )
     result = SupersimResult(
         level=level,
-        label=ladder.label_of(level),
+        label=ladder[level].label,
         fooled_level=fooled,
-        fooled_label=ladder.label_of(fooled),
+        fooled_label=ladder[fooled].label,
         h=h,
         epsilon=epsilon,
         updates=trace.update_count,
@@ -203,7 +204,7 @@ def supersimulator_expanding(
 def _assert_expanding_contract(
     result: SupersimResult, g: BoundedFn, dist: Distribution, ladder: GradedLadder
 ) -> None:
-    ma, _ = multiaccuracy_error(ladder[result.fooled_level], g, result.h, dist)
+    ma = best_response(ladder[result.fooled_level], g, result.h, dist).correlation
     if ma > result.epsilon + DERIVED_TOL:
         raise InternalContractError(
             f"output not regular against the grown family: {ma!r} > {result.epsilon!r}"
@@ -292,7 +293,7 @@ def supersimulator_shrinking(
         eps_i = eps_schedule.eps_at(level)
         fooled = apply_growth(growth, level, phi)
         family = ladder[fooled].extended(
-            [h.values], ["previous-predictor"], [ladder.label_of(level)],
+            [h.values], ["previous-predictor"], [ladder[level].label],
             name=f"{ladder[fooled].name}+prev",
         )
         h_next, _ = calibrated_multiaccuracy(
@@ -335,7 +336,7 @@ def _finish_pair(
         raise InternalContractError(
             f"similarity {similarity!r} above phi gap + 4 eps = {gap + 4.0 * eps_i!r}"
         )
-    ma, _ = multiaccuracy_error(ladder[fooled], g, h_prime, dist)
+    ma = best_response(ladder[fooled], g, h_prime, dist).correlation
     if ma > eps_i + DERIVED_TOL:
         raise InternalContractError(
             f"h' not regular at {eps_i!r} against the grown family (measured {ma!r})"
@@ -380,7 +381,5 @@ def corollary_check(
     regularity error of h by eps(s) + 2 beta^(1/3); the audit measures the
     left side exactly.
     """
-    measured, _ = multiaccuracy_error(
-        ladder[pair.level_s_prime], pair.target, pair.h, pair.dist
-    )
+    measured = best_response(ladder[pair.level_s_prime], pair.target, pair.h, pair.dist).correlation
     return measured <= _corollary_bound(pair) + DERIVED_TOL, measured

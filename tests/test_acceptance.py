@@ -59,12 +59,12 @@ def test_criterion_2_audit_exactness():
         fam = random_family(rng, n, int(rng.integers(1, 9)))
 
         h1, _ = rs.multiaccuracy_boost(g, dist, fam, rs.BoostParams(epsilon=eps))
-        assert rs.multiaccuracy_error(fam, g, h1, dist)[0] <= eps + TOL
+        assert rs.best_response(fam, g, h1, dist).correlation <= eps + TOL
 
         h2, _ = rs.calibrated_multiaccuracy(
             g, dist, fam, rs.BoostParams(epsilon=eps, gamma=gamma)
         )
-        assert rs.multiaccuracy_error(fam, g, h2, dist)[0] <= eps + TOL
+        assert rs.best_response(fam, g, h2, dist).correlation <= eps + TOL
         assert rs.calibration_error(g, h2, dist) <= gamma + TOL
 
         h3, _ = rs.multicalibrate(g, dist, fam, eps)
@@ -98,7 +98,7 @@ def test_criterion_3_supersimulator_regularity_above_level():
         dist = random_distribution(rng, n)
         res = rs.supersimulator_expanding(g, dist, ladder, growth, eps)
         assert ladder.depth >= 6
-        ma, _ = rs.multiaccuracy_error(ladder[res.fooled_level], g, res.h, dist)
+        ma = rs.best_response(ladder[res.fooled_level], g, res.h, dist).correlation
         assert ma <= eps + TOL
         assert res.fooled_level == rs.apply_growth(growth, res.level)
         bound_index = math.floor(1.0 / (3.0 * eps * eps))
@@ -201,7 +201,7 @@ def test_criterion_7_oracle_equivalence():
         brute = brute_kfold_tv(p.weights, q.weights, k)
         assert abs(exact - brute) <= EXACT
         h = rs.BoundedFn(rng.uniform(size=n))
-        test = rs.product_distinguisher(h, k, "balanced")
+        test = rs.ProductTest(h, k, "balanced")
         lib = rs.kfold_expectation(test, p, k)
         brute_e = 0.0
         import itertools

@@ -4,10 +4,13 @@ import hashlib
 import json
 import operator
 import random
+import runpy
+from pathlib import Path
 
 import pytest
 
 import regsim.runner as runner_mod
+from regsim import kfold
 from gap_golden import DIGESTS_PATH, canonical_lines, demo_digests
 from regsim.cli import main
 from regsim.config import validate_config
@@ -106,6 +109,25 @@ def test_characterize_k_beyond_double_precision_is_exit_one():
     outcome = run_config(config)
     assert outcome.exit_code == 1
     assert "double precision" in json.dumps(outcome.report["error"])
+
+
+def test_verify_over_reach_k_is_exit_one_before_the_type_table(monkeypatch):
+    def no_table(n, k):
+        raise AssertionError("the size-k type table was built")
+
+    monkeypatch.setattr(kfold, "_type_table", no_table)
+    config = {
+        "domain": {"size": 4, "bit_width": 2},
+        "algorithm": "verify41",
+        "seed": 1,
+        "distributions": {"d0": {"kind": "random"}, "d1": {"kind": "random"}},
+        "family": {"builder": "coordinate"},
+        "simulator": {"kind": "calibrated"},
+        "params": {"epsilon": 0.1, "gamma": 0.01, "k": 300},
+    }
+    outcome = run_config(config)
+    assert outcome.exit_code == 1
+    assert "successor maps for N=4, k=300" in json.dumps(outcome.report["error"])
 
 
 def test_validate_valid_config_empty():
@@ -208,6 +230,15 @@ def test_all_demos_run_clean(tmp_path):
         assert code == 0, name
         report = json.loads(out.read_text())
         assert report["summary"]["passed"], name
+
+
+@pytest.mark.parametrize(
+    "script",
+    ["01_boosting_and_audits.py", "02_supersimulators.py", "03_product_indistinguishability.py"],
+)
+def test_walkthrough_scripts_run(script, capsys):
+    runpy.run_path(str(Path(__file__).parents[1] / "demos" / script), run_name="__main__")
+    assert capsys.readouterr().out
 
 
 def test_demo_reports_byte_identical_modulo_wall_time(tmp_path):

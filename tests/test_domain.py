@@ -58,6 +58,13 @@ def test_tv_half_l1():
     p = rs.Distribution(np.array([0.5, 0.5]))
     q = rs.Distribution(np.array([0.75, 0.25]))
     assert rs.tv_distance(p, q) == pytest.approx(0.25, abs=STRUCT)
+    # raw nonnegative vectors are measures too
+    assert rs.tv_distance(p, np.array([0.5, 0.25])) == 0.125
+    for bad in ([1.5, -0.5], [np.nan, 0.5], [np.inf, 0.0]):
+        with pytest.raises(rs.ValidationError, match="finite and nonnegative"):
+            rs.tv_distance(p, np.array(bad))
+    with pytest.raises(rs.DomainMismatchError):
+        rs.tv_distance(p, rs.Distribution.uniform(3))
 
 
 def test_tv_disjoint_supports():

@@ -34,12 +34,21 @@ def test_best_response_zero_residual(uniform2, g10):
     assert br.index == 0 and br.sign == +1  # tie-break: lowest index, then +1
 
 
-def test_best_response_enumerates_signed_candidates(uniform2, g10):
+def test_best_response_enumerates_signed_candidates(monkeypatch, uniform2, g10):
     h = rs.BoundedFn(np.array([0.5, 0.5]))
-    br = rs.best_response(two_member_family(), g10, h, uniform2)
+    family = two_member_family()
+    built = []
+    post_init = rs.BoundedFn.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(rs.BoundedFn, "__post_init__", counted)
+    br = rs.best_response(family, g10, h, uniform2)
     assert br.index == 1 and br.sign == -1
     assert br.correlation == pytest.approx(0.25, abs=1e-12)
-    assert br.slack == 0.0
+    assert built == []  # the witness is an index; no member row is copied
 
 
 def test_best_response_single_candidate(uniform2):
@@ -75,6 +84,13 @@ def test_family_distance_examples(uniform2):
     assert rs.family_distance(fam, p, p).value == 0.0
     half = rs.explicit_family([[0.5, 0.5]])
     assert rs.family_distance(half, p, q).value == pytest.approx(0.0, abs=1e-12)
+    # a raw nonnegative vector (mass 0.9) is taken as it is
+    raw = rs.family_distance(fam, p, np.array([0.6, 0.3]))
+    assert (raw.value, raw.index) == (pytest.approx(0.2, abs=1e-12), 0)
+    with pytest.raises(rs.DomainMismatchError):
+        rs.family_distance(fam, p, rs.Distribution.uniform(3))
+    with pytest.raises(rs.ValidationError, match="nonnegative"):
+        rs.family_distance(fam, p, np.array([1.5, -0.5]))
 
 
 def test_family_distance_below_tv():
@@ -89,16 +105,16 @@ def test_family_distance_below_tv():
 def test_coordinate_family_single_bit():
     fam = rs.build_coordinate_family(rs.FiniteDomain(size=2, bit_width=1))
     assert len(fam) == 1
-    assert list(fam[0].values.values) == [0.0, 1.0]
-    assert fam[0].label == rs.ComplexityLabel(1, 0)
+    assert list(fam.matrix[0]) == [0.0, 1.0]
+    assert fam.labels[0] == rs.ComplexityLabel(1, 0)
 
 
 def test_coordinate_family_bit_order():
     fam = rs.build_coordinate_family(rs.FiniteDomain(size=4, bit_width=2))
     # element 3 = binary 11: both coordinates read 1
-    assert fam[0].values.values[3] == 1.0 and fam[1].values.values[3] == 1.0
+    assert list(fam.matrix[:, 3]) == [1.0, 1.0]
     # element 2 = binary 10 under (high, low) order: coordinates read (1, 0)
-    assert fam[0].values.values[2] == 1.0 and fam[1].values.values[2] == 0.0
+    assert list(fam.matrix[:, 2]) == [1.0, 0.0]
 
 
 def test_coordinate_family_needs_bit_width():
@@ -109,11 +125,11 @@ def test_coordinate_family_needs_bit_width():
 def test_threshold_family():
     h = rs.BoundedFn(np.array([0.25, 0.75]))
     fam = rs.build_threshold_family(h, [0.5])
-    assert list(fam[0].values.values) == [0.0, 1.0]
+    assert list(fam.matrix[0]) == [0.0, 1.0]
     all_zero = rs.build_threshold_family(h, [1.0])
-    assert not np.any(all_zero[0].values.values)
+    assert not np.any(all_zero.matrix[0])
     const1 = rs.build_threshold_family(h, [0.0])
-    assert np.all(const1[0].values.values == 1.0)
+    assert np.all(const1.matrix[0] == 1.0)
     with pytest.raises(rs.ValidationError):
         rs.build_threshold_family(h, [0.5, 0.25])
 

@@ -94,7 +94,7 @@ def test_kfold_expectation_constant_test():
 
 def test_kfold_expectation_product_threshold_pointmass():
     h = rs.BoundedFn(np.array([0.25, 0.75]))
-    test = rs.product_distinguisher(h, 2, "balanced")
+    test = rs.ProductTest(h, 2, "balanced")
     p1 = rs.Distribution(np.array([0.0, 1.0]))
     p0 = rs.Distribution(np.array([1.0, 0.0]))
     assert rs.kfold_expectation(test, p1, 2) == 1.0
@@ -108,7 +108,7 @@ def test_kfold_expectation_brute_force_agreement():
         k = int(rng.integers(1, 6))
         p = random_distribution(rng, n)
         h = rs.BoundedFn(rng.uniform(size=n))
-        test = rs.product_distinguisher(h, k, "balanced")
+        test = rs.ProductTest(h, k, "balanced")
         exact = rs.kfold_expectation(test, p, k)
         brute = brute_kfold_expectation(
             lambda tup: float(test.on_counts(counts_of(tup, n)[None, :])[0]),

@@ -35,7 +35,7 @@ def test_expanding_two_point_run(uniform2, g10):
     res = rs.supersimulator_expanding(g10, uniform2, ladder, growth, 0.1)
     # audited against the level above its own
     assert res.fooled_level == res.level + 1
-    ma, _ = rs.multiaccuracy_error(ladder[res.fooled_level], g10, res.h, uniform2)
+    ma = rs.best_response(ladder[res.fooled_level], g10, res.h, uniform2).correlation
     assert ma <= 0.1 + TOL
     assert res.updates <= res.bound_index
 
@@ -75,7 +75,7 @@ def test_expanding_random_instances_contract():
         g = random_bounded(rng, n)
         d = random_distribution(rng, n)
         res = rs.supersimulator_expanding(g, d, ladder, growth, eps)
-        ma, _ = rs.multiaccuracy_error(ladder[res.fooled_level], g, res.h, d)
+        ma = rs.best_response(ladder[res.fooled_level], g, res.h, d).correlation
         assert ma <= eps + TOL
         assert res.updates <= math.floor(1 / (3 * eps * eps))
         formal = res.recurrence.labels[min(res.bound_index, len(res.recurrence.labels) - 1)]
