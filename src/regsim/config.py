@@ -12,13 +12,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from numbers import Integral, Real
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
 from .domain import MIN_ACCURACY, BoundedFn, Distribution, FiniteDomain
 from .errors import RegsimError, ValidationError
 from .families import (
+    Combinator,
     ErrorSchedule,
     Family,
     GradedLadder,
@@ -27,7 +28,9 @@ from .families import (
     build_coordinate_family,
     build_rectangle_family,
     build_threshold_family,
+    compose_entries,
     compose_level,
+    compose_levels,
     explicit_family,
 )
 
@@ -267,39 +270,104 @@ def build_family(spec: Any, ctx: ConfigContext, path: str) -> Family:
         rows = [_vector(v, f"{path}.members[{i}]", ctx.domain.size) for i, v in enumerate(members)]
         return explicit_family(rows, name="explicit")
     if builder == "compose":
-        _only_keys(spec, {"builder", "base", "s1", "s2", "catalog"}, path)
-        base = build_family(spec.get("base"), ctx, f"{path}.base")
-        catalog_names = spec.get("catalog")
-        if not isinstance(catalog_names, list) or not catalog_names:
-            raise ValidationError(f"{path}.catalog: expected a nonempty list of names")
-        catalog = []
-        for name in catalog_names:
-            if name not in STANDARD_COMBINATORS:
-                raise ValidationError(
-                    f"{path}.catalog: unknown combinator {name!r}; "
-                    f"known: {sorted(STANDARD_COMBINATORS)}"
-                )
-            catalog.append(STANDARD_COMBINATORS[name]())
-        s1, s2 = _field(spec, "s1", path, int), _field(spec, "s2", path, int)
-        return compose_level(base, s1, s2, catalog)
+        return compose_level(*_compose_request(spec, ctx, path, build_family))
     raise ValidationError(f"{path}.builder: unknown builder {builder!r}")
 
 
+def _compose_request(
+    spec: dict, ctx: ConfigContext, path: str, build_base: Callable[..., Family]
+) -> tuple[Family, int, int, list[Combinator]]:
+    """(base, s1, s2, catalog) of a compose spec, the base built by
+    ``build_base(spec, ctx, path)``; a request ``compose_level`` would
+    refuse is refused here, under ``path``."""
+    _only_keys(spec, {"builder", "base", "s1", "s2", "catalog"}, path)
+    base = build_base(spec.get("base"), ctx, f"{path}.base")
+    catalog_names = spec.get("catalog")
+    if not isinstance(catalog_names, list) or not catalog_names:
+        raise ValidationError(f"{path}.catalog: expected a nonempty list of names")
+    catalog = []
+    for name in catalog_names:
+        if name not in STANDARD_COMBINATORS:
+            raise ValidationError(
+                f"{path}.catalog: unknown combinator {name!r}; "
+                f"known: {sorted(STANDARD_COMBINATORS)}"
+            )
+        catalog.append(STANDARD_COMBINATORS[name]())
+    request = (base, _field(spec, "s1", path, int), _field(spec, "s2", path, int), catalog)
+    try:
+        compose_entries(*request)
+    except RegsimError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
+    return request
+
+
+def _shared_key(spec: Any) -> str | None:
+    """Canonical JSON of a builder spec that draws nothing from the seeded
+    generator, or None for a spec that does (or is not JSON): equal keys
+    build equal families, and a spec that draws must be built where the
+    run would draw it."""
+
+    def draws(node: Any) -> bool:
+        return isinstance(node, dict) and (
+            node.get("kind") == "random" or any(draws(v) for v in node.values())
+        )
+
+    if draws(spec):
+        return None
+    try:
+        return json.dumps(spec, sort_keys=True)
+    except (TypeError, ValueError):
+        return None
+
+
 def build_ladder(spec: Any, ctx: ConfigContext, path: str) -> GradedLadder:
+    """The ladder of ``spec``, each of its distinct families built once.
+
+    A spec that draws nothing from the generator is built once and shared
+    by every equal spec, a level or a compose base.  Compose levels over
+    such a base are composed together (``compose_levels``), so a level
+    whose catalog leads a wider level's over the same base holds that
+    level's leading rows.  Every level's spec is read and checked, in
+    level order, before anything is composed, so a bad level is named as
+    a level-by-level build would name it.
+    """
     if not isinstance(spec, dict):
         raise ValidationError(f"{path}: expected a ladder object")
     _only_keys(spec, {"levels", "pad_to"}, path)
     levels_spec = spec.get("levels")
     if not isinstance(levels_spec, list) or not levels_spec:
         raise ValidationError(f"{path}.levels: expected a nonempty list of family builders")
-    levels = [
-        build_family(s, ctx, f"{path}.levels[{i}]") for i, s in enumerate(levels_spec)
-    ]
+    built: dict[str, Family] = {}
+
+    def shared(spec: Any, ctx: ConfigContext, path: str) -> Family:
+        key = _shared_key(spec)
+        if key is None:
+            return build_family(spec, ctx, path)
+        if key not in built:
+            built[key] = build_family(spec, ctx, path)
+        return built[key]
+
+    # each level is a Family, or the index of its compose request
+    levels: list[Family | int] = []
+    requests: list[tuple[Family, int, int, list[Combinator]]] = []
+    for i, s in enumerate(levels_spec):
+        where = f"{path}.levels[{i}]"
+        if isinstance(s, dict) and s.get("builder") == "compose" and _shared_key(s) is not None:
+            levels.append(len(requests))
+            requests.append(_compose_request(s, ctx, where, shared))
+        else:
+            levels.append(shared(s, ctx, where))
     pad_to = _field(spec, "pad_to", path, int, default=len(levels))
+    if pad_to < len(levels):
+        raise ValidationError(
+            f"{path}.pad_to: at least the {len(levels)} listed levels, got {pad_to}"
+        )
     if pad_to > _MAX_LADDER_DEPTH:
         raise ValidationError(
             f"{path}.pad_to: at most {_MAX_LADDER_DEPTH} levels, got {pad_to}"
         )
+    composed = compose_levels(requests)
+    levels = [composed[lvl] if isinstance(lvl, int) else lvl for lvl in levels]
     # Padding repeats the top level, as GradedLadder.padded does; building
     # the full list first constructs and nesting-checks the ladder once.
     levels += [levels[-1]] * (pad_to - len(levels))

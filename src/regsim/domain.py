@@ -149,12 +149,14 @@ class BoundedFn:
 
 
 def as_values(f: VectorLike) -> np.ndarray:
-    """Extract the raw value vector from a BoundedFn or array-like."""
+    """Extract the raw value vector from a BoundedFn or a finite array-like."""
     if isinstance(f, BoundedFn):
         return f.values
     arr = np.asarray(f, dtype=float)
     if arr.ndim != 1:
         raise ValidationError(f"expected a vector, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValidationError("vector entries must be finite")
     return arr
 
 

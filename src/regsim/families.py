@@ -42,6 +42,8 @@ from .errors import (
 
 DEFAULT_FAMILY_CAP = 65536
 
+_OUT_OF_RANGE = "family values must be finite and lie in [0, 1]"
+
 
 @dataclass(frozen=True, order=False)
 class ComplexityLabel:
@@ -91,12 +93,30 @@ class Family:
             raise EmptyFamilyError("a family must have at least one member")
         if matrix.ndim != 2 or matrix.shape[1] == 0:
             raise ValidationError(f"a family matrix must be (m, N) with N >= 1, got {matrix.shape}")
+        self._adopt(matrix, descriptors, labels, name, scan=True)
+
+    @classmethod
+    def _in_range(
+        cls,
+        matrix: np.ndarray,
+        descriptors: Sequence[str],
+        labels: Sequence[ComplexityLabel],
+        name: str,
+    ) -> "Family":
+        """A family over a float (m, N) matrix, m, N >= 1, that its builder
+        has already read and found finite and inside [0, 1], so it is not
+        scanned again."""
+        family = cls.__new__(cls)
+        family._adopt(matrix, descriptors, labels, name, scan=False)
+        return family
+
+    def _adopt(self, matrix, descriptors, labels, name, scan: bool) -> None:
         self.descriptors, self.labels = tuple(descriptors), tuple(labels)
         if not len(self.descriptors) == len(self.labels) == matrix.shape[0]:
             raise ValidationError("a family needs one descriptor and one label per row")
         # min/max propagate NaN, so one comparison also rejects non-finite rows
-        if not (matrix.min() >= 0.0 and matrix.max() <= 1.0):
-            raise ValidationError("family values must be finite and lie in [0, 1]")
+        if scan and not (matrix.min() >= 0.0 and matrix.max() <= 1.0):
+            raise ValidationError(_OUT_OF_RANGE)
         matrix.setflags(write=False)
         self.matrix = matrix
         self.name = name
@@ -329,6 +349,39 @@ STANDARD_COMBINATORS = {
 }
 
 
+def compose_entries(
+    base: Family,
+    s1: int,
+    s2: int,
+    combinators: Sequence[Combinator],
+    cap: int = DEFAULT_FAMILY_CAP,
+) -> tuple[Combinator, ...]:
+    """The catalog entries ``compose_level(base, s1, s2, combinators, cap)``
+    enumerates, in catalog order: those of arity at most s1 and declared
+    size at most s2.  Refuses what compose_level refuses, before any member
+    value is computed."""
+    if s1 < 1:
+        raise ValidationError("s1 must be >= 1")
+    if s2 < 0:
+        raise ValidationError("s2 must be >= 0")
+    entries = tuple(c for c in combinators if c.arity <= s1 and c.size <= s2)
+    if not entries:
+        raise EmptyFamilyError("no catalog entry fits within (s1, s2)")
+    total = _composed_rows(len(base), entries)
+    if total > cap:
+        raise CapExceededError(total, cap, "composed family")
+    return entries
+
+
+def _composed_rows(m: int, entries: Sequence[Combinator]) -> int:
+    """Rows of the entries' blocks over m base members: m^arity each."""
+    return sum(m ** c.arity for c in entries)
+
+
+def _compose_name(base: Family, s1: int, s2: int) -> str:
+    return f"compose({base.name}; s1={s1}, s2={s2})"
+
+
 def compose_level(
     base: Family,
     s1: int,
@@ -342,23 +395,17 @@ def compose_level(
     resulting family is labeled (s1, s2).  Rows come catalog entry by entry,
     index tuples in row-major order (last index fastest), one broadcast call
     of ``fn`` per entry writing straight into that entry's block of the
-    output, so no (m^arity, N) temporary is built.
+    output, so no (m^arity, N) temporary is built.  Each block is read once
+    more, by one min and one max pass, which is the family's range check;
+    only a block outside [0, 1] is read again, row by row.
     """
-    if s1 < 1:
-        raise ValidationError("s1 must be >= 1")
-    if s2 < 0:
-        raise ValidationError("s2 must be >= 0")
-    usable = [c for c in combinators if c.arity <= s1 and c.size <= s2]
-    if not usable:
-        raise EmptyFamilyError("no catalog entry fits within (s1, s2)")
+    entries = compose_entries(base, s1, s2, combinators, cap)
     m, n = base.matrix.shape
-    total = sum(m ** c.arity for c in usable)
-    if total > cap:
-        raise CapExceededError(total, cap, "composed family")
+    total = _composed_rows(m, entries)
     matrix = np.empty((total, n))
     descriptors = []
-    start = 0
-    for comb in usable:
+    start, finite = 0, True
+    for comb in entries:
         count, grid = m ** comb.arity, (m,) * comb.arity
         # argument j varies along axis j of an (m, ..., m, N) grid
         args = [
@@ -367,26 +414,58 @@ def compose_level(
         ]
         block = matrix[start:start + count]
         comb.fn(*args, out=block.reshape(grid + (n,)))
-        lo, hi = block.min(axis=1), block.max(axis=1)
-        outside = (lo < -STRUCT_TOL) | (hi > 1 + STRUCT_TOL)
-        if outside.any():
-            tup = tuple(int(i) for i in np.unravel_index(int(np.argmax(outside)), grid))
-            raise ValidationError(f"combinator {comb.name} left [0, 1] on inputs {tup}")
-        # clip leaves values in [0, 1] (and -0.0) as they are, so a block
-        # already inside skips the pass
-        if not (lo.min() >= 0.0 and hi.max() <= 1.0):
+        # a block inside [0, 1] needs no more (whole-block reductions beat
+        # per-row ones about 3x on short rows); clip leaves such values (and
+        # -0.0) as they are.  min/max propagate NaN, which clip keeps, so a
+        # NaN row is refused once every block is checked.
+        if not (block.min() >= 0.0 and block.max() <= 1.0):
+            lo, hi = block.min(axis=1), block.max(axis=1)
+            outside = (lo < -STRUCT_TOL) | (hi > 1 + STRUCT_TOL)
+            if outside.any():
+                tup = tuple(int(i) for i in np.unravel_index(int(np.argmax(outside)), grid))
+                raise ValidationError(f"combinator {comb.name} left [0, 1] on inputs {tup}")
+            finite = finite and not np.isnan(lo).any()
             np.clip(block, 0.0, 1.0, out=block)
         descriptors.extend(
             f"{comb.name}({', '.join(tup)})"
             for tup in itertools.product(base.descriptors, repeat=comb.arity)
         )
         start += count
-    return Family(
-        matrix,
-        descriptors,
-        [ComplexityLabel(s1, s2)] * total,
-        name=f"compose({base.name}; s1={s1}, s2={s2})",
+    if not finite:
+        raise ValidationError(_OUT_OF_RANGE)
+    return Family._in_range(
+        matrix, descriptors, [ComplexityLabel(s1, s2)] * total, _compose_name(base, s1, s2)
     )
+
+
+def compose_levels(
+    requests: Sequence[tuple[Family, int, int, Sequence[Combinator]]],
+    cap: int = DEFAULT_FAMILY_CAP,
+) -> list[Family]:
+    """``compose_level(base, s1, s2, combinators, cap)`` for every request,
+    in order, with one compose per chain: a request whose entries (see
+    ``compose_entries``) are a leading run of a wider request's over the
+    same base object is a family over the wider result's leading rows, a
+    read-only view with its own descriptors slice, labels and name."""
+    entries = [compose_entries(*request, cap) for request in requests]
+    out: list[Family | None] = [None] * len(requests)
+    tops: list[tuple[Family, tuple[Combinator, ...], Family]] = []
+    for i in sorted(range(len(requests)), key=lambda i: -len(entries[i])):
+        base, s1, s2, _ = requests[i]
+        for top_base, top_entries, top in tops:
+            if top_base is base and top_entries[: len(entries[i])] == entries[i]:
+                rows = _composed_rows(len(base), entries[i])
+                out[i] = Family._in_range(
+                    top.matrix[:rows],
+                    top.descriptors[:rows],
+                    [ComplexityLabel(s1, s2)] * rows,
+                    _compose_name(base, s1, s2),
+                )
+                break
+        else:
+            out[i] = compose_level(base, s1, s2, entries[i], cap)
+            tops.append((base, entries[i], out[i]))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -398,13 +477,16 @@ class GradedLadder:
     """A finite chain of nested families with nondecreasing labels.
 
     Nesting is by value: every member value-vector of level i must appear in
-    level i+1, with -0.0 equal to 0.0.  Each distinct level gets one float
-    key per row, its dot product with ``_row_key_weights``; a lower row's
-    candidate is the upper row whose key matches, and the two are compared
-    exactly.  Rows without an exactly equal candidate (a key collision, or
-    a row that is really missing) go to the exact test on row bytes
-    (``_missing_by_bytes``), so the verdict never rests on a key.  Levels
-    may repeat, which is how shallow chains are padded to the depth a
+    level i+1, with -0.0 equal to 0.0.  A level whose matrix equals the
+    leading rows of the next one's (as a level composed with a shorter
+    catalog does, see ``compose_levels``) is nested by that one compare.
+    Otherwise each of the two levels gets one float key per row, its dot
+    product with ``_row_key_weights``, computed once per distinct level; a
+    lower row's candidate is the upper row whose key matches, and the two
+    are compared exactly.  Rows without an exactly equal candidate (a key
+    collision, or a row that is really missing) go to the exact test on row
+    bytes (``_missing_by_bytes``), so the verdict never rests on a key.
+    Levels may repeat, which is how shallow chains are padded to the depth a
     construction needs; a repeated level is not compared with itself.
     """
 
@@ -417,17 +499,23 @@ class GradedLadder:
             if lvl.domain_size != n:
                 raise DomainMismatchError(n, lvl.domain_size, f"ladder level {i}")
         keys: dict[int, np.ndarray] = {}  # id of a distinct level -> its row keys
+
+        def keys_of(lvl: Family) -> np.ndarray:
+            if id(lvl) not in keys:
+                # einsum sums each row in the same order whatever matrix
+                # holds it, so equal rows get equal keys; a BLAS matvec
+                # gave equal rows different keys in different matrices
+                keys[id(lvl)] = np.einsum("ij,j->i", lvl.matrix, _row_key_weights(n))
+            return keys[id(lvl)]
+
         for i in range(len(levels) - 1):
             lower, upper = levels[i], levels[i + 1]
             if lower is upper:
                 continue
-            for lvl in (lower, upper):
-                if id(lvl) not in keys:
-                    # einsum sums each row in the same order whatever matrix
-                    # holds it, so equal rows get equal keys; a BLAS matvec
-                    # gave equal rows different keys in different matrices
-                    keys[id(lvl)] = np.einsum("ij,j->i", lvl.matrix, _row_key_weights(n))
-            if not _nested(lower.matrix, keys[id(lower)], upper.matrix, keys[id(upper)]):
+            if not (
+                _leads(lower.matrix, upper.matrix)
+                or _nested(lower.matrix, keys_of(lower), upper.matrix, keys_of(upper))
+            ):
                 raise ValidationError(
                     f"ladder levels not nested: level {i} has a member missing from level {i + 1}"
                 )
@@ -461,6 +549,11 @@ def _row_key_weights(n: int) -> np.ndarray:
     weights = np.random.default_rng(n).uniform(0.5, 1.0, size=n)
     weights.setflags(write=False)
     return weights
+
+
+def _leads(lower: np.ndarray, upper: np.ndarray) -> bool:
+    """Whether ``lower`` equals the leading rows of ``upper`` (-0.0 == 0.0)."""
+    return len(lower) <= len(upper) and bool((upper[: len(lower)] == lower).all())
 
 
 def _nested(

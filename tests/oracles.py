@@ -154,6 +154,21 @@ def ladder_nested_bytes(levels):
     return None
 
 
+def ladder_level_by_level(spec, ctx, path="config.ladder"):
+    """config.build_ladder with nothing shared: every level spec (and every
+    compose base in it) built on its own by build_family, in level order,
+    from the one context ``ctx``, then padded to ``pad_to`` by repeating
+    the top level."""
+    from regsim.config import build_family
+    from regsim.families import GradedLadder
+
+    levels = [
+        build_family(level, ctx, f"{path}.levels[{i}]") for i, level in enumerate(spec["levels"])
+    ]
+    levels += [levels[-1]] * (spec.get("pad_to", len(levels)) - len(levels))
+    return GradedLadder(levels)
+
+
 def level_sets_loop(h, weights):
     """(sorted distinct values of h, their masses), each mass added point by
     point in index order."""

@@ -378,6 +378,8 @@ HUGE_DOMAIN["distributions"]["d0"] = {"kind": "uniform"}
         (demo_with("boost-two-point", "params.epsilon", 10**400), "config.params.epsilon"),
         (demo_with("supersim-expanding", "ladder.pad_to", 10**30), "config.ladder.pad_to"),
         (demo_with("supersim-expanding", "ladder.pad_to", 10**9), "config.ladder.pad_to"),
+        (demo_with("supersim-expanding", "ladder.pad_to", -3), "config.ladder.pad_to"),
+        (demo_with("characterize-super-gap", "ladder.pad_to", 2), "config.ladder.pad_to"),
         (demo_with("supersim-shrinking", "schedule",
                    {"kind": "geometric", "start": 0.1, "factor": 0.5, "depth": 10**30}),
          "config.schedule.depth"),
@@ -393,14 +395,20 @@ HUGE_DOMAIN["distributions"]["d0"] = {"kind": "uniform"}
          "config.schedule"),
         (demo_with("supersim-expanding", "ladder.levels",
                    demo_config("supersim-expanding")["ladder"]["levels"][::-1]), "config.ladder"),
+        (demo_with("supersim-expanding", "ladder.levels", [
+            {"builder": "explicit", "members": [[1.0, 1.0]]},
+            {"builder": "compose", "base": {"builder": "explicit", "members": [[1.0, 1.0]]},
+             "s1": 1, "s2": 0, "catalog": ["min"]},
+        ]), "config.ladder.levels[1]"),
     ],
     ids=[
         "rectangle-without-cols", "two-point-without-j", "rows-not-a-number", "float-domain-size",
         "list", "string", "vector-int-beyond-double", "scalar-int-beyond-double",
-        "pad-to-beyond-index", "pad-to-huge", "schedule-depth-huge", "epsilon-underflow",
+        "pad-to-beyond-index", "pad-to-huge", "pad-to-negative", "pad-to-below-levels",
+        "schedule-depth-huge", "epsilon-underflow",
         "multicalibrate-epsilon-overflows-bound", "gamma-subnormal", "alpha-subnormal",
         "domain-beyond-memory", "schedule-value-underflow", "bit-width-beyond-64",
-        "schedule-increasing", "ladder-levels-reversed",
+        "schedule-increasing", "ladder-levels-reversed", "compose-level-fits-no-entry",
     ],
 )
 def test_malformed_builder_input_is_a_named_problem(config, path):

@@ -50,6 +50,14 @@ def test_correlation_rejects_unsigned_range(uniform2, g10):
         rs.correlation(np.array([2.0, 0.0]), g10, g10, uniform2)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_raw_vectors_must_be_finite(uniform2, g10, bad):
+    with pytest.raises(rs.ValidationError, match="finite"):
+        rs.expectation(np.array([bad, 0.0]), uniform2)
+    with pytest.raises(rs.ValidationError, match="finite"):
+        rs.correlation(np.array([bad, 0.0]), g10, g10, uniform2)
+
+
 def test_tv_identity(uniform2):
     assert rs.tv_distance(uniform2, uniform2) == 0.0
 

@@ -1,3 +1,4 @@
+import json
 import re
 import tracemalloc
 
@@ -6,10 +7,12 @@ import pytest
 
 import regsim as rs
 from regsim import families
-from regsim.config import plan_config
+from regsim import config as config_mod
+from regsim.config import ConfigContext, build_ladder, plan_config
+from regsim.runner import run_config
 from regsim.demos import demo_config, demo_names
 from conftest import nested_ladder, random_bounded, random_distribution, random_family
-from oracles import brute_best_response, compose_rows, ladder_nested_bytes
+from oracles import brute_best_response, compose_rows, ladder_level_by_level, ladder_nested_bytes
 
 
 def rows(family):
@@ -226,6 +229,23 @@ def test_compose_level_range_check_names_the_inputs():
     assert str(err.value) == "combinator double left [0, 1] on inputs (1,)"
 
 
+def test_compose_level_refuses_nan_after_every_block_is_checked():
+    def root(a, out=None):  # NaN where a < 0.4
+        with np.errstate(invalid="ignore"):
+            return np.sqrt(np.subtract(a, 0.4, out=out), out=out)
+
+    def doubled(a, out=None):
+        return np.multiply(2.0, a, out=out)
+
+    base = rs.explicit_family([[0.25, 0.75], [0.5, 0.5]])
+    nan = rs.Combinator("root", 1, 0, root)
+    with pytest.raises(rs.ValidationError, match=r"^family values must be finite"):
+        rs.compose_level(base, 1, 0, [nan])
+    # a later block outside [0, 1] is named before an earlier NaN row
+    with pytest.raises(rs.ValidationError, match=r"^combinator double left \[0, 1\] on inputs \(0,\)"):
+        rs.compose_level(base, 1, 0, [nan, rs.Combinator("double", 1, 0, doubled)])
+
+
 def test_compose_level_allocates_only_its_output():
     base = rs.build_coordinate_family(rs.FiniteDomain(size=4096, bit_width=12))
     catalog = full_catalog()
@@ -305,6 +325,9 @@ def test_ladder_nesting_matches_the_bytes_rule(monkeypatch, collide):
 
 
 def test_ladder_builds_stay_on_the_key_path(monkeypatch):
+    """No ladder a config or a supersimulator builds reaches the exact byte
+    fallback: chains composed with growing catalogs nest by the leading-row
+    compare, and a shuffled chain is settled by its row keys."""
     calls = {"nested": 0, "fallback": 0}
 
     def counted(name, fn):
@@ -331,7 +354,173 @@ def test_ladder_builds_stay_on_the_key_path(monkeypatch):
         rs.compose_level(base, 2 if size > 2 else 1, 1, catalog[:size]) for size in (2, 3, 4)
     ]
     rs.GradedLadder(levels).padded(12)
-    assert calls["nested"] > 0 and calls["fallback"] == 0
+    assert calls == {"nested": 0, "fallback": 0}
+    # the same chain with every level's rows shuffled
+    rng = np.random.default_rng(17)
+    rs.GradedLadder(
+        [rs.explicit_family(lvl.matrix[rng.permutation(len(lvl))]) for lvl in levels]
+    )
+    assert calls == {"nested": 3, "fallback": 0}
+
+
+COMBINATOR_NAMES = ("identity", "negation", "min", "max")
+
+
+def random_ladder_spec(rng, bits):
+    """A ladder spec over 2**bits points: compose levels over one base
+    (coordinate, thresholds of the target, or explicit rows) with a
+    reordered catalog, prefixes of it growing and (s1, s2) filters that may
+    drop entries, sometimes the base itself as the lowest level, a repeated
+    level, levels over a second base, or the levels shuffled."""
+    n = 2**bits
+
+    def base_spec():
+        kind = rng.integers(3)
+        if kind == 0:
+            return {"builder": "coordinate"}
+        if kind == 1:
+            grid = sorted(float(t) for t in np.round(rng.uniform(size=rng.integers(1, 4)), 2))
+            return {"builder": "threshold", "grid": grid}
+        members = rng.integers(0, 2, size=(int(rng.integers(1, 4)), n)).astype(float)
+        return {"builder": "explicit", "members": members.tolist()}
+
+    def chain(base):
+        catalog = [str(c) for c in rng.permutation(COMBINATOR_NAMES)[: rng.integers(1, 5)]]
+        count = int(rng.integers(1, 5))
+        sizes = np.sort(rng.integers(1, len(catalog) + 1, size=count))
+        s1s = np.sort(rng.choice([1, 2], size=count, p=[0.3, 0.7]))
+        s2s = np.sort(rng.choice([0, 1], size=count, p=[0.2, 0.8]))
+        return [
+            {"builder": "compose", "base": dict(base), "s1": int(s1), "s2": int(s2),
+             "catalog": catalog[:size]}
+            for size, s1, s2 in zip(sizes, s1s, s2s)
+        ]
+
+    base = base_spec()
+    levels = chain(base)
+    if rng.uniform() < 0.5:
+        levels.insert(0, dict(base))
+    if rng.uniform() < 0.3:
+        i = int(rng.integers(len(levels)))
+        levels.insert(i, json.loads(json.dumps(levels[i])))
+    if rng.uniform() < 0.2:
+        levels += chain(base_spec())
+    if rng.uniform() < 0.2:
+        levels = [levels[i] for i in rng.permutation(len(levels))]
+    return {"levels": levels, "pad_to": len(levels) + int(rng.integers(0, 3))}
+
+
+def ladder_outcome(build):
+    """Every level's matrix bytes, descriptors, labels and name, and the
+    ladder's name and depth; or the error's type and message."""
+    try:
+        ladder = build()
+    except rs.RegsimError as exc:
+        return type(exc).__name__, str(exc)
+    return ladder.name, ladder.depth, [
+        (lvl.matrix.tobytes(), lvl.descriptors, lvl.labels, lvl.label, lvl.name)
+        for lvl in ladder.levels
+    ]
+
+
+def ladder_context(bits, rng):
+    ctx = ConfigContext(rs.FiniteDomain(size=2**bits, bit_width=bits), seed=None)
+    ctx.target = rs.BoundedFn(np.round(rng.uniform(size=2**bits), 2))
+    return ctx
+
+
+def test_one_build_ladder_matches_level_by_level_builds():
+    rng = np.random.default_rng(41)
+    built = views = 0
+    for _ in range(200):
+        bits = int(rng.integers(1, 4))
+        spec = random_ladder_spec(rng, bits)
+        ctx = ladder_context(bits, rng)
+        got = ladder_outcome(lambda: build_ladder(spec, ctx, "config.ladder"))
+        assert got == ladder_outcome(lambda: ladder_level_by_level(spec, ctx))
+        if len(got) == 3:
+            built += 1
+            ladder = build_ladder(spec, ctx, "config.ladder")
+            views += sum(lvl.matrix.base is not None for lvl in ladder.levels)
+    assert built > 60 and views > 30
+
+
+def threshold_spec(grid, source):
+    return {"builder": "threshold", "grid": grid, "source": source}
+
+
+def test_random_sources_are_drawn_where_a_level_by_level_build_draws(monkeypatch):
+    # 1[h > 1] is the zero row whatever h is drawn, so the chain is nested
+    # however the draws fall, while the top level's middle row reads the
+    # fourth draw of the ladder
+    random, zero = {"kind": "random"}, threshold_spec([1.0], {"kind": "random"})
+    config = {
+        "domain": {"size": 16},
+        "algorithm": "supersim-expanding",
+        "seed": 7,
+        "target": {"kind": "random"},
+        "distributions": {"d": {"kind": "uniform"}},
+        "ladder": {
+            "levels": [
+                zero,
+                zero,
+                {"builder": "compose", "base": zero, "s1": 1, "s2": 1,
+                 "catalog": ["identity", "negation"]},
+                threshold_spec([0.0, 0.5, 1.0], random),
+            ],
+            "pad_to": 40,
+        },
+        "growth": {"kind": "shift", "by": 1},
+        "params": {"epsilon": 0.1},
+    }
+    plan, _ = plan_config(config)
+    assert plan.ladder[0] is not plan.ladder[1]  # a spec that draws is never shared
+    report = run_config(config).report
+    monkeypatch.setattr(config_mod, "build_ladder", ladder_level_by_level)
+    oracle_plan, _ = plan_config(config)
+    oracle = run_config(config).report
+    assert ladder_outcome(lambda: plan.ladder) == ladder_outcome(lambda: oracle_plan.ladder)
+    for r in (report, oracle):
+        r.pop("wall_time_s")
+    assert "error" not in report and report == oracle
+
+
+def test_supersim_ladder_composes_once(monkeypatch):
+    calls = {"compose": 0, "coordinate": 0, "nested": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(families, "compose_level", counted("compose", families.compose_level))
+    monkeypatch.setattr(config_mod, "compose_level", families.compose_level)
+    monkeypatch.setattr(
+        config_mod, "build_coordinate_family",
+        counted("coordinate", config_mod.build_coordinate_family),
+    )
+    monkeypatch.setattr(families, "_nested", counted("nested", families._nested))
+    catalogs = [["identity", "negation"], ["identity", "negation", "min"], list(COMBINATOR_NAMES)]
+    coordinate = {"builder": "coordinate"}
+    spec = {
+        "levels": [coordinate] + [
+            {"builder": "compose", "base": coordinate, "s1": 2 if len(c) > 2 else 1, "s2": 1,
+             "catalog": c}
+            for c in catalogs
+        ],
+        "pad_to": 13,
+    }
+    ctx = ConfigContext(rs.FiniteDomain(size=256, bit_width=8), seed=None)
+    ladder = build_ladder(spec, ctx, "config.ladder")
+    assert calls == {"compose": 1, "coordinate": 1, "nested": 0}
+    top = ladder[3]
+    assert ladder[0].name == "coordinates(8 bits)" and len(top) == 8 + 8 + 64 + 64
+    for lvl in (ladder[1], ladder[2]):
+        assert np.shares_memory(lvl.matrix, top.matrix) and not lvl.matrix.flags.writeable
+        assert lvl.descriptors == top.descriptors[: len(lvl)]
+    assert all(ladder[i] is top for i in range(4, 13))
 
 
 def test_ladder_labels_monotone():
