@@ -276,10 +276,11 @@ def build_family(spec: Any, ctx: ConfigContext, path: str) -> Family:
 
 def _compose_request(
     spec: dict, ctx: ConfigContext, path: str, build_base: Callable[..., Family]
-) -> tuple[Family, int, int, list[Combinator]]:
-    """(base, s1, s2, catalog) of a compose spec, the base built by
-    ``build_base(spec, ctx, path)``; a request ``compose_level`` would
-    refuse is refused here, under ``path``."""
+) -> tuple[Family, int, int, tuple[Combinator, ...]]:
+    """(base, s1, s2, entries) of a compose spec, the base built by
+    ``build_base(spec, ctx, path)`` and the entries those of its catalog
+    that fit (s1, s2) (``compose_entries``); a request ``compose_level``
+    would refuse is refused here, under ``path``."""
     _only_keys(spec, {"builder", "base", "s1", "s2", "catalog"}, path)
     base = build_base(spec.get("base"), ctx, f"{path}.base")
     catalog_names = spec.get("catalog")
@@ -293,12 +294,12 @@ def _compose_request(
                 f"known: {sorted(STANDARD_COMBINATORS)}"
             )
         catalog.append(STANDARD_COMBINATORS[name]())
-    request = (base, _field(spec, "s1", path, int), _field(spec, "s2", path, int), catalog)
+    s1, s2 = _field(spec, "s1", path, int), _field(spec, "s2", path, int)
     try:
-        compose_entries(*request)
+        entries = compose_entries(base, s1, s2, catalog)
     except RegsimError as exc:
         raise ValidationError(f"{path}: {exc}") from None
-    return request
+    return base, s1, s2, entries
 
 
 def _shared_key(spec: Any) -> str | None:
@@ -349,7 +350,7 @@ def build_ladder(spec: Any, ctx: ConfigContext, path: str) -> GradedLadder:
 
     # each level is a Family, or the index of its compose request
     levels: list[Family | int] = []
-    requests: list[tuple[Family, int, int, list[Combinator]]] = []
+    requests: list[tuple[Family, int, int, tuple[Combinator, ...]]] = []
     for i, s in enumerate(levels_spec):
         where = f"{path}.levels[{i}]"
         if isinstance(s, dict) and s.get("builder") == "compose" and _shared_key(s) is not None:

@@ -439,22 +439,21 @@ def compose_level(
 
 
 def compose_levels(
-    requests: Sequence[tuple[Family, int, int, Sequence[Combinator]]],
-    cap: int = DEFAULT_FAMILY_CAP,
+    requests: Sequence[tuple[Family, int, int, tuple[Combinator, ...]]],
 ) -> list[Family]:
-    """``compose_level(base, s1, s2, combinators, cap)`` for every request,
-    in order, with one compose per chain: a request whose entries (see
-    ``compose_entries``) are a leading run of a wider request's over the
-    same base object is a family over the wider result's leading rows, a
-    read-only view with its own descriptors slice, labels and name."""
-    entries = [compose_entries(*request, cap) for request in requests]
+    """``compose_level(base, s1, s2, entries)`` for every request, in
+    order, where ``entries`` is what ``compose_entries(base, s1, s2, ...)``
+    returned for it, with one compose per chain: a request whose entries
+    are a leading run of a wider request's over the same base object is a
+    family over the wider result's leading rows, a read-only view with its
+    own descriptors slice, labels and name."""
     out: list[Family | None] = [None] * len(requests)
     tops: list[tuple[Family, tuple[Combinator, ...], Family]] = []
-    for i in sorted(range(len(requests)), key=lambda i: -len(entries[i])):
-        base, s1, s2, _ = requests[i]
+    for i in sorted(range(len(requests)), key=lambda i: -len(requests[i][3])):
+        base, s1, s2, entries = requests[i]
         for top_base, top_entries, top in tops:
-            if top_base is base and top_entries[: len(entries[i])] == entries[i]:
-                rows = _composed_rows(len(base), entries[i])
+            if top_base is base and top_entries[: len(entries)] == entries:
+                rows = _composed_rows(len(base), entries)
                 out[i] = Family._in_range(
                     top.matrix[:rows],
                     top.descriptors[:rows],
@@ -463,8 +462,8 @@ def compose_levels(
                 )
                 break
         else:
-            out[i] = compose_level(base, s1, s2, entries[i], cap)
-            tops.append((base, entries[i], out[i]))
+            out[i] = compose_level(base, s1, s2, entries)
+            tops.append((base, entries, out[i]))
     return out
 
 
