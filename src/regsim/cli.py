@@ -25,13 +25,19 @@ def _apply_thread_env() -> None:
             os.environ.setdefault(var, threads)
 
 
-def _emit(outcome: RunOutcome, out_path: str | None) -> None:
+def _emit(outcome: RunOutcome, out_path: str | None) -> int:
+    """Write the report; the run's exit code, or 1 when the path is unwritable."""
     text = outcome.report_text()
-    if out_path:
+    if not out_path:
+        sys.stdout.write(text)
+        return outcome.exit_code
+    try:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        print(f"error: cannot write report: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    return outcome.exit_code
 
 
 def _cmd_run(args) -> int:
@@ -41,8 +47,9 @@ def _cmd_run(args) -> int:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     outcome = run_config(config, seed_override=args.seed)
-    _emit(outcome, args.out or config.get("output"))
-    return outcome.exit_code
+    # a non-string output is a named problem in the report, which goes to stdout
+    output = config.get("output") if isinstance(config, dict) else None
+    return _emit(outcome, args.out or (output if isinstance(output, str) else None))
 
 
 def _cmd_validate(args) -> int:
@@ -71,9 +78,7 @@ def _cmd_demo(args) -> int:
     except KeyError:
         print(f"error: unknown demo {args.name!r}; try --list", file=sys.stderr)
         return EXIT_CONFIG
-    outcome = run_config(config, seed_override=args.seed)
-    _emit(outcome, args.out)
-    return outcome.exit_code
+    return _emit(run_config(config, seed_override=args.seed), args.out)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -496,6 +496,9 @@ def plan_config(config: Any) -> tuple[Plan | None, list[str]]:
     if seed is not None and (isinstance(seed, bool) or not isinstance(seed, Integral) or seed < 0):
         diags.add("config.seed", f"expected a nonnegative integer, got {seed!r}")
         seed = None
+    output = config.get("output")
+    if output is not None and not isinstance(output, str):
+        diags.add("config.output", "expected a string path")
 
     needs = _NEEDS[algo]
     dists = config.get("distributions", {})

@@ -107,12 +107,6 @@ class Distribution:
     def uniform(cls, n: int) -> "Distribution":
         return cls(np.full(n, 1.0 / n))
 
-    @classmethod
-    def point(cls, n: int, index: int) -> "Distribution":
-        w = np.zeros(n)
-        w[index] = 1.0
-        return cls(w)
-
 
 @dataclass(frozen=True)
 class BoundedFn:

@@ -59,12 +59,6 @@ class ComplexityLabel:
     def le(self, other: "ComplexityLabel") -> bool:
         return self.s1 <= other.s1 and self.s2 <= other.s2
 
-    def __add__(self, other: "ComplexityLabel") -> "ComplexityLabel":
-        return ComplexityLabel(self.s1 + other.s1, self.s2 + other.s2)
-
-    def scale(self, c: int) -> "ComplexityLabel":
-        return ComplexityLabel(self.s1 * c, self.s2 * c)
-
     def join(self, other: "ComplexityLabel") -> "ComplexityLabel":
         return ComplexityLabel(max(self.s1, other.s1), max(self.s2, other.s2))
 
@@ -478,13 +472,8 @@ class GradedLadder:
     Nesting is by value: every member value-vector of level i must appear in
     level i+1, with -0.0 equal to 0.0.  A level whose matrix equals the
     leading rows of the next one's (as a level composed with a shorter
-    catalog does, see ``compose_levels``) is nested by that one compare.
-    Otherwise each of the two levels gets one float key per row, its dot
-    product with ``_row_key_weights``, computed once per distinct level; a
-    lower row's candidate is the upper row whose key matches, and the two
-    are compared exactly.  Rows without an exactly equal candidate (a key
-    collision, or a row that is really missing) go to the exact test on row
-    bytes (``_missing_by_bytes``), so the verdict never rests on a key.
+    catalog does, see ``compose_levels``) is nested by that one compare;
+    any other pair by the exact test on row bytes (``_missing_by_bytes``).
     Levels may repeat, which is how shallow chains are padded to the depth a
     construction needs; a repeated level is not compared with itself.
     """
@@ -497,23 +486,12 @@ class GradedLadder:
         for i, lvl in enumerate(levels):
             if lvl.domain_size != n:
                 raise DomainMismatchError(n, lvl.domain_size, f"ladder level {i}")
-        keys: dict[int, np.ndarray] = {}  # id of a distinct level -> its row keys
-
-        def keys_of(lvl: Family) -> np.ndarray:
-            if id(lvl) not in keys:
-                # einsum sums each row in the same order whatever matrix
-                # holds it, so equal rows get equal keys; a BLAS matvec
-                # gave equal rows different keys in different matrices
-                keys[id(lvl)] = np.einsum("ij,j->i", lvl.matrix, _row_key_weights(n))
-            return keys[id(lvl)]
-
         for i in range(len(levels) - 1):
             lower, upper = levels[i], levels[i + 1]
             if lower is upper:
                 continue
-            if not (
-                _leads(lower.matrix, upper.matrix)
-                or _nested(lower.matrix, keys_of(lower), upper.matrix, keys_of(upper))
+            if not _leads(lower.matrix, upper.matrix) and _missing_by_bytes(
+                lower.matrix, upper.matrix
             ):
                 raise ValidationError(
                     f"ladder levels not nested: level {i} has a member missing from level {i + 1}"
@@ -541,33 +519,9 @@ class GradedLadder:
         return GradedLadder(levels, name=self.name)
 
 
-@functools.lru_cache(maxsize=8)
-def _row_key_weights(n: int) -> np.ndarray:
-    """The fixed weights, uniform on [0.5, 1) and seeded by N, that turn a
-    ladder row into its key; read-only, since callers share them."""
-    weights = np.random.default_rng(n).uniform(0.5, 1.0, size=n)
-    weights.setflags(write=False)
-    return weights
-
-
 def _leads(lower: np.ndarray, upper: np.ndarray) -> bool:
     """Whether ``lower`` equals the leading rows of ``upper`` (-0.0 == 0.0)."""
     return len(lower) <= len(upper) and bool((upper[: len(lower)] == lower).all())
-
-
-def _nested(
-    lower: np.ndarray, lower_keys: np.ndarray, upper: np.ndarray, upper_keys: np.ndarray
-) -> bool:
-    """Whether every row of ``lower`` is a row of ``upper`` (-0.0 == 0.0).
-
-    Each lower row is compared with ``==`` to the first upper row of its
-    key; only the rows that candidate does not equal reach the exact
-    fallback."""
-    order = np.argsort(upper_keys, kind="stable")
-    pos = np.searchsorted(upper_keys[order], lower_keys)
-    candidates = order[np.minimum(pos, len(order) - 1)]
-    matched = (upper[candidates] == lower).all(axis=1)
-    return bool(matched.all()) or not _missing_by_bytes(lower[~matched], upper)
 
 
 def _missing_by_bytes(rows: np.ndarray, upper: np.ndarray) -> bool:
@@ -622,19 +576,9 @@ class GrowthMap:
         )
 
     @classmethod
-    def explicit(
-        cls,
-        ladder: GradedLadder,
-        table: Sequence[int],
-        label_map: Callable[[ComplexityLabel], ComplexityLabel] | None = None,
-    ) -> "GrowthMap":
+    def explicit(cls, ladder: GradedLadder, table: Sequence[int]) -> "GrowthMap":
         table = list(table)
-        return cls(
-            ladder.depth,
-            table,
-            label_map or _induced_label_map(ladder, table),
-            name="explicit",
-        )
+        return cls(ladder.depth, table, _induced_label_map(ladder, table), name="explicit")
 
 
 def _induced_label_map(ladder: GradedLadder, table: Sequence[int]):

@@ -62,15 +62,6 @@ class RecurrenceBound:
         }
 
 
-def _clamp_label(lbl: ComplexityLabel) -> tuple[ComplexityLabel, bool]:
-    if lbl.s1 > LABEL_SATURATION or lbl.s2 > LABEL_SATURATION:
-        return (
-            ComplexityLabel(min(lbl.s1, LABEL_SATURATION), min(lbl.s2, LABEL_SATURATION)),
-            True,
-        )
-    return lbl, False
-
-
 def polylog_gates(epsilon: float) -> int:
     """Gate cost charged per update for grid arithmetic: b^2 for the
     b = min(52, ceil(log2(1/grid))) bits of the boosting grid epsilon^10
@@ -118,13 +109,13 @@ def recurrence_bound(
         cur = labels[-1]
         grown = growth.label_map(cur)
         if mode == "expanding":
-            nxt = cur + grown + ComplexityLabel(0, polylog_gates(epsilon))
+            s1, s2 = cur.s1 + grown.s1, cur.s2 + grown.s2 + polylog_gates(epsilon)
         else:
             eps_i = schedule.eps_at(i)
-            nxt = grown.scale(updates_bound(eps_i)) + ComplexityLabel(0, _recal_gates(eps_i))
-        nxt, sat = _clamp_label(nxt)
-        saturated = saturated or sat
-        labels.append(nxt)
+            updates = updates_bound(eps_i)
+            s1, s2 = grown.s1 * updates, grown.s2 * updates + _recal_gates(eps_i)
+        saturated = saturated or max(s1, s2) > LABEL_SATURATION
+        labels.append(ComplexityLabel(min(s1, LABEL_SATURATION), min(s2, LABEL_SATURATION)))
     return RecurrenceBound(labels=tuple(labels), saturated=saturated)
 
 

@@ -213,6 +213,39 @@ def test_cli_unreadable_file():
     assert main(["validate", "/nonexistent/config.json"]) == 1
 
 
+def test_cli_run_on_a_list_config_is_a_named_problem(tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]")
+    assert main(["run", str(path)]) == 1
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert report["error"]["problems"] == ["config: expected an object, got list"]
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("output", [{"a": 1}, 12345], ids=["object", "int"])
+def test_cli_non_string_output_is_a_named_problem(output, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(minimal_boost_config(output=output)))
+    assert main(["validate", str(path)]) == 1
+    assert "config.output: expected a string path" in capsys.readouterr().out
+    # the report names the problem on stdout, where no output path sends it
+    assert main(["run", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["error"]["problems"] == [
+        "config.output: expected a string path"
+    ]
+    assert "Traceback" not in captured.err
+
+
+def test_cli_unwritable_report_path_is_exit_one(tmp_path, capsys):
+    out = tmp_path / "missing" / "report.json"
+    assert main(["demo", "boost-two-point", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: cannot write report: ")
+    assert "Traceback" not in captured.err and not out.exists()
+
+
 def test_cli_demo_unknown_name(capsys):
     assert main(["demo", "no-such-demo"]) == 1
 
@@ -457,11 +490,14 @@ def _key_paths(node, path=()):
             yield from _key_paths(child, path + (key,))
 
 
-def test_mutated_demo_configs_are_runs_or_named_problems():
+def test_mutated_demo_configs_are_runs_or_named_problems(tmp_path, monkeypatch, capsys):
+    # each config names a report path, so mutations reach the CLI's writer;
+    # every relative path it writes lands in tmp_path
+    monkeypatch.chdir(tmp_path)
     rng = random.Random(2012)
     names = demo_names()
     for i in range(300):
-        config, edits = demo_config(names[i % len(names)]), []
+        config, edits = {**demo_config(names[i % len(names)]), "output": "report.json"}, []
         for _ in range(rng.choice((1, 1, 2))):
             *parents, key = rng.choice(list(_key_paths(config)))
             node = functools.reduce(operator.getitem, parents, config)
@@ -472,8 +508,9 @@ def test_mutated_demo_configs_are_runs_or_named_problems():
                 node[key] = copy.deepcopy(rng.choice(FUZZ_VALUES))
                 edits.append((*parents, key, node[key]))
         assert isinstance(validate_config(config), list), edits
-        outcome = run_config(config)
-        assert outcome.exit_code in (0, 1, 2), (names[i % len(names)], edits, outcome.report)
+        Path("config.json").write_text(json.dumps(config))
+        code = main(["run", "config.json"])
+        assert code in (0, 1, 2), (names[i % len(names)], edits, capsys.readouterr())
 
 
 @pytest.mark.parametrize(
