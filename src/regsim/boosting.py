@@ -308,7 +308,7 @@ def multicalibration_check(
     live_masses = masses[live]
     errs = np.abs(_level_matrix(family.matrix, residual, inverse, values.size)[:, live])
     errs /= live_masses
-    witnesses = np.argmax(errs, axis=0)
+    witnesses = family.firsts[np.argmax(errs, axis=0)]
     worst = errs.max(axis=0)
     bad = live_masses[worst > epsilon]
     # cumsum adds in level order, as the per-level audit always has
@@ -428,7 +428,8 @@ def _boost(
                 f"boost ({termination}) exceeded {params.max_iters} updates; "
                 "the potential argument rules this out for a valid family"
             )
-        shifted = np.clip(h.values + eps * br.sign * family.matrix[br.index], 0.0, 1.0)
+        step_row = family.matrix[family.rows[br.index]]
+        shifted = np.clip(h.values + eps * br.sign * step_row, 0.0, 1.0)
         h_new = BoundedFn(round_to_grid(shifted, grid))
         phi_new = potential(g, h_new, dist)
         if phi_new > phi - 2 * eps * br.correlation + eps * eps + 2 * grid + DERIVED_TOL:
@@ -590,10 +591,11 @@ def multicalibrate(
             raise InternalContractError(
                 f"multicalibration exceeded {max_iters} iterations"
             )
-        j, member_idx, sign, weighted = choice
+        j, row, sign, weighted = choice
+        member_idx = int(family.firsts[row])
         level_value, mass = float(values[j]), float(masses[j])
         sel = inverse == j
-        f_vals = family.matrix[member_idx]
+        f_vals = family.matrix[row]
         threshold, target = _best_threshold_shift(
             g, h, dist, sel, f_vals, sign, epsilon, level_value
         )
@@ -646,11 +648,12 @@ def multicalibrate(
 
 
 def _worst_weighted_violation(masses, sums, epsilon, floor):
-    """Pick the (level, member, sign) with the largest |E[1_level f (g-h)]|
-    among levels with mass >= floor and conditional correlation > epsilon;
-    ties go to the lowest level, then the lowest member.  Returns (level
-    index, member index, sign, |weighted sum|), or None if no level
-    qualifies."""
+    """Pick the (level, row, sign) with the largest |E[1_level f (g-h)]|
+    among levels with mass >= floor and conditional correlation > epsilon,
+    ``sums`` holding one row per distinct family row; ties go to the lowest
+    level, then the lowest row, which is the row of the lowest member.
+    Returns (level index, row index, sign, |weighted sum|), or None if no
+    level qualifies."""
     cols = np.flatnonzero((masses >= floor) & (masses > 0.0))
     weighted = sums[:, cols]
     size = np.abs(weighted)
@@ -658,9 +661,9 @@ def _worst_weighted_violation(masses, sums, epsilon, floor):
     if score.size == 0 or score.max() < 0.0:
         return None
     # argmax over the level-major flattening returns the first maximum
-    col, member_idx = divmod(int(np.argmax(score.T)), sums.shape[0])
-    w = float(weighted[member_idx, col])
-    return int(cols[col]), member_idx, +1 if w > 0 else -1, abs(w)
+    col, row = divmod(int(np.argmax(score.T)), sums.shape[0])
+    w = float(weighted[row, col])
+    return int(cols[col]), row, +1 if w > 0 else -1, abs(w)
 
 
 def _best_threshold_shift(g, h, dist, sel, f_vals, sign, epsilon, level_value):

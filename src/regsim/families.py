@@ -8,13 +8,15 @@ desk-scale stand-in for a graded complexity lattice: exact search over all
 circuits of a given size is out of reach, but a monotone chain of explicit
 families supports every construction built here.
 
-A member crosses a module boundary as its row index: ``best_response`` and
+A member crosses a module boundary as its index: ``best_response`` and
 ``family_distance`` return the index of their witness, and callers read
-``family.matrix``, ``family.descriptors`` and ``family.labels`` at it.
+``family.descriptors`` and ``family.labels`` at it, and its values at
+``family.matrix[family.rows[index]]``.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import mmap
@@ -67,9 +69,17 @@ class ComplexityLabel:
 
 
 class Family:
-    """A nonempty, deterministically ordered family of distinguishers on one
-    domain: ``matrix`` is the (m, N) array of member values, row order =
-    enumeration order, with one entry of ``descriptors`` and ``labels`` per row.
+    """A nonempty, deterministically ordered family of m distinguishers on
+    one domain, with one entry of ``descriptors`` and ``labels`` per member.
+
+    ``matrix`` is the (d, N) array of the members' distinct value rows and
+    ``rows`` the (m,) map from member to row: member i's values are
+    ``matrix[rows[i]]``.  Rows are stored in order of first occurrence, so
+    ``firsts[r]``, the lowest member whose row is r, increases with r, and
+    a scan over rows that keeps the first maximum keeps the lowest member.
+    A family built from a matrix maps member i to row i; only
+    ``compose_level`` (and the families derived from it) stores a twin
+    member once.
 
     The matrix is taken without a copy and made read-only, so a builder fills
     one array in place.
@@ -96,23 +106,31 @@ class Family:
         descriptors: Sequence[str],
         labels: Sequence[ComplexityLabel],
         name: str,
+        rows: np.ndarray | None = None,
     ) -> "Family":
-        """A family over a float (m, N) matrix, m, N >= 1, that its builder
+        """A family over a float (d, N) matrix, d, N >= 1, that its builder
         has already read and found finite and inside [0, 1], so it is not
-        scanned again."""
+        scanned again.  ``rows`` maps each member to its row, every row
+        first used in row order; None maps member i to row i."""
         family = cls.__new__(cls)
-        family._adopt(matrix, descriptors, labels, name, scan=False)
+        family._adopt(matrix, descriptors, labels, name, scan=False, rows=rows)
         return family
 
-    def _adopt(self, matrix, descriptors, labels, name, scan: bool) -> None:
+    def _adopt(self, matrix, descriptors, labels, name, scan: bool, rows=None) -> None:
         self.descriptors, self.labels = tuple(descriptors), tuple(labels)
-        if not len(self.descriptors) == len(self.labels) == matrix.shape[0]:
-            raise ValidationError("a family needs one descriptor and one label per row")
+        if rows is None:
+            rows = self.firsts = np.arange(matrix.shape[0])
+        else:
+            self.firsts = np.full(matrix.shape[0], len(rows))
+            np.minimum.at(self.firsts, rows, np.arange(len(rows)))
+        if not len(self.descriptors) == len(self.labels) == len(rows):
+            raise ValidationError("a family needs one descriptor and one label per member")
         # min/max propagate NaN, so one comparison also rejects non-finite rows
         if scan and not (matrix.min() >= 0.0 and matrix.max() <= 1.0):
             raise ValidationError(_OUT_OF_RANGE)
         matrix.setflags(write=False)
-        self.matrix = matrix
+        rows.setflags(write=False)
+        self.matrix, self.rows = matrix, rows
         self.name = name
         self.domain_size = matrix.shape[1]
         # the join of every row's label, taken componentwise
@@ -121,23 +139,23 @@ class Family:
         )
 
     def __len__(self) -> int:
-        return self.matrix.shape[0]
+        return len(self.rows)
 
     @functools.cached_property
     def by_point(self) -> np.ndarray:
-        """Read-only point-major (N, m) copy of ``matrix``: row x holds every
-        member's value at point x.  Built on first use and kept for the
-        family's lifetime, so it costs m * N * 8 bytes from then on; only
+        """Read-only point-major (N, d) copy of ``matrix``: row x holds every
+        distinct row's value at point x.  Built on first use and kept for the
+        family's lifetime, so it costs d * N * 8 bytes from then on; only
         ``boosting.multicalibrate`` reads it."""
-        m, n = self.matrix.shape
+        d, n = self.matrix.shape
         # An anonymous mapping of its own, released whole when the family
         # is freed.  From the malloc heap (np.empty) the copy stayed
         # resident after the family was gone, and the next large build
         # peaked about 13 MiB higher (boost-wide benchmark, m = 364).
-        by_point = np.frombuffer(mmap.mmap(-1, 8 * m * n), dtype=float).reshape(n, m)
-        # 32 members at a time: on a 2-core Xeon this ran 1.5-3x faster than
-        # one strided copy at m = 364, N = 8192 and m = 420, N = 16384
-        for start in range(0, len(self), 32):
+        by_point = np.frombuffer(mmap.mmap(-1, 8 * d * n), dtype=float).reshape(n, d)
+        # 32 rows at a time: on a 2-core Xeon this ran 1.5-3x faster than
+        # one strided copy at d = 364, N = 8192 and d = 420, N = 16384
+        for start in range(0, d, 32):
             by_point[:, start : start + 32] = self.matrix[start : start + 32].T
         by_point.setflags(write=False)
         return by_point
@@ -149,13 +167,19 @@ class Family:
         labels: Sequence[ComplexityLabel],
         name: str | None = None,
     ) -> "Family":
-        """This family with ``rows`` (and their descriptors and labels) appended."""
-        return Family(
-            np.vstack([self.matrix, *rows]),
+        """This family with ``rows`` (and their descriptors and labels)
+        appended as new members, each stored as a row of its own."""
+        matrix = np.vstack([self.matrix, *rows])
+        family = Family.__new__(Family)
+        family._adopt(
+            matrix,
             self.descriptors + tuple(descriptors),
             self.labels + tuple(labels),
-            name=name or self.name,
+            name or self.name,
+            scan=True,
+            rows=np.concatenate([self.rows, np.arange(len(self.matrix), len(matrix))]),
         )
+        return family
 
 
 @dataclass(frozen=True)
@@ -163,8 +187,9 @@ class BestResponse:
     """Maximizer of the signed correlation over a family.
 
     ``correlation`` is the signed value E[(sign * f)(g - h)] of the winner
-    f = ``family.matrix[index]``, which the exhaustive scan makes the exact
-    maximum.  Ties break to the lowest member index, then to sign +1.
+    f = ``family.matrix[family.rows[index]]``, which the exhaustive scan
+    makes the exact maximum.  Ties break to the lowest member index, then
+    to sign +1.
     """
 
     index: int
@@ -175,20 +200,26 @@ class BestResponse:
 def best_response(
     family: Family, g: BoundedFn, h: BoundedFn, dist: Distribution
 ) -> BestResponse:
-    """Exhaustively maximize sigma * E[f (g - h)] over sigma in {+1, -1}, f in F."""
+    """Exhaustively maximize sigma * E[f (g - h)] over sigma in {+1, -1}, f in F.
+
+    One matvec over the family's distinct rows scores every member; twin
+    members share their row's score."""
     if family.domain_size != dist.size:
         raise DomainMismatchError(dist.size, family.domain_size, "family")
     if g.size != dist.size or h.size != dist.size:
         raise DomainMismatchError(dist.size, g.size if g.size != dist.size else h.size, "function")
     residual = dist.weights * (g.values - h.values)
     corr = family.matrix @ residual
-    # Candidate order (member 0 +, member 0 -, member 1 +, ...) makes argmax's
-    # first-hit rule implement the documented tie-break.
+    # Candidate order (row 0 +, row 0 -, row 1 +, ...) makes argmax's
+    # first-hit rule implement the documented tie-break, since rows are
+    # stored in order of their lowest member.
     candidates = np.stack([corr, -corr], axis=1).reshape(-1)
     flat = int(np.argmax(candidates))
-    index, sign = divmod(flat, 2)
+    row, sign = divmod(flat, 2)
     sign = +1 if sign == 0 else -1
-    return BestResponse(index=index, sign=sign, correlation=float(candidates[flat]))
+    return BestResponse(
+        index=int(family.firsts[row]), sign=sign, correlation=float(candidates[flat])
+    )
 
 
 @dataclass(frozen=True)
@@ -204,8 +235,8 @@ def family_distance(family: Family, p: MeasureLike, q: MeasureLike) -> FamilyDis
     each a Distribution or a raw nonnegative vector (such as a hat measure)."""
     pv = _measure_vector(p, family.domain_size, "first measure")
     gaps = family.matrix @ (pv - _measure_vector(q, family.domain_size, "second measure"))
-    idx = int(np.argmax(np.abs(gaps)))
-    return FamilyDistance(value=float(abs(gaps[idx])), index=idx)
+    row = int(np.argmax(np.abs(gaps)))
+    return FamilyDistance(value=float(abs(gaps[row])), index=int(family.firsts[row]))
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +267,8 @@ def build_threshold_family(h: BoundedFn, grid: Sequence[float]) -> Family:
     grid = [float(t) for t in grid]
     if not grid:
         raise EmptyFamilyError("threshold grid must be nonempty")
-    if any(t < 0 or t > 1 for t in grid):
+    # written so that NaN, which compares false both ways, is refused
+    if not all(0 <= t <= 1 for t in grid):
         raise ValidationError("threshold grid values must lie in [0, 1]")
     if any(a > b for a, b in zip(grid, grid[1:])):
         raise ValidationError("threshold grid must be sorted ascending")
@@ -306,12 +338,18 @@ class Combinator:
     ufunc: applied to arrays of member values it computes
     C(f_1(x), ..., f_a(x)) elementwise, writes it into ``out`` when given
     (an array of the broadcast shape) and returns a fresh array otherwise.
+
+    ``semilattice`` declares a binary ``fn`` commutative and idempotent,
+    C(a, b) = C(b, a) and C(a, a) = a, as min and max are, so that
+    ``compose_level`` computes each unordered pair of rows once.  A
+    combinator built without it is taken as it is.
     """
 
     name: str
     arity: int
     size: int
     fn: Callable[..., np.ndarray]
+    semilattice: bool = False
 
 
 def _negate(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -328,11 +366,11 @@ def combinator_negation() -> Combinator:
 
 
 def combinator_min() -> Combinator:
-    return Combinator("min", 2, 1, np.minimum)
+    return Combinator("min", 2, 1, np.minimum, semilattice=True)
 
 
 def combinator_max() -> Combinator:
-    return Combinator("max", 2, 1, np.maximum)
+    return Combinator("max", 2, 1, np.maximum, semilattice=True)
 
 
 STANDARD_COMBINATORS = {
@@ -361,15 +399,35 @@ def compose_entries(
     entries = tuple(c for c in combinators if c.arity <= s1 and c.size <= s2)
     if not entries:
         raise EmptyFamilyError("no catalog entry fits within (s1, s2)")
-    total = _composed_rows(len(base), entries)
+    total = _member_count(len(base), entries)
     if total > cap:
         raise CapExceededError(total, cap, "composed family")
     return entries
 
 
-def _composed_rows(m: int, entries: Sequence[Combinator]) -> int:
-    """Rows of the entries' blocks over m base members: m^arity each."""
+def _member_count(m: int, entries: Sequence[Combinator]) -> int:
+    """Members of the entries' blocks over m base members: m^arity each."""
     return sum(m ** c.arity for c in entries)
+
+
+def _is_identity(comb: Combinator) -> bool:
+    return comb.arity == 1 and comb.fn is np.positive
+
+
+def _stored_rows(d: int, entries: Sequence[Combinator]) -> list[int]:
+    """Rows ``compose_level`` stores for each entry over d distinct base
+    rows: d^arity, or for a semilattice pair the d(d - 1)/2 pairs i < j,
+    plus the d diagonal pairs unless an identity entry comes earlier.  An
+    entry's count depends only on the entries before it, so the counts of
+    a leading run of entries are the leading counts."""
+    counts, identity = [], False
+    for comb in entries:
+        if comb.semilattice and comb.arity == 2:
+            counts.append(d * (d - 1) // 2 if identity else d * (d + 1) // 2)
+        else:
+            counts.append(d ** comb.arity)
+        identity = identity or _is_identity(comb)
+    return counts
 
 
 def _compose_name(base: Family, s1: int, s2: int) -> str:
@@ -386,40 +444,79 @@ def compose_level(
     """Enumerate C(f_{i1}, ..., f_{ia}) over catalog entries and index tuples.
 
     Entries of arity above s1 or declared size above s2 are skipped; the
-    resulting family is labeled (s1, s2).  Rows come catalog entry by entry,
-    index tuples in row-major order (last index fastest), one broadcast call
-    of ``fn`` per entry writing straight into that entry's block of the
-    output, so no (m^arity, N) temporary is built.  Each block is read once
-    more, by one min and one max pass, which is the family's range check;
-    only a block outside [0, 1] is read again, row by row.
+    resulting family is labeled (s1, s2).  Members come catalog entry by
+    entry, index tuples over the base members in row-major order (last
+    index fastest).
+
+    Twin members share one row, by structure, not by search: an entry acts
+    on the base's distinct rows.  A semilattice pair entry stores only the
+    pairs i < j, (j, i) mapping to (i, j); its diagonal (i, i) maps to
+    identity row i when an identity entry comes earlier, and is stored
+    ahead of the pairs (i, j) otherwise.  So rows come in order of their
+    first member.  An entry is one broadcast call of ``fn`` over the grid
+    of base rows, a pair entry one call per base row against the rows
+    after it, each writing straight into the output, so no (m^arity, N)
+    temporary is built.  Each block is read once more, by one min and one
+    max pass, which is the family's range check; only a block outside
+    [0, 1] is read again, row by row.
     """
     entries = compose_entries(base, s1, s2, combinators, cap)
-    m, n = base.matrix.shape
-    total = _composed_rows(m, entries)
-    matrix = np.empty((total, n))
-    descriptors = []
-    start, finite = 0, True
-    for comb in entries:
-        count, grid = m ** comb.arity, (m,) * comb.arity
-        # argument j varies along axis j of an (m, ..., m, N) grid
-        args = [
-            base.matrix.reshape((1,) * j + (m,) + (1,) * (comb.arity - 1 - j) + (n,))
-            for j in range(comb.arity)
-        ]
+    d, n = base.matrix.shape
+    counts = _stored_rows(d, entries)
+    matrix = np.empty((sum(counts), n))
+    maps, descriptors = [], []
+    start, finite, identity, pairs = 0, True, None, None
+    for comb, count in zip(entries, counts):
         block = matrix[start:start + count]
-        comb.fn(*args, out=block.reshape(grid + (n,)))
+        if comb.semilattice and comb.arity == 2:
+            if pairs is None:
+                lo = np.minimum.outer(base.rows, base.rows)
+                hi = np.maximum.outer(base.rows, base.rows)
+                # the rank of the pair of rows (lo, hi) in row-major order
+                # over lo <= hi
+                pairs, diagonal = lo * (2 * d - lo - 1) // 2 + hi, lo == hi
+            skip = int(identity is not None)
+            if skip:
+                # over lo < hi, each pair ranks lo + 1 lower; the diagonal
+                # (i, i) is identity row i
+                index = np.where(diagonal, identity + lo, start + pairs - lo - 1)
+            else:
+                index = start + pairs
+            at = 0
+            for i, row in enumerate(base.matrix[: d - skip]):
+                rest = base.matrix[i + skip:]
+                comb.fn(row, rest, out=block[at:at + len(rest)])
+                at += len(rest)
+        else:
+            index = np.zeros((), dtype=np.intp)
+            for _ in range(comb.arity):
+                index = np.add.outer(index * d, base.rows)
+            index += start
+            # argument j varies along axis j of a (d, ..., d, N) grid
+            args = [
+                base.matrix.reshape((1,) * j + (d,) + (1,) * (comb.arity - 1 - j) + (n,))
+                for j in range(comb.arity)
+            ]
+            comb.fn(*args, out=block.reshape((d,) * comb.arity + (n,)))
+            if identity is None and _is_identity(comb):
+                identity = start
+        index = index.ravel()
         # a block inside [0, 1] needs no more (whole-block reductions beat
         # per-row ones about 3x on short rows); clip leaves such values (and
         # -0.0) as they are.  min/max propagate NaN, which clip keeps, so a
         # NaN row is refused once every block is checked.
-        if not (block.min() >= 0.0 and block.max() <= 1.0):
-            lo, hi = block.min(axis=1), block.max(axis=1)
-            outside = (lo < -STRUCT_TOL) | (hi > 1 + STRUCT_TOL)
+        if count and not (block.min() >= 0.0 and block.max() <= 1.0):
+            low, high = block.min(axis=1), block.max(axis=1)
+            outside = (low < -STRUCT_TOL) | (high > 1 + STRUCT_TOL)
             if outside.any():
-                tup = tuple(int(i) for i in np.unravel_index(int(np.argmax(outside)), grid))
+                # the row's first member names it
+                member = int(np.argmax(index == start + int(np.argmax(outside))))
+                grid = (len(base),) * comb.arity
+                tup = tuple(int(i) for i in np.unravel_index(member, grid))
                 raise ValidationError(f"combinator {comb.name} left [0, 1] on inputs {tup}")
-            finite = finite and not np.isnan(lo).any()
+            finite = finite and not np.isnan(low).any()
             np.clip(block, 0.0, 1.0, out=block)
+        maps.append(index)
         descriptors.extend(
             f"{comb.name}({', '.join(tup)})"
             for tup in itertools.product(base.descriptors, repeat=comb.arity)
@@ -428,7 +525,11 @@ def compose_level(
     if not finite:
         raise ValidationError(_OUT_OF_RANGE)
     return Family._in_range(
-        matrix, descriptors, [ComplexityLabel(s1, s2)] * total, _compose_name(base, s1, s2)
+        matrix,
+        descriptors,
+        [ComplexityLabel(s1, s2)] * len(descriptors),
+        _compose_name(base, s1, s2),
+        rows=np.concatenate(maps),
     )
 
 
@@ -439,20 +540,21 @@ def compose_levels(
     order, where ``entries`` is what ``compose_entries(base, s1, s2, ...)``
     returned for it, with one compose per chain: a request whose entries
     are a leading run of a wider request's over the same base object is a
-    family over the wider result's leading rows, a read-only view with its
-    own descriptors slice, labels and name."""
+    family over the wider result's leading members and leading rows, a
+    read-only view with its own descriptors slice, labels and name."""
     out: list[Family | None] = [None] * len(requests)
     tops: list[tuple[Family, tuple[Combinator, ...], Family]] = []
     for i in sorted(range(len(requests)), key=lambda i: -len(requests[i][3])):
         base, s1, s2, entries = requests[i]
         for top_base, top_entries, top in tops:
             if top_base is base and top_entries[: len(entries)] == entries:
-                rows = _composed_rows(len(base), entries)
+                members = _member_count(len(base), entries)
                 out[i] = Family._in_range(
-                    top.matrix[:rows],
-                    top.descriptors[:rows],
-                    [ComplexityLabel(s1, s2)] * rows,
+                    top.matrix[: sum(_stored_rows(len(base.matrix), entries))],
+                    top.descriptors[:members],
+                    [ComplexityLabel(s1, s2)] * members,
                     _compose_name(base, s1, s2),
+                    rows=top.rows[:members],
                 )
                 break
         else:
@@ -537,13 +639,20 @@ class GrowthMap:
     The stored table may point past the top of the ladder; applying the map
     there raises LadderExhaustedError, which is how a run reports that the
     chain ran out before the construction terminated.
+
+    The label action is tabulated once from ``labels``, one per level and
+    nondecreasing in both components, as a ladder's are: a label goes to
+    the label of the mapped image of the lowest level that dominates it,
+    and a label no level dominates goes to its join with the top level's
+    label, so formal recurrences stay monotone past the chain's reach.
+    Without labels the action is the identity.
     """
 
     def __init__(
         self,
         depth: int,
         table: Sequence[int],
-        label_map: Callable[[ComplexityLabel], ComplexityLabel],
+        labels: Sequence[ComplexityLabel] | None = None,
         name: str = "growth",
     ):
         table = tuple(int(t) for t in table)
@@ -556,49 +665,43 @@ class GrowthMap:
             raise ValidationError("growth map must be nondecreasing")
         self.depth = depth
         self.table = table
-        self.label_map = label_map
         self.name = name
+        labels = list(labels or ())
+        ordered = all(map(ComplexityLabel.le, labels, labels[1:]))
+        if labels and (len(labels) != depth or not ordered):
+            raise ValidationError("growth labels must be one per level and nondecreasing")
+        pairs = [(lbl.s1, lbl.s2) for lbl in labels]
+        self._s1, self._s2 = [p[0] for p in pairs], [p[1] for p in pairs]
+        self._images = [pairs[min(t, depth - 1)] for t in table] if pairs else []
+        self._top = pairs[-1] if pairs else (0, 0)
+
+    def label_map(self, s1: int, s2: int) -> tuple[int, int]:
+        """The label action on (s1, s2): with both label components
+        nondecreasing, the levels dominating a label are those at or past
+        both of its components' first dominating levels."""
+        j = max(bisect.bisect_left(self._s1, s1), bisect.bisect_left(self._s2, s2))
+        if j < len(self._images):
+            return self._images[j]
+        return max(self._top[0], s1), max(self._top[1], s2)
 
     @classmethod
     def identity(cls, ladder: GradedLadder) -> "GrowthMap":
-        return cls(ladder.depth, range(ladder.depth), lambda lbl: lbl, name="identity")
+        return cls(ladder.depth, range(ladder.depth), name="identity")
 
     @classmethod
     def shift(cls, ladder: GradedLadder, by: int) -> "GrowthMap":
         if by < 0:
             raise ValidationError("shift must be nonnegative")
-        table = [i + by for i in range(ladder.depth)]
         return cls(
             ladder.depth,
-            table,
-            _induced_label_map(ladder, table),
+            [i + by for i in range(ladder.depth)],
+            [lvl.label for lvl in ladder.levels],
             name=f"shift+{by}",
         )
 
     @classmethod
     def explicit(cls, ladder: GradedLadder, table: Sequence[int]) -> "GrowthMap":
-        table = list(table)
-        return cls(ladder.depth, table, _induced_label_map(ladder, table), name="explicit")
-
-
-def _induced_label_map(ladder: GradedLadder, table: Sequence[int]):
-    """Action on labels induced by the index map: send a label to the label of
-    the mapped image of the lowest level that dominates it.  Labels beyond
-    the ladder saturate to their join with the top label, so formal
-    recurrences stay monotone past the chain's reach."""
-    labels = [lvl.label for lvl in ladder.levels]
-    table = list(table)
-    # Only the first level of a run of equal labels can be the lowest that
-    # dominates, so the scan skips the rest of each run.
-    firsts = [j for j in range(len(labels)) if j == 0 or labels[j] != labels[j - 1]]
-
-    def label_map(lbl: ComplexityLabel) -> ComplexityLabel:
-        for j in firsts:
-            if lbl.le(labels[j]):
-                return labels[min(table[j], ladder.depth - 1)]
-        return labels[-1].join(lbl)
-
-    return label_map
+        return cls(ladder.depth, table, [lvl.label for lvl in ladder.levels], name="explicit")
 
 
 def apply_growth(growth: GrowthMap, level: int, phi: float | None = None) -> int:

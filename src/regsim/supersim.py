@@ -103,19 +103,20 @@ def recurrence_bound(
         raise ValidationError("expanding mode needs epsilon")
     if mode == "shrinking" and schedule is None:
         raise ValidationError("shrinking mode needs a schedule")
-    labels = [ComplexityLabel(1, 1)]
+    s1 = s2 = 1
+    labels = [ComplexityLabel(s1, s2)]
     saturated = False
     for i in range(rounds):
-        cur = labels[-1]
-        grown = growth.label_map(cur)
+        g1, g2 = growth.label_map(s1, s2)
         if mode == "expanding":
-            s1, s2 = cur.s1 + grown.s1, cur.s2 + grown.s2 + polylog_gates(epsilon)
+            s1, s2 = s1 + g1, s2 + g2 + polylog_gates(epsilon)
         else:
             eps_i = schedule.eps_at(i)
             updates = updates_bound(eps_i)
-            s1, s2 = grown.s1 * updates, grown.s2 * updates + _recal_gates(eps_i)
+            s1, s2 = g1 * updates, g2 * updates + _recal_gates(eps_i)
         saturated = saturated or max(s1, s2) > LABEL_SATURATION
-        labels.append(ComplexityLabel(min(s1, LABEL_SATURATION), min(s2, LABEL_SATURATION)))
+        s1, s2 = min(s1, LABEL_SATURATION), min(s2, LABEL_SATURATION)
+        labels.append(ComplexityLabel(s1, s2))
     return RecurrenceBound(labels=tuple(labels), saturated=saturated)
 
 

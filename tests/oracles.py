@@ -243,10 +243,12 @@ def multicalibrate_rescan(g, dist, family, epsilon):
     h = BoundedFn(round_to_grid(np.full(g.size, 0.5), epsilon))
     phi = potential(g, h, dist)
     records, kinds = [], set()
+    # one row per member, twins included
+    members = family.matrix[family.rows]
     while True:
         values, inverse, masses = _level_sets(h, dist)
         residual = dist.weights * (g.values - h.values)
-        sums = _level_matrix(family.matrix, residual, inverse, values.size)
+        sums = _level_matrix(members, residual, inverse, values.size)
         if (masses == 0.0).any():
             kinds.add("zero-mass")
         best = None
@@ -265,7 +267,7 @@ def multicalibrate_rescan(g, dist, family, epsilon):
         level_value = float(values[j])
         sel = inverse == j
         threshold, target = _best_threshold_shift(
-            g, h, dist, sel, family.matrix[i], sign, epsilon, level_value
+            g, h, dist, sel, members[i], sign, epsilon, level_value
         )
         new_value = np.clip(level_value + epsilon * sign, 0.0, 1.0)
         kinds.add("onto-existing" if new_value in values else "onto-new")

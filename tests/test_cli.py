@@ -238,6 +238,19 @@ def test_cli_non_string_output_is_a_named_problem(output, tmp_path, capsys):
     assert "Traceback" not in captured.err
 
 
+def test_cli_nan_threshold_grid_is_a_named_problem(tmp_path, capsys):
+    # json reads NaN, which compares false against both ends of [0, 1]
+    path = tmp_path / "nan.json"
+    family = {"builder": "threshold", "grid": [float("nan"), 0.5]}
+    path.write_text(json.dumps(minimal_boost_config(family=family)))
+    assert main(["run", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["error"]["problems"] == [
+        "config.family: threshold grid values must lie in [0, 1]"
+    ]
+    assert "Traceback" not in captured.err
+
+
 def test_cli_unwritable_report_path_is_exit_one(tmp_path, capsys):
     out = tmp_path / "missing" / "report.json"
     assert main(["demo", "boost-two-point", "--out", str(out)]) == 1

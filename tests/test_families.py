@@ -2,6 +2,7 @@ import json
 import re
 import tracemalloc
 
+import hypothesis as hyp
 import numpy as np
 import pytest
 
@@ -214,9 +215,20 @@ def test_compose_level_matches_per_tuple_loop(s1):
         base.descriptors,
         [(c.name, c.arity, c.fn) for c in catalog if c.arity <= s1],
     )
-    assert composed.matrix.tobytes() == rows.tobytes()
+    assert composed.matrix[composed.rows].tobytes() == rows.tobytes()
     assert list(composed.descriptors) == descriptors
     assert set(composed.labels) == {rs.ComplexityLabel(s1, 1)}
+
+
+def spread(a, b, out=None):
+    """max(a, b) + (a - b)^2: commutative and idempotent, and above 1 where
+    a large value meets a distant one."""
+    diff = np.subtract(a, b)
+    return np.add(np.maximum(a, b, out=out), diff * diff, out=out)
+
+
+def combinator_spread():
+    return rs.Combinator("spread", 2, 0, spread, semilattice=True)
 
 
 def test_compose_level_range_check_names_the_inputs():
@@ -227,6 +239,20 @@ def test_compose_level_range_check_names_the_inputs():
     with pytest.raises(rs.ValidationError) as err:
         rs.compose_level(base, 1, 0, [rs.Combinator("double", 1, 0, doubled)])
     assert str(err.value) == "combinator double left [0, 1] on inputs (1,)"
+    # a stored pair is named by its lowest member (i, j), i < j, whether the
+    # diagonal is stored ahead of it or read from the identity rows
+    three = rs.explicit_family([[0.5, 0.5], [0.0, 0.25], [0.75, 0.5]])
+    for catalog in ([combinator_spread()], [rs.combinator_identity(), combinator_spread()]):
+        with pytest.raises(rs.ValidationError) as err:
+            rs.compose_level(three, 2, 0, catalog)
+        assert str(err.value) == "combinator spread left [0, 1] on inputs (1, 2)"
+    # over a base with twins, the tuple names the base's members: the pair
+    # of rows max(0, 2) and max(1, 1), rows 2 and 3 of the base
+    twins = rs.compose_level(three, 2, 1, [rs.combinator_max()])
+    assert twins.rows.tolist() == [0, 1, 2, 1, 3, 4, 2, 4, 5]
+    with pytest.raises(rs.ValidationError) as err:
+        rs.compose_level(twins, 2, 0, [combinator_spread()])
+    assert str(err.value) == "combinator spread left [0, 1] on inputs (2, 4)"
 
 
 def test_compose_level_refuses_nan_after_every_block_is_checked():
@@ -244,6 +270,13 @@ def test_compose_level_refuses_nan_after_every_block_is_checked():
     # a later block outside [0, 1] is named before an earlier NaN row
     with pytest.raises(rs.ValidationError, match=r"^combinator double left \[0, 1\] on inputs \(0,\)"):
         rs.compose_level(base, 1, 0, [nan, rs.Combinator("double", 1, 0, doubled)])
+    # and so is a later pair block, by its pair
+    wide = rs.explicit_family([[0.0, 0.75], [1.0, 0.5]])
+    named = r"^combinator spread left \[0, 1\] on inputs \(0, 1\)"
+    with pytest.raises(rs.ValidationError, match=named):
+        rs.compose_level(wide, 2, 0, [nan, combinator_spread()])
+    with pytest.raises(rs.ValidationError, match=r"^family values must be finite"):
+        rs.compose_level(wide, 2, 1, [nan, rs.combinator_identity(), rs.combinator_min()])
 
 
 def test_compose_level_allocates_only_its_output():
@@ -255,8 +288,150 @@ def test_compose_level_allocates_only_its_output():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    # the bound reads against the distinct rows: 2b + b(b - 1) of them
+    assert composed.matrix.shape == (2 * 12 + 12 * 11, 4096)
     # an (m^2, N) temporary per binary combinator would put this near 1.47
     assert peak <= 1.1 * composed.matrix.nbytes
+
+
+def assert_rows_in_first_member_order(family):
+    """Every row is some member's, rows are stored in order of their lowest
+    member, and ``firsts`` names that member."""
+    rows = family.rows
+    _, first_seen = np.unique(rows, return_index=True)
+    assert np.array_equal(first_seen, family.firsts)
+    assert np.array_equal(rows[family.firsts], np.arange(len(family.matrix)))
+
+
+def assert_composes_like_the_oracle(composed, base, catalog):
+    rows, descriptors = compose_rows(
+        base.matrix[base.rows], base.descriptors, [(c.name, c.arity, c.fn) for c in catalog]
+    )
+    assert composed.matrix[composed.rows].tobytes() == rows.tobytes()
+    assert list(composed.descriptors) == descriptors
+    assert_rows_in_first_member_order(composed)
+
+
+@pytest.mark.parametrize("bits", [1, 2, 3, 6])
+def test_coordinate_compose_stores_each_distinct_row_once(bits):
+    base = rs.build_coordinate_family(rs.FiniteDomain(size=2**bits, bit_width=bits))
+    composed = rs.compose_level(base, 2, 1, full_catalog())
+    assert len(composed) == 2 * bits + 2 * bits**2
+    assert len(composed.matrix) == 2 * bits + bits * (bits - 1)
+    # coordinates are independent bits, so no two stored rows are equal
+    assert len(np.unique(composed.matrix, axis=0)) == len(composed.matrix)
+    assert_composes_like_the_oracle(composed, base, full_catalog())
+
+
+@pytest.mark.parametrize(
+    "names",
+    [("negation", "min", "max"), ("min", "min"), ("max", "identity", "min"),
+     ("identity", "negation", "min", "max"), ("identity", "min", "nudge", "max")],
+    ids=["no-identity", "min-min", "identity-between", "full", "clipped-between-pairs"],
+)
+@pytest.mark.parametrize("nested", [False, True], ids=["explicit-base", "compose-base"])
+def test_compose_twins_match_the_oracle(names, nested):
+    def nudge(a, out=None):  # up to 1e-13 above 1, which the range check clips
+        return np.add(a, 1e-13, out=out)
+
+    rng = np.random.default_rng(23)
+    # quarter values, so some base rows and some pairs coincide by value too
+    base = rs.explicit_family(rng.integers(0, 5, size=(4, 6)) / 4)
+    if nested:
+        base = rs.compose_level(base, 2, 1, [rs.combinator_identity(), rs.combinator_max()])
+        assert len(base.matrix) < len(base)
+    known = dict(families.STANDARD_COMBINATORS, nudge=lambda: rs.Combinator("nudge", 1, 1, nudge))
+    catalog = [known[name]() for name in names]
+    composed = rs.compose_level(base, 2, 1, catalog)
+    assert_composes_like_the_oracle(composed, base, catalog)
+    # an appended member is a row of its own, at the end of the map
+    row = np.full(6, 0.5)
+    grown = composed.extended([row], ["half"], [rs.ComplexityLabel(0, 0)])
+    assert len(grown) == len(composed) + 1 and grown.descriptors[-1] == "half"
+    assert grown.rows.tolist() == composed.rows.tolist() + [len(composed.matrix)]
+    members = np.vstack([composed.matrix[composed.rows], row])
+    assert np.array_equal(grown.matrix[grown.rows], members)
+    assert_rows_in_first_member_order(grown)
+
+
+def dyadic_instance(rng, n):
+    """g and h on quarters and a distribution on sixteenths, so that every
+    correlation below is exact in doubles, in any summation order, and
+    ties between members are exact."""
+    g = rs.BoundedFn(rng.integers(0, 5, size=n) / 4)
+    h = rs.BoundedFn(rng.integers(0, 5, size=n) / 4)
+    return g, h, rs.Distribution(rng.multinomial(16, np.ones(n) / n) / 16)
+
+
+def twin_family(rng, n, nested):
+    """A compose family over quarter-valued base rows, some of them equal:
+    twins planted by the structural rule and by the base."""
+    members = rng.integers(0, 5, size=(int(rng.integers(1, 4)), n)) / 4
+    if rng.uniform() < 0.5:
+        members = np.vstack([members, members[:1]])
+    family = rs.explicit_family(members)
+    catalog = full_catalog()
+    for _ in range(1 + nested):
+        entries = [catalog[i] for i in rng.permutation(4)[: int(rng.integers(1, 5))]]
+        family = rs.compose_level(family, 2, 1, entries)
+    return family
+
+
+def distance_loop(member_rows, p, q):
+    """(max_f |E_p f - E_q f|, its lowest member) by a plain loop."""
+    best = (-1.0, None)
+    for i, row in enumerate(member_rows):
+        gap = abs(sum(f * (a - b) for f, a, b in zip(row, p, q)))
+        if gap > best[0]:
+            best = (gap, i)
+    return best
+
+
+def test_best_response_and_distance_on_twins_match_plain_loops():
+    st = hyp.strategies
+
+    @hyp.settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @hyp.given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6), nested=st.booleans())
+    def check(seed, n, nested):
+        rng = np.random.default_rng(seed)
+        family = twin_family(rng, n, nested)
+        members = family.matrix[family.rows].tolist()
+        g, h, d = dyadic_instance(rng, n)
+        br = rs.best_response(family, g, h, d)
+        assert (br.index, br.sign, br.correlation) == brute_best_response(
+            members, g.values.tolist(), h.values.tolist(), d.weights.tolist()
+        )
+        _, _, q = dyadic_instance(rng, n)
+        fd = rs.family_distance(family, d, q)
+        assert (fd.value, fd.index) == distance_loop(members, d.weights, q.weights)
+
+    check()
+
+
+def test_audits_read_a_twin_family_as_its_members():
+    """multicalibration_check and multicalibrate sum each row in point order,
+    so a compose family and the explicit family of its members give the same
+    audit and the same run, twins reported at their lowest member."""
+    rng = np.random.default_rng(29)
+    steps = 0
+    for _ in range(20):
+        n = int(rng.integers(2, 24))
+        family = twin_family(rng, n, nested=bool(rng.integers(2)))
+        flat = rs.explicit_family(family.matrix[family.rows])
+        # a target that leans on one member, so multicalibrate has work
+        lean = family.matrix[family.rows[int(rng.integers(len(family)))]]
+        g = rs.BoundedFn(np.clip(0.1 + 0.8 * lean * rng.uniform(size=n), 0.0, 1.0))
+        h = rs.BoundedFn(rng.integers(0, 4, size=n) / 4)
+        d = random_distribution(rng, n)
+        assert rs.multicalibration_check(g, h, d, family, 0.05) == rs.multicalibration_check(
+            g, h, d, flat, 0.05
+        )
+        (h1, t1), (h2, t2) = (rs.multicalibrate(g, d, f, 0.1) for f in (family, flat))
+        assert h1.values.tobytes() == h2.values.tobytes()
+        assert [r.member_index for r in t1.records] == [r.member_index for r in t2.records]
+        assert [r.correlation for r in t1.records] == [r.correlation for r in t2.records]
+        steps += len(t1.records)
+    assert steps > 30
 
 
 def random_nesting_levels(rng):
@@ -341,10 +516,10 @@ def test_ladder_builds_stay_on_the_leading_row_path(monkeypatch):
     ]
     rs.GradedLadder(levels).padded(12)
     assert byte_tests == []
-    # the same chain with every level's rows shuffled
+    # the same chain with every level's members shuffled
     rng = np.random.default_rng(17)
     rs.GradedLadder(
-        [rs.explicit_family(lvl.matrix[rng.permutation(len(lvl))]) for lvl in levels]
+        [rs.explicit_family(lvl.matrix[lvl.rows][rng.permutation(len(lvl))]) for lvl in levels]
     )
     assert len(byte_tests) == 3
 
@@ -404,7 +579,8 @@ def ladder_outcome(build):
     except rs.RegsimError as exc:
         return type(exc).__name__, str(exc)
     return ladder.name, ladder.depth, [
-        (lvl.matrix.tobytes(), lvl.descriptors, lvl.labels, lvl.label, lvl.name)
+        (lvl.matrix.tobytes(), lvl.rows.tobytes(), lvl.descriptors, lvl.labels, lvl.label,
+         lvl.name)
         for lvl in ladder.levels
     ]
 
@@ -541,6 +717,12 @@ def test_growth_map_must_be_monotone_and_inflationary():
         rs.GrowthMap.explicit(ladder, [0, 0, 1])  # map(1) < 1
     with pytest.raises(rs.ValidationError):
         rs.GrowthMap.explicit(ladder, [2, 1, 2])  # not nondecreasing
+    # the label action bisects the labels, so they must be a ladder's
+    lo, hi = rs.ComplexityLabel(1, 1), rs.ComplexityLabel(2, 2)
+    for labels in ([lo, hi], [lo, hi, lo]):
+        with pytest.raises(rs.ValidationError, match="growth labels"):
+            rs.GrowthMap(3, [0, 1, 2], labels)
+    assert rs.GrowthMap(3, [1, 2, 2], [lo, lo, hi]).label_map(2, 1) == (2, 2)
 
 
 def test_nesting_makes_best_response_monotone():
