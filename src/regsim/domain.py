@@ -161,13 +161,16 @@ def _check_size(n: int, arr: np.ndarray, what: str) -> None:
 
 def _measure_vector(m: MeasureLike, n: int | None, what: str) -> np.ndarray:
     """A measure's weight vector, of size ``n`` when given: a Distribution's
-    own weights, validated when it was built, or a finite nonnegative vector."""
+    own weights, validated when it was built, or a nonempty finite
+    nonnegative vector."""
     if isinstance(m, Distribution):
         vec = m.weights
     else:
         vec = np.asarray(m, dtype=float)
         if vec.ndim != 1:
             raise ValidationError(f"{what} must be a vector")
+        if vec.size == 0:
+            raise ValidationError(f"{what} is empty")
         # min and max propagate NaN, so one comparison also rejects it
         if not (vec.min(initial=0.0) >= 0.0 and vec.max(initial=0.0) < np.inf):
             raise ValidationError(f"{what} must be finite and nonnegative")

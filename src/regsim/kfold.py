@@ -13,9 +13,11 @@ all N^k tuples remains the oracle the test suite checks it against.
 Every statistic is read off shared pieces: one table holds the masses of
 all the measures a caller reads (``TypeClassTable.tv`` and
 ``TypeClassTable.expectation`` take rows of it), and one call of
-``_mixed_expectations`` builds the successor maps once for all its
-hybrid pairs.  The public functions are thin wrappers over the same
-pieces, so a verification that builds them once reports the same bits.
+``_mixed_expectations`` serves all its hybrid pairs.  The public functions
+are thin wrappers over the same pieces, so a verification that builds them
+once reports the same bits.  What depends on (N, k) alone, the type table
+with its weights and gather index and the successor maps, is built once
+and kept read-only in one least-recently-used cache bounded in bytes.
 A measure is a Distribution or a raw nonnegative vector, converted by
 ``domain._measure_vector`` as everywhere else in the library.
 """
@@ -26,7 +28,9 @@ import functools
 import itertools
 import math
 import sys
+from collections import OrderedDict
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Sequence
 
 import numpy as np
@@ -58,24 +62,65 @@ def _types(n: int, k: int) -> np.ndarray:
     return np.diff(edges, axis=1) - 1
 
 
-@functools.lru_cache(maxsize=4)
-def _type_table(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The types of size k and their multinomial weights, built once per
-    (N, k) while among the last four pairs asked for; read-only, since
-    callers share them."""
+def _check_k(k) -> int:
+    """k as an int: a bool or a non-integral k is refused before any cache
+    lookup, where 2.0 and True would hash like 2 and 1."""
+    if isinstance(k, bool) or not isinstance(k, Integral) or k < 1:
+        raise ValidationError("k must be an integer >= 1")
+    return int(k)
+
+
+# Byte budget of the layout cache below; an entry larger than this is built,
+# used and not kept.
+_CACHE_BYTES = 64 << 20
+_cache = OrderedDict()  # (function name, n, k) -> read-only arrays
+
+
+def _nbytes(arrays: tuple[np.ndarray, ...]) -> int:
+    return sum(a.nbytes for a in arrays)
+
+
+def _cached(build):
+    """Memoize ``build(n, k)``, a tuple of arrays that depend only on (N, k),
+    in the module's one least-recently-used cache, bounded in bytes.  The
+    arrays are made read-only, since callers share them."""
+
+    @functools.wraps(build)
+    def get(n: int, k: int) -> tuple[np.ndarray, ...]:
+        key = (build.__name__, n, k)
+        if key in _cache:
+            _cache.move_to_end(key)
+            return _cache[key]
+        arrays = build(n, k)
+        for arr in arrays:
+            arr.setflags(write=False)
+        if _nbytes(arrays) <= _CACHE_BYTES:
+            _cache[key] = arrays
+            while sum(map(_nbytes, _cache.values())) > _CACHE_BYTES:
+                _cache.popitem(last=False)
+        return arrays
+
+    return get
+
+
+@_cached
+def _type_table(n: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The types of size k, their multinomial weights and the gather index
+    of _product_masses, idx[x, t] = x (k + 1) + counts[t, x], point-major;
+    cached per (N, k)."""
     _check_multinomial_bound(n, k)
     counts = _types(n, k)
     fact = [math.factorial(v) for v in range(k + 1)]
     # k! / prod(c!) per row, exact in integers and rounded to float once
     weights = np.array([float(fact[k] // math.prod(fact[v] for v in c)) for c in counts.tolist()])
-    for arr in (counts, weights):
-        arr.setflags(write=False)
-    return counts, weights
+    idx = np.ascontiguousarray((counts + np.arange(n) * (k + 1)).T)
+    return counts, weights, idx
 
 
-def _successors(n: int, k: int) -> list[np.ndarray]:
+@_cached
+def _successors(n: int, k: int) -> tuple[np.ndarray, ...]:
     """succ[i][t, x] is the row in _types(n, i + 1) of type t of
-    _types(n, i) plus one point x, for i < k.
+    _types(n, i) plus one point x, for i < k; cached per (N, k).
 
     With a_j = c[j+1] + ... + c[n-1], type_count(n - j, a_j - 1) types
     (none if a_j = 0) agree with c before coordinate j and exceed it there;
@@ -91,16 +136,20 @@ def _successors(n: int, k: int) -> list[np.ndarray]:
         raised, kept = ahead[cols, a + 1], ahead[cols, a]
         before = np.cumsum(raised, axis=1) - raised
         succ.append(before + np.cumsum(kept[:, ::-1], axis=1)[:, ::-1])
-    return succ
+    return tuple(succ)
 
 
-def _product_masses(counts: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    """prod_x vec[x]^c[x] per row; 0^0 = 1 keeps zero-weight points harmless."""
-    masses = np.empty(counts.shape[0], dtype=float)
+def _product_masses(idx: np.ndarray, vec: np.ndarray, k: int) -> np.ndarray:
+    """prod_x vec[x]^c[x] per type, from _type_table's gather index: the
+    N (k + 1) powers are raised once, and each type's factors gathered and
+    multiplied from point 0 to point N - 1, in blocks of types that bound
+    the gathered temporary.  0^0 = 1 keeps zero-weight points harmless."""
+    powers = (vec[:, None] ** np.arange(k + 1)).ravel()
+    masses = np.empty(idx.shape[1], dtype=float)
     chunk = 65536
-    for start in range(0, counts.shape[0], chunk):
-        block = counts[start : start + chunk]
-        masses[start : start + chunk] = np.prod(vec[None, :] ** block, axis=1)
+    for start in range(0, idx.shape[1], chunk):
+        block = idx[:, start : start + chunk]
+        masses[start : start + chunk] = np.multiply.reduce(powers.take(block), axis=0)
     return masses
 
 
@@ -119,8 +168,7 @@ class TypeClassTable:
     masses: np.ndarray  # (M, T) one row per base measure
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValidationError("k must be >= 1")
+        _check_k(self.k)
         if self.counts.shape[0] != self.weights.size or self.masses.shape[1] != self.weights.size:
             raise ValidationError("type-class table fields have inconsistent lengths")
 
@@ -145,15 +193,14 @@ def kfold_type_classes(
     measures: Sequence[MeasureLike], k: int, cap: int = DEFAULT_TYPE_CAP
 ) -> TypeClassTable:
     """Build the type-class table for k-fold products of the given measures."""
-    if k < 1:
-        raise ValidationError("k must be >= 1")
+    k = _check_k(k)
     if not measures:
         raise ValidationError("at least one base measure is required")
     n = _measure_vector(measures[0], None, "measure 0").size
     vecs = [_measure_vector(m, n, f"measure {i}") for i, m in enumerate(measures)]
     _check_type_cap(n, k, cap)
-    counts, weights = _type_table(n, k)
-    masses = np.stack([_product_masses(counts, v) for v in vecs])
+    counts, weights, idx = _type_table(n, k)
+    masses = np.stack([_product_masses(idx, v, k) for v in vecs])
     table = TypeClassTable(k=k, counts=counts, weights=weights, masses=masses)
     for i, m in enumerate(measures):
         if isinstance(m, Distribution):
@@ -227,12 +274,11 @@ def _check_successor_cap(n: int, k: int) -> None:
 
 
 def _check_kfold_reach(n: int, k: int) -> None:
-    """Refuse a k the k-fold engine cannot reach on N points: k below 1,
-    then the size-k type table's cap, its multinomial weights' range and
-    the successor maps' cap.  They depend on N and k alone, so callers
-    check before any fit or table build."""
-    if k < 1:
-        raise ValidationError("k must be >= 1")
+    """Refuse a k the k-fold engine cannot reach on N points: a k that is
+    not an integer >= 1, then the size-k type table's cap, its multinomial
+    weights' range and the successor maps' cap.  They depend on N and k
+    alone, so callers check before any fit or table build."""
+    k = _check_k(k)
     _check_type_cap(n, k)
     _check_multinomial_bound(n, k)
     _check_successor_cap(n, k)
@@ -245,14 +291,13 @@ def _mixed_expectations(
     O(k N T) with no tuples; ``values`` is the test on the rows of the
     size-k type table.
 
-    The successor maps are built once and shared by every pair.  Per pair,
-    a forward pass over them weights each type of size j by the p-mass of
-    its tuples; a backward pass gives, per type of size j, the test's
-    expectation when the other k - j coordinates are drawn from q.  Entry j
-    is the dot product of the two at size j.
+    The successor maps come from the (N, k) cache, shared by every pair and
+    every call.  Per pair, a forward pass over them weights each type of
+    size j by the p-mass of its tuples; a backward pass gives, per type of
+    size j, the test's expectation when the other k - j coordinates are
+    drawn from q.  Entry j is the dot product of the two at size j.
     """
-    if k < 1:
-        raise ValidationError("k must be >= 1")
+    k = _check_k(k)
     n = _measure_vector(pairs[0][0], None, "measure 0").size
     vecs = [
         (_measure_vector(p, n, f"measure {2 * i}"), _measure_vector(q, n, f"measure {2 * i + 1}"))

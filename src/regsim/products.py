@@ -46,6 +46,7 @@ from .families import (
 )
 from .kfold import (
     TypeClassTable,
+    _check_k,
     _check_kfold_reach,
     _check_successor_cap,
     _mixed_expectations,
@@ -183,8 +184,7 @@ class ProductTest:
     """
 
     def __init__(self, h: BoundedFn, k: int, kind: str, eps: float | None = None):
-        if k < 1:
-            raise ValidationError("k must be >= 1")
+        k = _check_k(k)
         if kind not in ("balanced", "tilted"):
             raise ValidationError("kind must be 'balanced' or 'tilted'")
         if kind == "tilted":
@@ -270,6 +270,7 @@ def hybrid_bound_check(
     assert it against the applicable bound.  The k + 1 hybrids
     dist_b^j x hat_b^(k-j) are exact type sums (kfold's mixed products).
     """
+    k = _check_k(k)
     test = test or ProductTest(h, k, "balanced")
     if test.k != k:
         raise ValidationError("test arity does not match k")

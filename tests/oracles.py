@@ -82,6 +82,17 @@ def calibration_error_extreme_points(g, h, weights):
     return best
 
 
+def product_masses_rowwise(counts, vec):
+    """prod_x vec[x]^c[x] per row of a counts matrix, raising every entry:
+    the library's former formula, kept to pin the gathered one bit for bit."""
+    masses = np.empty(counts.shape[0], dtype=float)
+    chunk = 65536
+    for start in range(0, counts.shape[0], chunk):
+        block = counts[start : start + chunk]
+        masses[start : start + chunk] = np.prod(vec[None, :] ** block, axis=1)
+    return masses
+
+
 def compositions_desc(k, n):
     """All count vectors of length n summing to k, in descending
     lexicographic order, by plain recursion."""

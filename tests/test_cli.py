@@ -102,6 +102,31 @@ def test_characterize_large_k_small_domain(algorithm, mode):
     assert outcome.exit_code == 0, outcome.report.get("error")
 
 
+@pytest.mark.parametrize(
+    "change,problem",
+    [
+        ({}, None),
+        ({"params": {"k": 2.0}}, "config.params.k: expected an integer, got 2.0"),
+        ({"params": {"k": True}}, "config.params.k: expected an integer, got True"),
+        ({"distributions": {"d0": []}}, "config.distributions.d0: expected a nonempty list"),
+    ],
+)
+def test_cli_run_names_a_bad_k_or_an_empty_measure(tmp_path, capsys, change, problem):
+    config = demo_config("characterize-gap")
+    for key, value in change.items():
+        config[key].update(value)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    code = main(["run", str(path)])
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    if problem is None:
+        assert code == 0
+    else:
+        assert code == 1
+        assert json.loads(captured.out)["error"]["problems"] == [problem]
+
+
 def test_characterize_k_beyond_double_precision_is_exit_one():
     config = demo_config("characterize-gap")
     config["distributions"] = {"d0": [0.7, 0.3], "d1": [0.4, 0.6]}

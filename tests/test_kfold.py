@@ -1,11 +1,20 @@
 import math
+from collections import OrderedDict
 
+import hypothesis as hyp
 import numpy as np
 import pytest
 
 import regsim as rs
 from conftest import random_distribution
-from oracles import brute_kfold_expectation, brute_kfold_tv, compositions_desc, counts_of
+from oracles import (
+    brute_kfold_expectation,
+    brute_kfold_tv,
+    compositions_desc,
+    counts_of,
+    product_masses_rowwise,
+)
+from regsim import kfold
 
 
 def test_binomial_row_weights():
@@ -173,3 +182,131 @@ def test_large_k_is_answered_or_refused_without_building_layers():
     dist = rs.Distribution(np.full(3, 1 / 3))
     with pytest.raises(rs.CapExceededError, match="successor maps for N=3, k=300"):
         rs.hybrid_bound_check(h, dist, dist.weights, 300)
+
+
+# -- the (N, k) layout cache and the gathered product masses -----------------
+
+
+def _largest_k(n, limit=5000):
+    """The largest k <= 12 with at most ``limit`` types on n points."""
+    return max(k for k in range(1, 13) if rs.type_count(n, k) <= limit)
+
+
+def test_gathered_masses_equal_the_rowwise_formula_bit_for_bit():
+    st = hyp.strategies
+    entry = st.one_of(
+        st.just(0.0),
+        st.sampled_from([5e-324, 1e-310, 2.0 ** -1022]),
+        st.floats(min_value=0.0, max_value=4.0),
+    )
+    layout = st.integers(1, 64).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(1, _largest_k(n)))
+    )
+
+    @hyp.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @hyp.given(layout=layout, data=st.data())
+    def check(layout, data):
+        n, k = layout
+        vec = np.array(data.draw(st.lists(entry, min_size=n, max_size=n)))
+        counts, _, idx = kfold._type_table(n, k)
+        with np.errstate(under="ignore", over="ignore"):
+            gathered = kfold._product_masses(idx, vec, k)
+            rowwise = product_masses_rowwise(counts, vec)
+        assert gathered.tobytes() == rowwise.tobytes()
+
+    check()
+
+
+def test_cached_layouts_are_read_only():
+    for arrays in (kfold._type_table(3, 4), kfold._successors(3, 4)):
+        for arr in arrays:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr[(0,) * arr.ndim] = 7
+    assert all(not arr.flags.writeable for arrays in kfold._cache.values() for arr in arrays)
+
+
+def test_second_verification_at_the_same_layout_builds_nothing(monkeypatch):
+    # both cached layouts enumerate types through _types, which runs only
+    # on a cache miss
+    built = []
+    real_types = kfold._types
+    monkeypatch.setattr(kfold, "_cache", OrderedDict())
+    monkeypatch.setattr(kfold, "_types", lambda n, k: built.append((n, k)) or real_types(n, k))
+    d0 = rs.Distribution(np.array([0.1, 0.2, 0.3, 0.4]))
+    d1 = rs.Distribution(np.array([0.4, 0.3, 0.2, 0.1]))
+    inst = rs.build_mixture(d0, d1, 0.5)
+    family = rs.explicit_family([[1.0, 0.0, 1.0, 0.0], [0.0, 0.0, 1.0, 1.0]])
+    reports = []
+    for expect_builds in (True, False):
+        built.clear()
+        reports.append(rs.verify_two_proxy(inst, inst.g, family, 0.05, 0.01, 3).to_json())
+        assert bool(built) == expect_builds, built
+    assert reports[0] == reports[1]
+    assert set(kfold._cache) == {("_type_table", 4, 3), ("_successors", 4, 3)}
+
+
+def test_cache_stays_within_its_byte_budget(monkeypatch):
+    monkeypatch.setattr(kfold, "_cache", OrderedDict())
+    big = [arr.copy() for arr in kfold._type_table(2, 500)]
+    monkeypatch.setattr(kfold, "_cache", OrderedDict())
+    budget = 6000
+    monkeypatch.setattr(kfold, "_CACHE_BYTES", budget)
+    # 501 types: 8016 bytes of counts alone, so built and used but not kept
+    over = kfold._type_table(2, 500)
+    assert all(np.array_equal(a, b) for a, b in zip(over, big))
+    assert not kfold._cache
+    assert 0.0 < rs.kfold_tv([0.7, 0.3], [0.4, 0.6], 500) <= 1.0
+    for n, k in [(2, 20), (3, 6), (2, 30), (4, 3), (3, 7), (2, 20)]:
+        kfold._type_table(n, k)
+        kfold._successors(n, k)
+        assert sum(kfold._nbytes(v) for v in kfold._cache.values()) <= budget
+    # least recently used goes first: (2, 20) was asked for last
+    assert list(kfold._cache)[-2:] == [("_type_table", 2, 20), ("_successors", 2, 20)]
+    assert ("_type_table", 3, 6) not in kfold._cache
+
+
+def _k_entry_points(k):
+    p, q = [0.7, 0.3], [0.4, 0.6]
+    h = rs.BoundedFn(np.array([0.2, 0.9]))
+    dist = rs.Distribution(np.array([0.5, 0.5]))
+    test = rs.ProductTest(h, 2, "balanced")
+    return [
+        lambda: rs.kfold_tv(p, q, k),
+        lambda: rs.kfold_type_classes([p], k),
+        lambda: rs.kfold_expectation(test, p, k),
+        lambda: rs.test_advantage(test, p, q, k),
+        lambda: rs.tie_mass(test, p, k),
+        lambda: rs.hybrid_bound_check(h, dist, dist.weights, k),
+        lambda: rs.hybrid_bound_check(h, dist, dist.weights, k, test=test),
+        lambda: rs.ProductTest(h, k, "balanced"),
+    ]
+
+
+@pytest.mark.parametrize("k", [2.0, 2.5, "2", True, None, 0, -1])
+def test_non_integer_k_is_a_named_problem_even_when_cached(k):
+    for call in _k_entry_points(2):
+        call()  # warms the (2, 2) layouts that 2.0 would hash onto
+    for call in _k_entry_points(k):
+        with pytest.raises(rs.ValidationError, match=r"k must be an integer >= 1"):
+            call()
+
+
+def test_numpy_integer_k_is_accepted():
+    for plain, numpy_k in zip(_k_entry_points(2), _k_entry_points(np.int64(2))):
+        result = numpy_k()
+        if isinstance(result, float):
+            assert result == plain()
+
+
+def test_empty_measure_is_named():
+    test = rs.ProductTest(rs.BoundedFn(np.array([0.5])), 2, "balanced")
+    for call in (
+        lambda: rs.kfold_tv([], [], 2),
+        lambda: rs.kfold_type_classes([np.array([])], 2),
+        lambda: rs.kfold_expectation(test, [], 2),
+    ):
+        with pytest.raises(rs.ValidationError, match="^measure 0 is empty$"):
+            call()
+    with pytest.raises(rs.ValidationError, match="first measure is empty"):
+        rs.tv_distance([], [])
