@@ -17,17 +17,19 @@ Every per-level reduction (level masses, level residual sums, the (member,
 level) correlation matrix of ``multicalibration_check`` and
 ``multicalibrate``) goes through ``np.bincount``, which adds each level
 cell's terms one at a time in point order, exactly as ``np.add.at`` does, so
-the sums are reproducible bit for bit.  ``multicalibrate`` carries its level
-sums across steps and re-sums only the two levels a shift changed, each over
-all of its points in point order, from the family's point-major copy
-(``Family.by_point``) so each point's member values are one contiguous row:
-blocks of rows are reduced along axis 0, which adds row by row, except that
-a one-member family accumulates, since numpy would sum a single column
-pairwise.  Its carried sums equal a from-scratch ``_level_matrix`` bit for
-bit; its stop rule and ``multicalibration_check`` both compare
-|sum| / mass > epsilon strictly on those same sums.  Where a
-scan picks a (level, member) pair, ties go to the lowest level, then the
-lowest member: the first strict maximum in level-major order.
+the sums are reproducible bit for bit; the (member, level) matrix is summed
+one family row at a time, so an audit's temporaries do not grow with the
+family.  ``multicalibrate`` carries its level sums across steps and re-sums
+only the two levels a shift changed, each over all of its points in point
+order, from the family's point-major copy (``Family.by_point``) so each
+point's member values are one contiguous row: blocks of rows are reduced
+along axis 0, which adds row by row, except that a one-member family
+accumulates, since numpy would sum a single column pairwise.  Its carried
+sums equal a from-scratch ``_level_matrix`` bit for bit; its stop rule and
+``multicalibration_check`` both compare |sum| / mass > epsilon strictly on
+those same sums.  Where a scan picks a (level, member) pair, ties go to the
+lowest level, then the lowest member: the first strict maximum in level-major
+order.
 
 Constructors never self-certify: they assert their own postconditions by
 re-running the audits in this module from scratch on the finished simulator,
@@ -188,27 +190,17 @@ def _level_sets(h: BoundedFn, dist: Distribution):
     return values, inverse, masses
 
 
-# Member rows reduced per np.bincount call: bounds the flat index and weight
-# temporaries at 16 * N entries, whatever the family size.
-_LEVEL_BLOCK = 16
-
-
 def _level_matrix(
     matrix: np.ndarray, residual: np.ndarray, inverse: np.ndarray, n_levels: int
 ) -> np.ndarray:
     """(m, L) matrix whose entry (i, j) is the sum of matrix[i] * residual over
-    the points of level j, each cell summed in point order (as np.add.at)."""
-    m = matrix.shape[0]
-    out = np.empty((m, n_levels))
-    block = min(_LEVEL_BLOCK, m)
-    n = inverse.size
-    index = (inverse[None, :] + n_levels * np.arange(block)[:, None]).ravel()
-    for start in range(0, m, block):
-        rows = matrix[start : start + block]
-        b = rows.shape[0]
-        out[start : start + b] = np.bincount(
-            index[: b * n], weights=(rows * residual).ravel(), minlength=b * n_levels
-        ).reshape(b, n_levels)
+    the points of level j, each cell summed in point order (as np.add.at),
+    one row at a time through one reused N-sized buffer."""
+    out = np.empty((matrix.shape[0], n_levels))
+    buf = np.empty(residual.size)
+    for i, row in enumerate(matrix):
+        np.multiply(row, residual, out=buf)
+        out[i] = np.bincount(inverse, weights=buf, minlength=n_levels)
     return out
 
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 import bisect
 import functools
 import itertools
-import mmap
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -133,9 +132,11 @@ class Family:
         self.matrix, self.rows = matrix, rows
         self.name = name
         self.domain_size = matrix.shape[1]
-        # the join of every row's label, taken componentwise
-        self.label = ComplexityLabel(
-            max(lbl.s1 for lbl in self.labels), max(lbl.s2 for lbl in self.labels)
+        # the join of the row labels, taken componentwise; builders mostly
+        # repeat one label, which one count (identity first) finds is the join
+        first, labels = self.labels[0], self.labels
+        self.label = first if labels.count(first) == len(labels) else ComplexityLabel(
+            max(lbl.s1 for lbl in labels), max(lbl.s2 for lbl in labels)
         )
 
     def __len__(self) -> int:
@@ -144,15 +145,14 @@ class Family:
     @functools.cached_property
     def by_point(self) -> np.ndarray:
         """Read-only point-major (N, d) copy of ``matrix``: row x holds every
-        distinct row's value at point x.  Built on first use and kept for the
-        family's lifetime, so it costs d * N * 8 bytes from then on; only
-        ``boosting.multicalibrate`` reads it."""
+        distinct row's value at point x.  Built on first use (only
+        ``boosting.multicalibrate`` reads it) and kept for the family's
+        lifetime: d * N * 8 bytes, from numpy's heap, where glibc keeps the
+        free room of the last large family.  A private mmap sat on top of
+        that room: boost-wide's peak RSS went 98.8 -> 86.7 MiB when the copy
+        moved to the heap (d = 182, N = 8192, after 210 x 16384 families)."""
         d, n = self.matrix.shape
-        # An anonymous mapping of its own, released whole when the family
-        # is freed.  From the malloc heap (np.empty) the copy stayed
-        # resident after the family was gone, and the next large build
-        # peaked about 13 MiB higher (boost-wide benchmark, m = 364).
-        by_point = np.frombuffer(mmap.mmap(-1, 8 * d * n), dtype=float).reshape(n, d)
+        by_point = np.empty((n, d))
         # 32 rows at a time: on a 2-core Xeon this ran 1.5-3x faster than
         # one strided copy at d = 364, N = 8192 and d = 420, N = 16384
         for start in range(0, d, 32):
@@ -627,10 +627,17 @@ def _leads(lower: np.ndarray, upper: np.ndarray) -> bool:
 
 
 def _missing_by_bytes(rows: np.ndarray, upper: np.ndarray) -> bool:
-    """Whether some row of ``rows`` is absent from ``upper``, comparing the
-    bytes of rows with -0.0 made 0.0."""
-    present = {row.tobytes() for row in upper + 0.0}
-    return any(row.tobytes() not in present for row in rows + 0.0)
+    """Whether some row of ``rows`` is absent from ``upper`` (-0.0 == 0.0).
+    Upper rows are indexed by a hash of their bytes with -0.0 made 0.0, one
+    row at a time, and each hit is confirmed by an exact compare."""
+    buf, index = np.empty(upper.shape[1]), {}
+    for j, row in enumerate(upper):
+        index.setdefault(hash(np.add(row, 0.0, out=buf).tobytes()), []).append(j)
+    for row in rows:
+        hits = index.get(hash(np.add(row, 0.0, out=buf).tobytes()), ())
+        if not any((upper[j] == row).all() for j in hits):
+            return True
+    return False
 
 
 class GrowthMap:

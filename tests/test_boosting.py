@@ -356,9 +356,9 @@ def test_level_layer_matches_loop_oracles():
         assert np.array_equal(masses, loop_masses)
 
         residual = d.weights * (g.values - h.values)
-        assert np.array_equal(
-            _level_matrix(members, residual, inverse, values.size),
-            level_sums_by_point(members, residual, inverse, values.size),
+        assert (
+            _level_matrix(members, residual, inverse, values.size).tobytes()
+            == level_sums_by_point(members, residual, inverse, values.size).tobytes()
         )
 
         assert np.array_equal(
@@ -431,6 +431,24 @@ def test_violation_scan_exact_ties_pick_lowest_level_then_member():
     assert _worst_weighted_violation(masses, sums, 0.1, 0.01) == (0, 2, +1, 0.125)
     _, audit = rs.multicalibration_check(g, h, d, fam, 0.1)
     assert [lvl.witness_index for lvl in audit.levels] == [2, 1]
+
+
+def test_level_matrix_allocates_only_row_temporaries():
+    rng = np.random.default_rng(33)
+    m, n, n_levels = 64, 4096, 8
+    matrix = rng.uniform(size=(m, n))
+    residual = rng.uniform(-1.0, 1.0, size=n)
+    inverse = rng.integers(n_levels, size=n)
+    tracemalloc.start()
+    try:
+        _level_matrix(matrix, residual, inverse, n_levels)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one reused N-sized product buffer and the (m, L) result; a block of 16
+    # rows reduced per np.bincount call would hold 16 * N weights and as
+    # many flat indices, 1 MiB here
+    assert peak < 4 * n * 8 + m * n_levels * 8
 
 
 def test_point_sums_match_point_order_oracle():

@@ -497,6 +497,34 @@ def test_ladder_nesting_matches_the_bytes_rule(monkeypatch):
     assert byte_tests
 
 
+def test_ladder_byte_rule_confirms_every_hash_hit(monkeypatch):
+    # every row hashes alike, so only the exact compare tells rows apart
+    monkeypatch.setattr(families, "hash", lambda key: 0, raising=False)
+    # the chains of test_ladder_nesting_matches_the_bytes_rule
+    rng = np.random.default_rng(31)
+    for _ in range(300):
+        levels = random_nesting_levels(rng)
+        assert ladder_verdict(levels) == ladder_nested_bytes(levels)
+
+
+def test_ladder_byte_rule_makes_no_family_sized_copy():
+    rng = np.random.default_rng(43)
+    upper = rng.uniform(size=(64, 4096))
+    upper[rng.uniform(size=upper.shape) < 0.1] = 0.0
+    lower = upper[rng.permutation(len(upper))]
+    lower[lower == 0.0] = -0.0
+    tracemalloc.start()
+    try:
+        missing = families._missing_by_bytes(lower, upper)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert not missing
+    # rows are hashed and compared one at a time: copies of both matrices
+    # with -0.0 made 0.0 would be twice the upper matrix's bytes
+    assert peak < upper.nbytes // 2
+
+
 def test_ladder_builds_stay_on_the_leading_row_path(monkeypatch):
     """No ladder a config or a supersimulator builds reaches the exact byte
     test: chains composed with growing catalogs nest by the leading-row
