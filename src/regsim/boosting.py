@@ -97,7 +97,7 @@ class BoostParams:
 
 
 def _digest(h: BoundedFn) -> str:
-    return hashlib.sha256(h.values.tobytes()).hexdigest()[:16]
+    return hashlib.sha256(h.values).hexdigest()[:16]
 
 
 @dataclass(frozen=True)
@@ -185,7 +185,23 @@ class BoostTrace:
 
 
 def _level_sets(h: BoundedFn, dist: Distribution):
-    values, inverse = np.unique(h.values, return_inverse=True)
+    """(values, inverse, masses): the sorted distinct values of h, each
+    point's index into them, and each level's mass in point order.
+
+    What ``np.unique(h.values, return_inverse=True)`` returns, bit for bit
+    (the same quicksort argsort, so the same member of a -0.0/0.0 run stands
+    for its level), from one argsort, a neighbour mask and a cumsum."""
+    perm = h.values.argsort()
+    ordered = h.values[perm]
+    starts = np.empty(ordered.size, dtype=bool)
+    starts[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
+    values = ordered[starts]
+    # with the first start cleared, the running count of level starts (a
+    # cumsum) is each sorted point's level
+    starts[0] = False
+    inverse = np.empty(ordered.size, dtype=np.intp)
+    inverse[perm] = np.add.accumulate(starts, dtype=np.intp)
     masses = np.bincount(inverse, weights=dist.weights, minlength=values.size)
     return values, inverse, masses
 
@@ -420,9 +436,10 @@ def _boost(
                 f"boost ({termination}) exceeded {params.max_iters} updates; "
                 "the potential argument rules this out for a valid family"
             )
-        step_row = family.matrix[family.rows[br.index]]
-        shifted = np.clip(h.values + eps * br.sign * step_row, 0.0, 1.0)
-        h_new = BoundedFn(round_to_grid(shifted, grid))
+        # the shift is built and clipped in one fresh buffer
+        shifted = np.multiply(family.matrix[family.rows[br.index]], eps * br.sign)
+        np.add(h.values, shifted, out=shifted)
+        h_new = BoundedFn(round_to_grid(shifted.clip(0.0, 1.0, out=shifted), grid))
         phi_new = potential(g, h_new, dist)
         if phi_new > phi - 2 * eps * br.correlation + eps * eps + 2 * grid + DERIVED_TOL:
             raise InternalContractError(
@@ -487,9 +504,9 @@ def recalibrate(
     values, inverse, masses = _level_sets(h, dist)
     live = masses > 0.0
     sums = np.bincount(inverse, weights=dist.weights * g.values, minlength=values.size)
-    new_levels = values.copy()
-    new_levels[live] = round_to_grid(sums[live] / masses[live], gamma)
-    return BoundedFn(new_levels[inverse])
+    # values is _level_sets' own fresh array, so its levels are set in place
+    values[live] = round_to_grid(sums[live] / masses[live], gamma)
+    return BoundedFn(values[inverse])
 
 
 def calibrated_multiaccuracy(

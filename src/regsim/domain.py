@@ -9,6 +9,7 @@ summing to one), 1e-10 for derived sums.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from numbers import Integral
 from typing import Sequence, Union
@@ -30,15 +31,22 @@ VectorLike = Union["BoundedFn", np.ndarray, Sequence[float]]
 MeasureLike = Union["Distribution", np.ndarray, Sequence[float]]
 
 
-def _frozen_array(values, name: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
+def _frozen_array(values, name: str, high: float, range_error: str) -> np.ndarray:
+    """A read-only float copy of ``values``: a nonempty vector with every
+    entry in [0, high].
+
+    One pass converts and copies, and one min/max pair checks finiteness and
+    range together, since min and max propagate NaN.  Only a refused vector
+    is read again, to report a non-finite entry ahead of ``range_error``."""
+    arr = np.array(values, dtype=float)
     if arr.ndim != 1:
         raise ValidationError(f"{name} must be a one-dimensional vector, got shape {arr.shape}")
     if arr.size == 0:
         raise ValidationError(f"{name} must be nonempty")
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError(f"{name} contains non-finite entries")
-    arr = arr.copy()
+    if not (arr.min() >= 0.0 and arr.max() <= high):
+        if not np.isfinite(arr).all():
+            raise ValidationError(f"{name} contains non-finite entries")
+        raise ValidationError(range_error)
     arr.setflags(write=False)
     return arr
 
@@ -88,9 +96,10 @@ class Distribution:
     weights: np.ndarray
 
     def __post_init__(self):
-        arr = _frozen_array(self.weights, "distribution weights")
-        if np.any(arr < 0):
-            raise ValidationError("distribution weights must be nonnegative")
+        arr = _frozen_array(
+            self.weights, "distribution weights", sys.float_info.max,
+            "distribution weights must be nonnegative",
+        )
         total = float(arr.sum())
         if abs(total - 1.0) > STRUCT_TOL:
             raise ValidationError(f"distribution weights sum to {total!r}, not 1 within 1e-12")
@@ -114,14 +123,14 @@ class BoundedFn:
 
     Out-of-range inputs are rejected, never clipped: a target or simulator
     that leaves [0, 1] is a caller bug the audits must surface, not hide.
+    Construction copies the values once and checks them with one min/max
+    pair (``_frozen_array``); -0.0 is in range and kept as it is.
     """
 
     values: np.ndarray
 
     def __post_init__(self):
-        arr = _frozen_array(self.values, "function values")
-        if np.any(arr < 0) or np.any(arr > 1):
-            raise ValidationError("function values must lie in [0, 1]")
+        arr = _frozen_array(self.values, "function values", 1.0, "function values must lie in [0, 1]")
         object.__setattr__(self, "values", arr)
 
     @property
@@ -214,7 +223,7 @@ def potential(g: BoundedFn, h: BoundedFn, dist: Distribution) -> float:
     _check_size(dist.size, g.values, "target")
     _check_size(dist.size, h.values, "simulator")
     diff = g.values - h.values
-    return float(np.dot(dist.weights, diff * diff))
+    return float(np.dot(dist.weights, np.multiply(diff, diff, out=diff)))
 
 
 def round_to_grid(values: np.ndarray, step: float) -> np.ndarray:
@@ -222,8 +231,14 @@ def round_to_grid(values: np.ndarray, step: float) -> np.ndarray:
     then clip back into [0, 1].
 
     Clipping after rounding keeps the top point of the grid at exactly 1.0,
-    so the worst-case rounding error is step/2 everywhere in [0, 1].
+    so the worst-case rounding error is step/2 everywhere in [0, 1].  One
+    fresh copy of the values is divided, rounded (``rint``, half to even, as
+    ``np.round`` at 0 decimals), scaled and clipped in place.
     """
     if step <= 0:
         raise ValidationError("grid step must be positive")
-    return np.clip(np.round(np.asarray(values, dtype=float) / step) * step, 0.0, 1.0)
+    out = np.array(values, dtype=float)
+    out /= step
+    np.rint(out, out=out)
+    out *= step
+    return out.clip(0.0, 1.0, out=out)

@@ -19,8 +19,10 @@ from __future__ import annotations
 import bisect
 import functools
 import itertools
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -67,6 +69,57 @@ class ComplexityLabel:
         return [self.s1, self.s2]
 
 
+class Descriptors(Sequence):
+    """Member descriptors held as their parts and formatted when read.
+
+    A part (name, arity, base, count) stands for ``count`` members: member t
+    of it reads f"{name}({base[i1]}, ..., {base[ia]})" for the t-th index
+    tuple over ``base`` in row-major order (last index fastest), or reads
+    base[t] when ``name`` is None.  ``compose_level`` keeps one part per
+    catalog entry, so a family's strings are built only for the entries a
+    caller reads.  It compares equal, entry by entry, to any sequence of
+    the same strings; a prefix slice stays lazy, any other slice is a
+    tuple, and ``+`` appends a tuple's strings as one more part."""
+
+    def __init__(self, parts):
+        self._parts = tuple(parts)
+        self._ends = list(itertools.accumulate(part[3] for part in self._parts))
+
+    def __len__(self) -> int:
+        return self._ends[-1] if self._ends else 0
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            start, stop, step = i.indices(len(self))
+            if (start, step) != (0, 1):
+                return tuple(self[j] for j in range(start, stop, step))
+            return Descriptors(
+                (name, arity, base, min(count, stop - end + count))
+                for (name, arity, base, count), end in zip(self._parts, self._ends)
+                if end - count < stop
+            )
+        i = range(len(self))[i]  # an int in range, negatives counted from the end
+        k = bisect.bisect_right(self._ends, i)
+        name, arity, base, count = self._parts[k]
+        t = i - self._ends[k] + count
+        if name is None:
+            return base[t]
+        args = []
+        for _ in range(arity):
+            t, j = divmod(t, len(base))
+            args.append(base[j])
+        return f"{name}({', '.join(reversed(args))})"
+
+    def __add__(self, other: Sequence[str]) -> "Descriptors":
+        other = tuple(other)
+        return Descriptors(self._parts + ((None, 1, other, len(other)),))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence) or isinstance(other, str):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+
 class Family:
     """A nonempty, deterministically ordered family of m distinguishers on
     one domain, with one entry of ``descriptors`` and ``labels`` per member.
@@ -96,7 +149,7 @@ class Family:
             raise EmptyFamilyError("a family must have at least one member")
         if matrix.ndim != 2 or matrix.shape[1] == 0:
             raise ValidationError(f"a family matrix must be (m, N) with N >= 1, got {matrix.shape}")
-        self._adopt(matrix, descriptors, labels, name, scan=True)
+        self._adopt(matrix, descriptors, labels, name, checked=0)
 
     @classmethod
     def _in_range(
@@ -112,11 +165,14 @@ class Family:
         scanned again.  ``rows`` maps each member to its row, every row
         first used in row order; None maps member i to row i."""
         family = cls.__new__(cls)
-        family._adopt(matrix, descriptors, labels, name, scan=False, rows=rows)
+        family._adopt(matrix, descriptors, labels, name, checked=len(matrix), rows=rows)
         return family
 
-    def _adopt(self, matrix, descriptors, labels, name, scan: bool, rows=None) -> None:
-        self.descriptors, self.labels = tuple(descriptors), tuple(labels)
+    def _adopt(self, matrix, descriptors, labels, name, checked: int, rows=None) -> None:
+        """Take ``matrix`` as the family's rows, range-checking the rows from
+        ``checked`` on: the leading ones were checked by whoever built them."""
+        self.descriptors = descriptors if isinstance(descriptors, Descriptors) else tuple(descriptors)
+        self.labels = tuple(labels)
         if rows is None:
             rows = self.firsts = np.arange(matrix.shape[0])
         else:
@@ -125,7 +181,8 @@ class Family:
         if not len(self.descriptors) == len(self.labels) == len(rows):
             raise ValidationError("a family needs one descriptor and one label per member")
         # min/max propagate NaN, so one comparison also rejects non-finite rows
-        if scan and not (matrix.min() >= 0.0 and matrix.max() <= 1.0):
+        fresh = matrix[checked:]
+        if fresh.size and not (fresh.min() >= 0.0 and fresh.max() <= 1.0):
             raise ValidationError(_OUT_OF_RANGE)
         matrix.setflags(write=False)
         rows.setflags(write=False)
@@ -168,7 +225,9 @@ class Family:
         name: str | None = None,
     ) -> "Family":
         """This family with ``rows`` (and their descriptors and labels)
-        appended as new members, each stored as a row of its own."""
+        appended as new members, each stored as a row of its own.  Only the
+        appended rows are range-checked (one min/max pair); this family's
+        rows were checked when it was built."""
         matrix = np.vstack([self.matrix, *rows])
         family = Family.__new__(Family)
         family._adopt(
@@ -176,7 +235,7 @@ class Family:
             self.descriptors + tuple(descriptors),
             self.labels + tuple(labels),
             name or self.name,
-            scan=True,
+            checked=len(self.matrix),
             rows=np.concatenate([self.rows, np.arange(len(self.matrix), len(matrix))]),
         )
         return family
@@ -203,23 +262,26 @@ def best_response(
     """Exhaustively maximize sigma * E[f (g - h)] over sigma in {+1, -1}, f in F.
 
     One matvec over the family's distinct rows scores every member; twin
-    members share their row's score."""
+    members share their row's score.  The winner is the larger of the top
+    row score (sign +1, ``argmax``) and the negated bottom one (sign -1,
+    ``argmin``), each the first row attaining it.  Ties, -0.0 equal to 0.0,
+    break to the lowest row (so the lowest member, rows being stored in
+    order of their lowest member), then to sign +1: the first maximum of
+    the interleaved candidates (row 0 +, row 0 -, row 1 +, ...).  The
+    reported correlation is the winning candidate itself, so a zero
+    residual reports row 0, sign +1 and that row's score, -0.0 included."""
     if family.domain_size != dist.size:
         raise DomainMismatchError(dist.size, family.domain_size, "family")
     if g.size != dist.size or h.size != dist.size:
         raise DomainMismatchError(dist.size, g.size if g.size != dist.size else h.size, "function")
-    residual = dist.weights * (g.values - h.values)
+    residual = g.values - h.values
+    residual *= dist.weights
     corr = family.matrix @ residual
-    # Candidate order (row 0 +, row 0 -, row 1 +, ...) makes argmax's
-    # first-hit rule implement the documented tie-break, since rows are
-    # stored in order of their lowest member.
-    candidates = np.stack([corr, -corr], axis=1).reshape(-1)
-    flat = int(np.argmax(candidates))
-    row, sign = divmod(flat, 2)
-    sign = +1 if sign == 0 else -1
-    return BestResponse(
-        index=int(family.firsts[row]), sign=sign, correlation=float(candidates[flat])
-    )
+    top, bottom = int(corr.argmax()), int(corr.argmin())
+    high, low = float(corr[top]), -float(corr[bottom])
+    if high > low or (high == low and top <= bottom):
+        return BestResponse(index=int(family.firsts[top]), sign=+1, correlation=high)
+    return BestResponse(index=int(family.firsts[bottom]), sign=-1, correlation=low)
 
 
 @dataclass(frozen=True)
@@ -464,7 +526,7 @@ def compose_level(
     d, n = base.matrix.shape
     counts = _stored_rows(d, entries)
     matrix = np.empty((sum(counts), n))
-    maps, descriptors = [], []
+    maps, parts = [], []
     start, finite, identity, pairs = 0, True, None, None
     for comb, count in zip(entries, counts):
         block = matrix[start:start + count]
@@ -517,13 +579,11 @@ def compose_level(
             finite = finite and not np.isnan(low).any()
             np.clip(block, 0.0, 1.0, out=block)
         maps.append(index)
-        descriptors.extend(
-            f"{comb.name}({', '.join(tup)})"
-            for tup in itertools.product(base.descriptors, repeat=comb.arity)
-        )
+        parts.append((comb.name, comb.arity, base.descriptors, len(base) ** comb.arity))
         start += count
     if not finite:
         raise ValidationError(_OUT_OF_RANGE)
+    descriptors = Descriptors(parts)
     return Family._in_range(
         matrix,
         descriptors,

@@ -103,21 +103,26 @@ def recurrence_bound(
         raise ValidationError("expanding mode needs epsilon")
     if mode == "shrinking" and schedule is None:
         raise ValidationError("shrinking mode needs a schedule")
+    # the recurrence runs on plain ints; labels are built once, at the end
+    gates = polylog_gates(epsilon) if mode == "expanding" else 0
     s1 = s2 = 1
-    labels = [ComplexityLabel(s1, s2)]
+    pairs = [(s1, s2)]
     saturated = False
     for i in range(rounds):
         g1, g2 = growth.label_map(s1, s2)
         if mode == "expanding":
-            s1, s2 = s1 + g1, s2 + g2 + polylog_gates(epsilon)
+            s1, s2 = s1 + g1, s2 + g2 + gates
         else:
             eps_i = schedule.eps_at(i)
             updates = updates_bound(eps_i)
             s1, s2 = g1 * updates, g2 * updates + _recal_gates(eps_i)
-        saturated = saturated or max(s1, s2) > LABEL_SATURATION
-        s1, s2 = min(s1, LABEL_SATURATION), min(s2, LABEL_SATURATION)
-        labels.append(ComplexityLabel(s1, s2))
-    return RecurrenceBound(labels=tuple(labels), saturated=saturated)
+        if s1 > LABEL_SATURATION or s2 > LABEL_SATURATION:
+            saturated = True
+            s1, s2 = min(s1, LABEL_SATURATION), min(s2, LABEL_SATURATION)
+        pairs.append((s1, s2))
+    return RecurrenceBound(
+        labels=tuple(ComplexityLabel(a, b) for a, b in pairs), saturated=saturated
+    )
 
 
 @dataclass(frozen=True)

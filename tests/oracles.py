@@ -67,6 +67,30 @@ def brute_best_response(member_rows, g, h, weights):
     return best
 
 
+def best_response_interleaved(corr):
+    """(row, sign, correlation) of one argmax over the interleaved signed
+    candidates (row 0 +, row 0 -, row 1 +, ...) of a vector of row scores:
+    the first maximum, -0.0 equal to 0.0, reported as that candidate."""
+    corr = np.asarray(corr, dtype=float)
+    candidates = np.stack([corr, -corr], axis=1).reshape(-1)
+    flat = int(np.argmax(candidates))
+    row, odd = divmod(flat, 2)
+    return row, -1 if odd else +1, float(candidates[flat])
+
+
+def level_sets_unique(h, weights):
+    """(values, inverse, masses) of np.unique(return_inverse=True) and a
+    bincount of the weights over the inverse."""
+    values, inverse = np.unique(h, return_inverse=True)
+    return values, inverse, np.bincount(inverse, weights=weights, minlength=values.size)
+
+
+def round_to_grid_expression(values, step):
+    """Round to the nearest multiple of step (half to even), then clip to
+    [0, 1], as one expression of fresh temporaries."""
+    return np.clip(np.round(np.asarray(values, dtype=float) / step) * step, 0.0, 1.0)
+
+
 def calibration_error_extreme_points(g, h, weights):
     """Maximize |E[w(h)(g - h)]| over all 0/1 reweightings of the level sets."""
     levels = sorted(set(h))

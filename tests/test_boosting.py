@@ -12,6 +12,7 @@ from oracles import (
     best_threshold_loop,
     calibration_error_extreme_points,
     level_sets_loop,
+    level_sets_unique,
     level_sums_by_point,
     multicalibrate_rescan,
     recalibrate_loop,
@@ -333,6 +334,25 @@ def _level_instance(rng, n, m, n_values, two_point):
         w /= w.sum()
     members = np.where(rng.uniform(size=(m, n)) < 0.3, 0.0, rng.uniform(size=(m, n)))
     return rs.BoundedFn(g), rs.BoundedFn(h), rs.Distribution(w), members
+
+
+def test_level_sets_match_unique_bit_for_bit():
+    rng = np.random.default_rng(23)
+    kinds = set()
+    for trial in range(400):
+        n = 1 if trial < 20 else int(rng.integers(2, 300))
+        # few distinct values, so ties are the rule; zeros of both signs
+        values = rng.integers(0, int(rng.integers(1, 9)), size=n) / 8
+        values[rng.uniform(size=n) < 0.3] = -0.0
+        values[rng.uniform(size=n) < 0.1] = rng.uniform(size=n)[0]
+        kinds.add((n == 1, bool(np.signbit(values).any()), len(set(values.tolist())) < n))
+        h, d = rs.BoundedFn(values), random_distribution(rng, n)
+        got = _level_sets(h, d)
+        expected = level_sets_unique(h.values, d.weights)
+        for a, b in zip(got, expected):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    # N = 1, -0.0 and ties all occurred
+    assert {(True, False, False), (True, True, False), (False, True, True)} <= kinds
 
 
 def test_level_layer_matches_loop_oracles():

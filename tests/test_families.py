@@ -13,7 +13,13 @@ from regsim.config import ConfigContext, build_ladder, plan_config
 from regsim.runner import run_config
 from regsim.demos import demo_config, demo_names
 from conftest import nested_ladder, random_bounded, random_distribution, random_family
-from oracles import brute_best_response, compose_rows, ladder_level_by_level, ladder_nested_bytes
+from oracles import (
+    best_response_interleaved,
+    brute_best_response,
+    compose_rows,
+    ladder_level_by_level,
+    ladder_nested_bytes,
+)
 
 
 def rows(family):
@@ -62,6 +68,44 @@ def test_best_response_single_candidate(uniform2):
     br = rs.best_response(family, g, h, uniform2)
     assert br.sign == +1
     assert br.correlation == pytest.approx(0.5, abs=1e-12)
+
+
+class ScoredRows:
+    """A family stand-in whose matvec returns fixed row scores, so the
+    selection of best_response meets any score vector, -0.0 included."""
+
+    def __init__(self, scores, n):
+        self.scores = np.array(scores, dtype=float)
+        self.matrix, self.domain_size = self, n
+        self.firsts = np.arange(len(self.scores))
+
+    def __matmul__(self, residual):
+        return self.scores
+
+
+def test_best_response_selection_matches_interleaved_argmax():
+    d = rs.Distribution.uniform(2)
+    g = h = rs.BoundedFn(np.array([0.5, 0.5]))
+    crafted = [
+        [0.0], [-0.0], [0.0, 0.0, 0.0], [-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0],
+        [0.25], [-0.25], [0.5, -0.5], [-0.5, 0.5], [0.1, 0.5, -0.5], [-0.5, 0.2, 0.5],
+        [0.3, 0.3, -0.1], [-0.3, -0.3, 0.1], [-0.3, 0.1, -0.3], [0.25, -0.25, 0.25, -0.25],
+    ]
+    rng = np.random.default_rng(41)
+    drawn = []
+    for _ in range(500):
+        scores = rng.integers(-2, 3, size=int(rng.integers(1, 7))) / 4
+        scores[rng.uniform(size=scores.size) < 0.3] = -0.0
+        drawn.append(scores.tolist())
+    signs = set()
+    for scores in crafted + drawn:
+        br = rs.best_response(ScoredRows(scores, 2), g, h, d)
+        row, sign, corr = best_response_interleaved(scores)
+        assert (br.index, br.sign) == (row, sign), scores
+        assert np.float64(br.correlation).tobytes() == np.float64(corr).tobytes(), scores
+        signs.add((sign, np.signbit(corr)))
+    # both signs win, and a -0.0 score is reported as it is
+    assert {(+1, False), (-1, False), (+1, True)} <= signs
 
 
 def test_best_response_matches_plain_scan():
@@ -309,6 +353,12 @@ def assert_composes_like_the_oracle(composed, base, catalog):
     )
     assert composed.matrix[composed.rows].tobytes() == rows.tobytes()
     assert list(composed.descriptors) == descriptors
+    # the lazy descriptors read as the tuple of strings would
+    lazy, half = composed.descriptors, len(descriptors) // 2
+    assert lazy == tuple(descriptors) and lazy != tuple(descriptors[:-1])
+    assert [lazy[i] for i in range(-len(lazy), 0)] == descriptors
+    assert list(lazy[:half]) == descriptors[:half] and lazy[1::3] == tuple(descriptors[1::3])
+    assert list(lazy + ("extra",)) == descriptors + ["extra"]
     assert_rows_in_first_member_order(composed)
 
 
@@ -352,6 +402,10 @@ def test_compose_twins_match_the_oracle(names, nested):
     members = np.vstack([composed.matrix[composed.rows], row])
     assert np.array_equal(grown.matrix[grown.rows], members)
     assert_rows_in_first_member_order(grown)
+    # the appended rows are range-checked
+    for bad in (np.full(6, 1.5), np.full(6, np.nan)):
+        with pytest.raises(rs.ValidationError, match=r"^family values must be finite"):
+            composed.extended([row, bad], ["half", "bad"], [rs.ComplexityLabel(0, 0)] * 2)
 
 
 def dyadic_instance(rng, n):
@@ -438,7 +492,8 @@ def random_nesting_levels(rng):
     """Level matrices of a random chain: each level holds the rows below it,
     shuffled, some duplicated and some zeros written as -0.0, plus new
     rows.  A third of the chains then move one entry of a lower level by
-    one ulp, and a sixth drop the first row of an upper level."""
+    one ulp, and a sixth drop the first row of an upper level if it has
+    another (a level is never emptied)."""
     n = int(rng.integers(1, 7))
 
     def member():
@@ -460,7 +515,8 @@ def random_nesting_levels(rng):
         level[r, c] = np.nextafter(level[r, c], 1.0 if level[r, c] < 1.0 else 0.0)
     elif defect < 1 / 2:
         j = int(rng.integers(1, len(levels)))
-        levels[j] = levels[j][1:]
+        if len(levels[j]) > 1:
+            levels[j] = levels[j][1:]
     return levels
 
 
@@ -485,14 +541,16 @@ def count_byte_tests(monkeypatch):
 
 def test_ladder_nesting_matches_the_bytes_rule(monkeypatch):
     byte_tests = count_byte_tests(monkeypatch)
-    rng = np.random.default_rng(31)
-    verdicts = []
-    for _ in range(300):
-        levels = random_nesting_levels(rng)
-        expected = ladder_nested_bytes(levels)
-        assert ladder_verdict(levels) == expected
-        verdicts.append(expected)
-    assert verdicts.count(None) > 100 and len(set(verdicts)) > 2
+    # seed 37 drew a one-row upper level for the row-drop defect
+    for seed in (31, 37):
+        rng = np.random.default_rng(seed)
+        verdicts = []
+        for _ in range(300):
+            levels = random_nesting_levels(rng)
+            expected = ladder_nested_bytes(levels)
+            assert ladder_verdict(levels) == expected
+            verdicts.append(expected)
+        assert verdicts.count(None) > 100 and len(set(verdicts)) > 2
     # the shuffled chains are not leading-row chains, so the byte rule ran
     assert byte_tests
 
