@@ -10,13 +10,14 @@ the first.  A seed is mandatory as soon as any randomized generator is built.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from numbers import Integral, Real
 from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .domain import MIN_ACCURACY, BoundedFn, Distribution, FiniteDomain
+from .domain import MIN_ACCURACY, BoundedFn, Distribution, FiniteDomain, _cached, _nbytes
 from .errors import RegsimError, ValidationError
 from .families import (
     Combinator,
@@ -321,6 +322,34 @@ def _shared_key(spec: Any) -> str | None:
         return None
 
 
+_PLAIN = (str, int, float, bool, type(None))
+
+
+def _reads_only_the_domain(node: Any) -> bool:
+    """Whether a ladder spec builds from the domain alone, so one build
+    serves every run over that domain: it holds nothing but plain JSON
+    types (a tuple or a numpy scalar would serialize like a list or a
+    number the builders treat differently), no ``"kind": "random"`` node
+    and no threshold builder whose ``source`` is missing or "target"."""
+    kind = type(node)
+    if kind is list:
+        return all(map(_reads_only_the_domain, node))
+    if kind is not dict:
+        return kind in _PLAIN
+    return (
+        all(type(k) is str and _reads_only_the_domain(v) for k, v in node.items())
+        and node.get("kind") != "random"
+        and not (node.get("builder") == "threshold" and node.get("source", "target") == "target")
+    )
+
+
+def _ladder_bytes(ladder: GradedLadder) -> int:
+    """A ladder's charge in the build cache: its distinct buffers, each
+    counted once, so a repeated level and the views ``compose_levels``
+    hands out cost nothing beyond their top level's."""
+    return _nbytes(arr for lvl in set(ladder.levels) for arr in (lvl.matrix, lvl.rows, lvl.firsts))
+
+
 def build_ladder(spec: Any, ctx: ConfigContext, path: str) -> GradedLadder:
     """The ladder of ``spec``, each of its distinct families built once.
 
@@ -331,48 +360,67 @@ def build_ladder(spec: Any, ctx: ConfigContext, path: str) -> GradedLadder:
     level's leading rows.  Every level's spec is read and checked, in
     level order, before anything is composed, so a bad level is named as
     a level-by-level build would name it.
+
+    A ladder whose spec reads nothing but the domain is built once per
+    process: it is kept in the library's one build cache
+    (``domain._cached``) under (domain size, bit width, canonical JSON of
+    the spec), charged its distinct buffers and its key against the
+    shared 64 MiB budget.  A ladder that draws from the seeded generator
+    or reads the target, and a failed build, are never kept.
     """
-    if not isinstance(spec, dict):
-        raise ValidationError(f"{path}: expected a ladder object")
-    _only_keys(spec, {"levels", "pad_to"}, path)
-    levels_spec = spec.get("levels")
-    if not isinstance(levels_spec, list) or not levels_spec:
-        raise ValidationError(f"{path}.levels: expected a nonempty list of family builders")
-    built: dict[str, Family] = {}
 
-    def shared(spec: Any, ctx: ConfigContext, path: str) -> Family:
-        key = _shared_key(spec)
-        if key is None:
-            return build_family(spec, ctx, path)
-        if key not in built:
-            built[key] = build_family(spec, ctx, path)
-        return built[key]
+    def build() -> GradedLadder:
+        if not isinstance(spec, dict):
+            raise ValidationError(f"{path}: expected a ladder object")
+        _only_keys(spec, {"levels", "pad_to"}, path)
+        levels_spec = spec.get("levels")
+        if not isinstance(levels_spec, list) or not levels_spec:
+            raise ValidationError(f"{path}.levels: expected a nonempty list of family builders")
+        built: dict[str, Family] = {}
 
-    # each level is a Family, or the index of its compose request
-    levels: list[Family | int] = []
-    requests: list[tuple[Family, int, int, tuple[Combinator, ...]]] = []
-    for i, s in enumerate(levels_spec):
-        where = f"{path}.levels[{i}]"
-        if isinstance(s, dict) and s.get("builder") == "compose" and _shared_key(s) is not None:
-            levels.append(len(requests))
-            requests.append(_compose_request(s, ctx, where, shared))
-        else:
-            levels.append(shared(s, ctx, where))
-    pad_to = _field(spec, "pad_to", path, int, default=len(levels))
-    if pad_to < len(levels):
-        raise ValidationError(
-            f"{path}.pad_to: at least the {len(levels)} listed levels, got {pad_to}"
-        )
-    if pad_to > _MAX_LADDER_DEPTH:
-        raise ValidationError(
-            f"{path}.pad_to: at most {_MAX_LADDER_DEPTH} levels, got {pad_to}"
-        )
-    composed = compose_levels(requests)
-    levels = [composed[lvl] if isinstance(lvl, int) else lvl for lvl in levels]
-    # Padding repeats the top level, as GradedLadder.padded does; building
-    # the full list first constructs and nesting-checks the ladder once.
-    levels += [levels[-1]] * (pad_to - len(levels))
-    return GradedLadder(levels)
+        def shared(spec: Any, ctx: ConfigContext, path: str) -> Family:
+            key = _shared_key(spec)
+            if key is None:
+                return build_family(spec, ctx, path)
+            if key not in built:
+                built[key] = build_family(spec, ctx, path)
+            return built[key]
+
+        # each level is a Family, or the index of its compose request
+        levels: list[Family | int] = []
+        requests: list[tuple[Family, int, int, tuple[Combinator, ...]]] = []
+        for i, s in enumerate(levels_spec):
+            where = f"{path}.levels[{i}]"
+            if isinstance(s, dict) and s.get("builder") == "compose" and _shared_key(s) is not None:
+                levels.append(len(requests))
+                requests.append(_compose_request(s, ctx, where, shared))
+            else:
+                levels.append(shared(s, ctx, where))
+        pad_to = _field(spec, "pad_to", path, int, default=len(levels))
+        if pad_to < len(levels):
+            raise ValidationError(
+                f"{path}.pad_to: at least the {len(levels)} listed levels, got {pad_to}"
+            )
+        if pad_to > _MAX_LADDER_DEPTH:
+            raise ValidationError(
+                f"{path}.pad_to: at most {_MAX_LADDER_DEPTH} levels, got {pad_to}"
+            )
+        composed = compose_levels(requests)
+        levels = [composed[lvl] if isinstance(lvl, int) else lvl for lvl in levels]
+        # Padding repeats the top level, as GradedLadder.padded does; building
+        # the full list first constructs and nesting-checks the ladder once.
+        levels += [levels[-1]] * (pad_to - len(levels))
+        return GradedLadder(levels)
+
+    key = _shared_key(spec) if _reads_only_the_domain(spec) else None
+    if key is None:
+        return build()
+    domain = ctx.domain
+    return _cached(
+        ("ladder", domain.size, domain.bit_width, key),
+        build,
+        lambda ladder: _ladder_bytes(ladder) + sys.getsizeof(key),
+    )
 
 
 def build_growth(spec: Any, ladder: GradedLadder, path: str) -> GrowthMap:
@@ -460,7 +508,11 @@ def validate_config(config: Any) -> list[str]:
 
 def plan_config(config: Any) -> tuple[Plan | None, list[str]]:
     """Validate a config and build everything its run reads, once: (plan, [])
-    when valid, else (None, every violation found)."""
+    when valid, else (None, every violation found).
+
+    A ladder whose spec reads nothing but the domain comes from the
+    library's one build cache (see ``build_ladder``), so a process builds
+    it once; no other field is kept across runs."""
     diags = Diagnostics()
     if not _check_keys(config, "config", _TOP_KEYS, diags):
         return None, diags.problems

@@ -5,14 +5,19 @@ Everything downstream works over a finite domain of N points indexed
 [0, 1]-valued vectors, and every statistic is an exact weighted sum in
 double precision.  Tolerances: 1e-12 for structural invariants (vectors
 summing to one), 1e-10 for derived sums.
+
+What depends only on a domain and a fixed spec (k-fold layouts, config
+ladders, recurrence bounds) is built once per process and kept in the
+library's one build cache, ``_cached``, bounded at 64 MiB.
 """
 
 from __future__ import annotations
 
 import sys
+from collections import OrderedDict
 from dataclasses import dataclass
 from numbers import Integral
-from typing import Sequence, Union
+from typing import Callable, Hashable, Iterable, Sequence, TypeVar, Union
 
 import numpy as np
 
@@ -242,3 +247,49 @@ def round_to_grid(values: np.ndarray, step: float) -> np.ndarray:
     np.rint(out, out=out)
     out *= step
     return out.clip(0.0, 1.0, out=out)
+
+
+# ---------------------------------------------------------------------------
+# The build cache
+# ---------------------------------------------------------------------------
+
+# Byte budget of the build cache below; an entry larger than this is built,
+# used and not kept.
+_CACHE_BYTES = 64 << 20
+_cache = OrderedDict()  # hashable key -> (read-only value, bytes charged)
+_cache_total = 0  # the sum of the charges in _cache
+
+_T = TypeVar("_T")
+
+
+def _nbytes(arrays: Iterable[np.ndarray]) -> int:
+    """Bytes of the distinct buffers under ``arrays``, each counted once: a
+    view is charged as the array that owns its memory."""
+    owners = {}
+    for arr in arrays:
+        while isinstance(arr.base, np.ndarray):
+            arr = arr.base
+        owners[id(arr)] = arr.nbytes
+    return sum(owners.values())
+
+
+def _cached(key: Hashable, build: Callable[[], _T], nbytes: Callable[[_T], int]) -> _T:
+    """The value kept under ``key`` in the library's one least-recently-used
+    cache, or else ``build()``, kept when its charge ``nbytes(value)`` fits
+    the byte budget, the least recently used entries leaving until the
+    total does.  Every later caller shares a kept value, so ``build`` hands
+    over only read-only arrays and objects nobody mutates; a build that
+    raises keeps nothing."""
+    global _cache_total
+    hit = _cache.get(key)
+    if hit is not None:
+        _cache.move_to_end(key)
+        return hit[0]
+    value = build()
+    size = nbytes(value)
+    if size <= _CACHE_BYTES:
+        _cache[key] = (value, size)
+        _cache_total += size
+        while _cache_total > _CACHE_BYTES:
+            _cache_total -= _cache.popitem(last=False)[1][1]
+    return value

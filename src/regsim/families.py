@@ -168,33 +168,39 @@ class Family:
         family._adopt(matrix, descriptors, labels, name, checked=len(matrix), rows=rows)
         return family
 
-    def _adopt(self, matrix, descriptors, labels, name, checked: int, rows=None) -> None:
+    def _adopt(
+        self, matrix, descriptors, labels, name, checked: int, rows=None, firsts=None, label=None
+    ) -> None:
         """Take ``matrix`` as the family's rows, range-checking the rows from
-        ``checked`` on: the leading ones were checked by whoever built them."""
+        ``checked`` on: the leading ones were checked by whoever built them.
+        ``firsts`` and ``label``, when given, are the caller's, which knows
+        them without a scan of every member (``extended``)."""
         self.descriptors = descriptors if isinstance(descriptors, Descriptors) else tuple(descriptors)
         self.labels = tuple(labels)
         if rows is None:
-            rows = self.firsts = np.arange(matrix.shape[0])
-        else:
-            self.firsts = np.full(matrix.shape[0], len(rows))
-            np.minimum.at(self.firsts, rows, np.arange(len(rows)))
+            rows = firsts = np.arange(matrix.shape[0])
+        elif firsts is None:
+            firsts = np.full(matrix.shape[0], len(rows))
+            np.minimum.at(firsts, rows, np.arange(len(rows)))
         if not len(self.descriptors) == len(self.labels) == len(rows):
             raise ValidationError("a family needs one descriptor and one label per member")
         # min/max propagate NaN, so one comparison also rejects non-finite rows
         fresh = matrix[checked:]
         if fresh.size and not (fresh.min() >= 0.0 and fresh.max() <= 1.0):
             raise ValidationError(_OUT_OF_RANGE)
-        matrix.setflags(write=False)
-        rows.setflags(write=False)
-        self.matrix, self.rows = matrix, rows
+        for arr in (matrix, rows, firsts):
+            arr.setflags(write=False)
+        self.matrix, self.rows, self.firsts = matrix, rows, firsts
         self.name = name
         self.domain_size = matrix.shape[1]
-        # the join of the row labels, taken componentwise; builders mostly
-        # repeat one label, which one count (identity first) finds is the join
-        first, labels = self.labels[0], self.labels
-        self.label = first if labels.count(first) == len(labels) else ComplexityLabel(
-            max(lbl.s1 for lbl in labels), max(lbl.s2 for lbl in labels)
-        )
+        if label is None:
+            # the join of the row labels, taken componentwise; builders mostly
+            # repeat one label, which one count (identity first) finds is the join
+            first, labels = self.labels[0], self.labels
+            label = first if labels.count(first) == len(labels) else ComplexityLabel(
+                max(lbl.s1 for lbl in labels), max(lbl.s2 for lbl in labels)
+            )
+        self.label = label
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -227,16 +233,20 @@ class Family:
         """This family with ``rows`` (and their descriptors and labels)
         appended as new members, each stored as a row of its own.  Only the
         appended rows are range-checked (one min/max pair); this family's
-        rows were checked when it was built."""
+        rows were checked when it was built, and its ``firsts`` and label
+        are extended rather than recomputed over every member."""
         matrix = np.vstack([self.matrix, *rows])
+        d, m, labels = len(self.matrix), len(self), tuple(labels)
         family = Family.__new__(Family)
         family._adopt(
             matrix,
             self.descriptors + tuple(descriptors),
-            self.labels + tuple(labels),
+            self.labels + labels,
             name or self.name,
-            checked=len(self.matrix),
-            rows=np.concatenate([self.rows, np.arange(len(self.matrix), len(matrix))]),
+            checked=d,
+            rows=np.concatenate([self.rows, np.arange(d, len(matrix))]),
+            firsts=np.concatenate([self.firsts, np.arange(m, m + len(matrix) - d)]),
+            label=functools.reduce(ComplexityLabel.join, labels, self.label),
         )
         return family
 
@@ -712,7 +722,9 @@ class GrowthMap:
     the label of the mapped image of the lowest level that dominates it,
     and a label no level dominates goes to its join with the top level's
     label, so formal recurrences stay monotone past the chain's reach.
-    Without labels the action is the identity.
+    Without labels the action is the identity.  ``table`` and
+    ``label_table``, the labels' (s1, s2) pairs (empty without labels),
+    determine the map.
     """
 
     def __init__(
@@ -737,7 +749,7 @@ class GrowthMap:
         ordered = all(map(ComplexityLabel.le, labels, labels[1:]))
         if labels and (len(labels) != depth or not ordered):
             raise ValidationError("growth labels must be one per level and nondecreasing")
-        pairs = [(lbl.s1, lbl.s2) for lbl in labels]
+        pairs = self.label_table = tuple((lbl.s1, lbl.s2) for lbl in labels)
         self._s1, self._s2 = [p[0] for p in pairs], [p[1] for p in pairs]
         self._images = [pairs[min(t, depth - 1)] for t in table] if pairs else []
         self._top = pairs[-1] if pairs else (0, 0)

@@ -17,7 +17,10 @@ all the measures a caller reads (``TypeClassTable.tv`` and
 are thin wrappers over the same pieces, so a verification that builds them
 once reports the same bits.  What depends on (N, k) alone, the type table
 with its weights and gather index and the successor maps, is built once
-and kept read-only in one least-recently-used cache bounded in bytes.
+and kept read-only in the library's one build cache (``domain._cached``):
+least recently used, keyed by (function name, N, k), and bounded at
+64 MiB, a budget it shares with the config ladders and recurrence labels
+kept there.  A layout larger than that is built, used and not kept.
 A measure is a Distribution or a raw nonnegative vector, converted by
 ``domain._measure_vector`` as everywhere else in the library.
 """
@@ -28,14 +31,13 @@ import functools
 import itertools
 import math
 import sys
-from collections import OrderedDict
 from dataclasses import dataclass
 from numbers import Integral
 from typing import Sequence
 
 import numpy as np
 
-from .domain import DERIVED_TOL, Distribution, MeasureLike, _measure_vector
+from .domain import DERIVED_TOL, Distribution, MeasureLike, _cached, _measure_vector, _nbytes
 from .errors import CapExceededError, DomainMismatchError, ValidationError
 
 DEFAULT_TYPE_CAP = 5_000_000
@@ -70,40 +72,26 @@ def _check_k(k) -> int:
     return int(k)
 
 
-# Byte budget of the layout cache below; an entry larger than this is built,
-# used and not kept.
-_CACHE_BYTES = 64 << 20
-_cache = OrderedDict()  # (function name, n, k) -> read-only arrays
-
-
-def _nbytes(arrays: tuple[np.ndarray, ...]) -> int:
-    return sum(a.nbytes for a in arrays)
-
-
-def _cached(build):
+def _layout(build):
     """Memoize ``build(n, k)``, a tuple of arrays that depend only on (N, k),
-    in the module's one least-recently-used cache, bounded in bytes.  The
-    arrays are made read-only, since callers share them."""
+    in the library's one build cache (``domain._cached``) under
+    (function name, N, k).  The arrays are made read-only, since callers
+    share them."""
 
     @functools.wraps(build)
     def get(n: int, k: int) -> tuple[np.ndarray, ...]:
-        key = (build.__name__, n, k)
-        if key in _cache:
-            _cache.move_to_end(key)
-            return _cache[key]
-        arrays = build(n, k)
-        for arr in arrays:
-            arr.setflags(write=False)
-        if _nbytes(arrays) <= _CACHE_BYTES:
-            _cache[key] = arrays
-            while sum(map(_nbytes, _cache.values())) > _CACHE_BYTES:
-                _cache.popitem(last=False)
-        return arrays
+        def make() -> tuple[np.ndarray, ...]:
+            arrays = build(n, k)
+            for arr in arrays:
+                arr.setflags(write=False)
+            return arrays
+
+        return _cached((build.__name__, n, k), make, _nbytes)
 
     return get
 
 
-@_cached
+@_layout
 def _type_table(n: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The types of size k, their multinomial weights and the gather index
     of _product_masses, idx[x, t] = x (k + 1) + counts[t, x], point-major;
@@ -117,7 +105,7 @@ def _type_table(n: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return counts, weights, idx
 
 
-@_cached
+@_layout
 def _successors(n: int, k: int) -> tuple[np.ndarray, ...]:
     """succ[i][t, x] is the row in _types(n, i + 1) of type t of
     _types(n, i) plus one point x, for i < k; cached per (N, k).

@@ -16,6 +16,7 @@ shows the a-priori bound next to what the run actually used.
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass
 from functools import partial
@@ -30,7 +31,7 @@ from .boosting import (
     calibration_error,
     updates_bound,
 )
-from .domain import DERIVED_TOL, MIN_ACCURACY, BoundedFn, Distribution, potential
+from .domain import DERIVED_TOL, MIN_ACCURACY, BoundedFn, Distribution, _cached, potential
 from .errors import InternalContractError, ValidationError
 from .families import (
     ComplexityLabel,
@@ -46,6 +47,10 @@ LABEL_SATURATION = 10 ** 15
 # the construction's bound, so 2^16 rounds (updates_bound(epsilon) for
 # epsilon >= 0.0023, 1 / alpha for alpha >= 1.6e-5) keep it to a few MiB.
 MAX_RECURRENCE_ROUNDS = 1 << 16
+# Bytes one label of a kept recurrence bound is charged in the build cache:
+# its tuple slot, the object with its dict, and two ints, 168 bytes as
+# tracemalloc measured it on CPython 3.11.
+_LABEL_BYTES = 168
 
 
 @dataclass(frozen=True)
@@ -89,6 +94,12 @@ def recurrence_bound(
     Shrinking mode: S_{i+1} = (update budget at eps_i) * G(S_i)
     + (0, recalibration gates at eps_i), with eps_i the schedule value at
     round i.  Components clamp at 10^15 and set the saturated flag.
+
+    The sequence depends only on the growth map's table and label table,
+    ``rounds``, ``mode`` and epsilon or the schedule's values, so it is
+    computed once per distinct input and kept in the library's one build
+    cache (``domain._cached``) under a digest of that input, so the key
+    holds none of the growth map's tables, charged _LABEL_BYTES per label.
     """
     if rounds < 0:
         raise ValidationError("rounds must be >= 0")
@@ -103,25 +114,35 @@ def recurrence_bound(
         raise ValidationError("expanding mode needs epsilon")
     if mode == "shrinking" and schedule is None:
         raise ValidationError("shrinking mode needs a schedule")
-    # the recurrence runs on plain ints; labels are built once, at the end
-    gates = polylog_gates(epsilon) if mode == "expanding" else 0
-    s1 = s2 = 1
-    pairs = [(s1, s2)]
-    saturated = False
-    for i in range(rounds):
-        g1, g2 = growth.label_map(s1, s2)
-        if mode == "expanding":
-            s1, s2 = s1 + g1, s2 + g2 + gates
-        else:
-            eps_i = schedule.eps_at(i)
-            updates = updates_bound(eps_i)
-            s1, s2 = g1 * updates, g2 * updates + _recal_gates(eps_i)
-        if s1 > LABEL_SATURATION or s2 > LABEL_SATURATION:
-            saturated = True
-            s1, s2 = min(s1, LABEL_SATURATION), min(s2, LABEL_SATURATION)
-        pairs.append((s1, s2))
-    return RecurrenceBound(
-        labels=tuple(ComplexityLabel(a, b) for a, b in pairs), saturated=saturated
+
+    def build() -> RecurrenceBound:
+        # the recurrence runs on plain ints; labels are built once, at the end
+        gates = polylog_gates(epsilon) if mode == "expanding" else 0
+        s1 = s2 = 1
+        pairs = [(s1, s2)]
+        saturated = False
+        for i in range(rounds):
+            g1, g2 = growth.label_map(s1, s2)
+            if mode == "expanding":
+                s1, s2 = s1 + g1, s2 + g2 + gates
+            else:
+                eps_i = schedule.eps_at(i)
+                updates = updates_bound(eps_i)
+                s1, s2 = g1 * updates, g2 * updates + _recal_gates(eps_i)
+            if s1 > LABEL_SATURATION or s2 > LABEL_SATURATION:
+                saturated = True
+                s1, s2 = min(s1, LABEL_SATURATION), min(s2, LABEL_SATURATION)
+            pairs.append((s1, s2))
+        return RecurrenceBound(
+            labels=tuple(ComplexityLabel(a, b) for a, b in pairs), saturated=saturated
+        )
+
+    rate = epsilon if mode == "expanding" else schedule.values
+    source = repr((growth.table, growth.label_table, rounds, mode, rate)).encode()
+    return _cached(
+        ("recurrence_bound", hashlib.blake2b(source, digest_size=32).digest()),
+        build,
+        lambda bound: _LABEL_BYTES * len(bound.labels),
     )
 
 

@@ -1,4 +1,5 @@
 import sys
+from collections import OrderedDict
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +8,23 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 import regsim as rs
+from regsim import domain
+
+
+def empty_build_cache(monkeypatch):
+    """Swap in an empty build cache (``domain._cache``, with its running
+    total) until the test ends, and return it."""
+    cache = OrderedDict()
+    monkeypatch.setattr(domain, "_cache", cache)
+    monkeypatch.setattr(domain, "_cache_total", 0)
+    return cache
+
+
+@pytest.fixture
+def fresh_cache(monkeypatch):
+    """An empty build cache for one test, so a test that counts builds does
+    not see what earlier tests kept."""
+    return empty_build_cache(monkeypatch)
 
 
 @pytest.fixture

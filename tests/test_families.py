@@ -402,6 +402,13 @@ def test_compose_twins_match_the_oracle(names, nested):
     members = np.vstack([composed.matrix[composed.rows], row])
     assert np.array_equal(grown.matrix[grown.rows], members)
     assert_rows_in_first_member_order(grown)
+    # firsts and the label are extended, and equal a recount over every member
+    taller = grown.extended([row], ["taller"], [rs.ComplexityLabel(3, 0)])
+    recount = rs.Family._in_range(
+        taller.matrix, taller.descriptors, taller.labels, taller.name, rows=taller.rows
+    )
+    assert np.array_equal(taller.firsts, recount.firsts) and not taller.firsts.flags.writeable
+    assert taller.label == recount.label == rs.ComplexityLabel(3, 1)
     # the appended rows are range-checked
     for bad in (np.full(6, 1.5), np.full(6, np.nan)):
         with pytest.raises(rs.ValidationError, match=r"^family values must be finite"):

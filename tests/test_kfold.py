@@ -1,12 +1,11 @@
 import math
-from collections import OrderedDict
 
 import hypothesis as hyp
 import numpy as np
 import pytest
 
 import regsim as rs
-from conftest import random_distribution
+from conftest import empty_build_cache, random_distribution
 from oracles import (
     brute_kfold_expectation,
     brute_kfold_tv,
@@ -14,7 +13,7 @@ from oracles import (
     counts_of,
     product_masses_rowwise,
 )
-from regsim import kfold
+from regsim import domain, kfold
 
 
 def test_binomial_row_weights():
@@ -217,21 +216,24 @@ def test_gathered_masses_equal_the_rowwise_formula_bit_for_bit():
     check()
 
 
+LAYOUTS = ("_type_table", "_successors")
+
+
 def test_cached_layouts_are_read_only():
     for arrays in (kfold._type_table(3, 4), kfold._successors(3, 4)):
         for arr in arrays:
             assert not arr.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 arr[(0,) * arr.ndim] = 7
-    assert all(not arr.flags.writeable for arrays in kfold._cache.values() for arr in arrays)
+    layouts = [arrays for key, (arrays, _) in domain._cache.items() if key[0] in LAYOUTS]
+    assert layouts and all(not arr.flags.writeable for arrays in layouts for arr in arrays)
 
 
-def test_second_verification_at_the_same_layout_builds_nothing(monkeypatch):
+def test_second_verification_at_the_same_layout_builds_nothing(monkeypatch, fresh_cache):
     # both cached layouts enumerate types through _types, which runs only
     # on a cache miss
     built = []
     real_types = kfold._types
-    monkeypatch.setattr(kfold, "_cache", OrderedDict())
     monkeypatch.setattr(kfold, "_types", lambda n, k: built.append((n, k)) or real_types(n, k))
     d0 = rs.Distribution(np.array([0.1, 0.2, 0.3, 0.4]))
     d1 = rs.Distribution(np.array([0.4, 0.3, 0.2, 0.1]))
@@ -243,27 +245,28 @@ def test_second_verification_at_the_same_layout_builds_nothing(monkeypatch):
         reports.append(rs.verify_two_proxy(inst, inst.g, family, 0.05, 0.01, 3).to_json())
         assert bool(built) == expect_builds, built
     assert reports[0] == reports[1]
-    assert set(kfold._cache) == {("_type_table", 4, 3), ("_successors", 4, 3)}
+    assert set(domain._cache) == {("_type_table", 4, 3), ("_successors", 4, 3)}
 
 
-def test_cache_stays_within_its_byte_budget(monkeypatch):
-    monkeypatch.setattr(kfold, "_cache", OrderedDict())
+def test_cache_stays_within_its_byte_budget(monkeypatch, fresh_cache):
     big = [arr.copy() for arr in kfold._type_table(2, 500)]
-    monkeypatch.setattr(kfold, "_cache", OrderedDict())
+    empty_build_cache(monkeypatch)
     budget = 6000
-    monkeypatch.setattr(kfold, "_CACHE_BYTES", budget)
+    monkeypatch.setattr(domain, "_CACHE_BYTES", budget)
     # 501 types: 8016 bytes of counts alone, so built and used but not kept
     over = kfold._type_table(2, 500)
     assert all(np.array_equal(a, b) for a, b in zip(over, big))
-    assert not kfold._cache
+    assert not domain._cache
     assert 0.0 < rs.kfold_tv([0.7, 0.3], [0.4, 0.6], 500) <= 1.0
     for n, k in [(2, 20), (3, 6), (2, 30), (4, 3), (3, 7), (2, 20)]:
         kfold._type_table(n, k)
         kfold._successors(n, k)
-        assert sum(kfold._nbytes(v) for v in kfold._cache.values()) <= budget
+        assert sum(domain._nbytes(v) for v, _ in domain._cache.values()) <= budget
+        assert all(size == domain._nbytes(v) for v, size in domain._cache.values())
+        assert domain._cache_total == sum(size for _, size in domain._cache.values())
     # least recently used goes first: (2, 20) was asked for last
-    assert list(kfold._cache)[-2:] == [("_type_table", 2, 20), ("_successors", 2, 20)]
-    assert ("_type_table", 3, 6) not in kfold._cache
+    assert list(domain._cache)[-2:] == [("_type_table", 2, 20), ("_successors", 2, 20)]
+    assert ("_type_table", 3, 6) not in domain._cache
 
 
 def _k_entry_points(k):
