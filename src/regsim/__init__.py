@@ -47,15 +47,12 @@ from .families import (
     FamilyDistance,
     GradedLadder,
     GrowthMap,
+    STANDARD_COMBINATORS,
     apply_growth,
     best_response,
     build_coordinate_family,
     build_rectangle_family,
     build_threshold_family,
-    combinator_identity,
-    combinator_max,
-    combinator_min,
-    combinator_negation,
     compose_level,
     explicit_family,
     family_distance,

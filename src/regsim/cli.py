@@ -2,8 +2,9 @@
 
 Exit codes: 0 all asserted inequalities pass, 1 configuration or
 precondition error, 2 assertion failure, 3 internal-contract violation
-(a library bug).  Set REGSIM_THREADS to cap BLAS thread counts; all
-results are deterministic regardless.
+(a library bug).  Set REGSIM_THREADS to cap BLAS thread counts.  A rerun
+reports the same bytes for one BLAS build and one thread count; another
+thread count can move reported floats by ulps.
 """
 
 from __future__ import annotations

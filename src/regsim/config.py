@@ -13,14 +13,13 @@ import json
 import sys
 from dataclasses import dataclass, field
 from numbers import Integral, Real
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
 from .domain import MIN_ACCURACY, BoundedFn, Distribution, FiniteDomain, _cached, _nbytes
 from .errors import RegsimError, ValidationError
 from .families import (
-    Combinator,
     ErrorSchedule,
     Family,
     GradedLadder,
@@ -29,9 +28,7 @@ from .families import (
     build_coordinate_family,
     build_rectangle_family,
     build_threshold_family,
-    compose_entries,
     compose_level,
-    compose_levels,
     explicit_family,
 )
 
@@ -85,6 +82,10 @@ _MAX_LADDER_DEPTH = 1 << 16
 # coordinate encoding reads int64 element indices, so at most 64 bits.
 _MAX_DOMAIN_SIZE = 1 << 24
 _MAX_BIT_WIDTH = 64
+
+# Widest integer a config field may hold; a wider one is refused before
+# anything formats it (str() of an int past 4,300 digits raises).
+_MAX_INT_BITS = 64
 
 # What each algorithm reads; a verify run reads an optional simulator.
 _NEEDS = {
@@ -153,8 +154,9 @@ def _field(spec: dict, key: str, path: str, kind: Any = float, default: Any = _R
 
 def _typed(value: Any, where: str, kind: Any) -> Any:
     """``value`` as a float or int, or (``kind`` [float] or [int]) as a
-    nonempty sequence of them; bools, numeric strings and integers beyond
-    double range (for floats) are rejected."""
+    nonempty sequence of them; bools, numeric strings, integers of more than
+    64 bits (for ints) and integers beyond double range (for floats) are
+    rejected, a wide integer described by its bit length."""
     if isinstance(kind, list):
         if not isinstance(value, list) or not value:
             raise ValidationError(f"{where}: expected a nonempty list")
@@ -167,12 +169,17 @@ def _typed(value: Any, where: str, kind: Any) -> Any:
     if isinstance(value, bool) or not isinstance(value, Integral if kind is int else Real):
         noun = "an integer" if kind is int else "a number"
         raise ValidationError(f"{where}: expected {noun}, got {value!r}")
+    if kind is int and int(value).bit_length() > _MAX_INT_BITS:
+        raise ValidationError(
+            f"{where}: expected an integer of at most {_MAX_INT_BITS} bits, "
+            f"got one of {int(value).bit_length()} bits"
+        )
     try:
         return kind(value)
     except OverflowError:
         raise ValidationError(
             f"{where}: expected a number within double range, got an integer "
-            f"of {len(str(abs(value)))} digits"
+            f"of {int(value).bit_length()} bits"
         ) from None
 
 
@@ -271,69 +278,41 @@ def build_family(spec: Any, ctx: ConfigContext, path: str) -> Family:
         rows = [_vector(v, f"{path}.members[{i}]", ctx.domain.size) for i, v in enumerate(members)]
         return explicit_family(rows, name="explicit")
     if builder == "compose":
-        return compose_level(*_compose_request(spec, ctx, path, build_family))
+        _only_keys(spec, {"builder", "base", "s1", "s2", "catalog"}, path)
+        base = build_family(spec.get("base"), ctx, f"{path}.base")
+        catalog_names = spec.get("catalog")
+        if not isinstance(catalog_names, list) or not catalog_names:
+            raise ValidationError(f"{path}.catalog: expected a nonempty list of names")
+        for name in catalog_names:
+            if name not in STANDARD_COMBINATORS:
+                raise ValidationError(
+                    f"{path}.catalog: unknown combinator {name!r}; "
+                    f"known: {sorted(STANDARD_COMBINATORS)}"
+                )
+        s1, s2 = _field(spec, "s1", path, int), _field(spec, "s2", path, int)
+        catalog = [STANDARD_COMBINATORS[name] for name in catalog_names]
+        try:
+            return compose_level(base, s1, s2, catalog)
+        except RegsimError as exc:
+            raise ValidationError(f"{path}: {exc}") from None
     raise ValidationError(f"{path}.builder: unknown builder {builder!r}")
-
-
-def _compose_request(
-    spec: dict, ctx: ConfigContext, path: str, build_base: Callable[..., Family]
-) -> tuple[Family, int, int, tuple[Combinator, ...]]:
-    """(base, s1, s2, entries) of a compose spec, the base built by
-    ``build_base(spec, ctx, path)`` and the entries those of its catalog
-    that fit (s1, s2) (``compose_entries``); a request ``compose_level``
-    would refuse is refused here, under ``path``."""
-    _only_keys(spec, {"builder", "base", "s1", "s2", "catalog"}, path)
-    base = build_base(spec.get("base"), ctx, f"{path}.base")
-    catalog_names = spec.get("catalog")
-    if not isinstance(catalog_names, list) or not catalog_names:
-        raise ValidationError(f"{path}.catalog: expected a nonempty list of names")
-    catalog = []
-    for name in catalog_names:
-        if name not in STANDARD_COMBINATORS:
-            raise ValidationError(
-                f"{path}.catalog: unknown combinator {name!r}; "
-                f"known: {sorted(STANDARD_COMBINATORS)}"
-            )
-        catalog.append(STANDARD_COMBINATORS[name]())
-    s1, s2 = _field(spec, "s1", path, int), _field(spec, "s2", path, int)
-    try:
-        entries = compose_entries(base, s1, s2, catalog)
-    except RegsimError as exc:
-        raise ValidationError(f"{path}: {exc}") from None
-    return base, s1, s2, entries
-
-
-def _shared_key(spec: Any) -> str | None:
-    """Canonical JSON of a builder spec that draws nothing from the seeded
-    generator, or None for a spec that does (or is not JSON): equal keys
-    build equal families, and a spec that draws must be built where the
-    run would draw it."""
-
-    def draws(node: Any) -> bool:
-        return isinstance(node, dict) and (
-            node.get("kind") == "random" or any(draws(v) for v in node.values())
-        )
-
-    if draws(spec):
-        return None
-    try:
-        return json.dumps(spec, sort_keys=True)
-    except (TypeError, ValueError):
-        return None
 
 
 _PLAIN = (str, int, float, bool, type(None))
 
 
 def _reads_only_the_domain(node: Any) -> bool:
-    """Whether a ladder spec builds from the domain alone, so one build
-    serves every run over that domain: it holds nothing but plain JSON
+    """Whether a ladder's levels build from the domain alone, so one build
+    serves every run over that domain: they hold nothing but plain JSON
     types (a tuple or a numpy scalar would serialize like a list or a
-    number the builders treat differently), no ``"kind": "random"`` node
-    and no threshold builder whose ``source`` is missing or "target"."""
+    number the builders treat differently, and an int of more than 64 bits
+    is refused), no ``"kind": "random"`` node and no threshold builder
+    whose ``source`` is missing or "target"."""
     kind = type(node)
     if kind is list:
         return all(map(_reads_only_the_domain, node))
+    if kind is int:
+        return node.bit_length() <= _MAX_INT_BITS
     if kind is not dict:
         return kind in _PLAIN
     return (
@@ -344,83 +323,56 @@ def _reads_only_the_domain(node: Any) -> bool:
 
 
 def _ladder_bytes(ladder: GradedLadder) -> int:
-    """A ladder's charge in the build cache: its distinct buffers, each
-    counted once, so a repeated level and the views ``compose_levels``
-    hands out cost nothing beyond their top level's."""
-    return _nbytes(arr for lvl in set(ladder.levels) for arr in (lvl.matrix, lvl.rows, lvl.firsts))
+    """A ladder's charge in the build cache: its levels' buffers, each
+    counted once."""
+    return _nbytes(arr for lvl in ladder.levels for arr in (lvl.matrix, lvl.rows, lvl.firsts))
 
 
 def build_ladder(spec: Any, ctx: ConfigContext, path: str) -> GradedLadder:
-    """The ladder of ``spec``, each of its distinct families built once.
+    """The ladder of ``spec``: each listed level built on its own by
+    ``build_family``, in level order, then padded to ``pad_to`` levels by
+    repeating the top one (``GradedLadder.padded``).
 
-    A spec that draws nothing from the generator is built once and shared
-    by every equal spec, a level or a compose base.  Compose levels over
-    such a base are composed together (``compose_levels``), so a level
-    whose catalog leads a wider level's over the same base holds that
-    level's leading rows.  Every level's spec is read and checked, in
-    level order, before anything is composed, so a bad level is named as
-    a level-by-level build would name it.
-
-    A ladder whose spec reads nothing but the domain is built once per
-    process: it is kept in the library's one build cache
+    A ladder whose levels read nothing but the domain is built once per
+    process: the unpadded ladder is kept in the library's one build cache
     (``domain._cached``) under (domain size, bit width, canonical JSON of
-    the spec), charged its distinct buffers and its key against the
-    shared 64 MiB budget.  A ladder that draws from the seeded generator
-    or reads the target, and a failed build, are never kept.
+    the ``levels`` list), charged its buffers and its key against the
+    shared 64 MiB budget, so specs that differ only in ``pad_to`` share
+    it.  A ladder that draws from the seeded generator or reads the
+    target, and a failed build, are never kept.
     """
+    if not isinstance(spec, dict):
+        raise ValidationError(f"{path}: expected a ladder object")
+    _only_keys(spec, {"levels", "pad_to"}, path)
+    levels = spec.get("levels")
+    if not isinstance(levels, list) or not levels:
+        raise ValidationError(f"{path}.levels: expected a nonempty list of family builders")
 
     def build() -> GradedLadder:
-        if not isinstance(spec, dict):
-            raise ValidationError(f"{path}: expected a ladder object")
-        _only_keys(spec, {"levels", "pad_to"}, path)
-        levels_spec = spec.get("levels")
-        if not isinstance(levels_spec, list) or not levels_spec:
-            raise ValidationError(f"{path}.levels: expected a nonempty list of family builders")
-        built: dict[str, Family] = {}
+        return GradedLadder(
+            build_family(level, ctx, f"{path}.levels[{i}]") for i, level in enumerate(levels)
+        )
 
-        def shared(spec: Any, ctx: ConfigContext, path: str) -> Family:
-            key = _shared_key(spec)
-            if key is None:
-                return build_family(spec, ctx, path)
-            if key not in built:
-                built[key] = build_family(spec, ctx, path)
-            return built[key]
-
-        # each level is a Family, or the index of its compose request
-        levels: list[Family | int] = []
-        requests: list[tuple[Family, int, int, tuple[Combinator, ...]]] = []
-        for i, s in enumerate(levels_spec):
-            where = f"{path}.levels[{i}]"
-            if isinstance(s, dict) and s.get("builder") == "compose" and _shared_key(s) is not None:
-                levels.append(len(requests))
-                requests.append(_compose_request(s, ctx, where, shared))
-            else:
-                levels.append(shared(s, ctx, where))
-        pad_to = _field(spec, "pad_to", path, int, default=len(levels))
-        if pad_to < len(levels):
-            raise ValidationError(
-                f"{path}.pad_to: at least the {len(levels)} listed levels, got {pad_to}"
-            )
-        if pad_to > _MAX_LADDER_DEPTH:
-            raise ValidationError(
-                f"{path}.pad_to: at most {_MAX_LADDER_DEPTH} levels, got {pad_to}"
-            )
-        composed = compose_levels(requests)
-        levels = [composed[lvl] if isinstance(lvl, int) else lvl for lvl in levels]
-        # Padding repeats the top level, as GradedLadder.padded does; building
-        # the full list first constructs and nesting-checks the ladder once.
-        levels += [levels[-1]] * (pad_to - len(levels))
-        return GradedLadder(levels)
-
-    key = _shared_key(spec) if _reads_only_the_domain(spec) else None
-    if key is None:
-        return build()
-    domain = ctx.domain
-    return _cached(
-        ("ladder", domain.size, domain.bit_width, key),
-        build,
-        lambda ladder: _ladder_bytes(ladder) + sys.getsizeof(key),
-    )
+    if _reads_only_the_domain(levels):
+        key = json.dumps(levels, sort_keys=True)
+        domain = ctx.domain
+        ladder = _cached(
+            ("ladder", domain.size, domain.bit_width, key),
+            build,
+            lambda ladder: _ladder_bytes(ladder) + sys.getsizeof(key),
+        )
+    else:
+        ladder = build()
+    pad_to = _field(spec, "pad_to", path, int, default=len(levels))
+    if pad_to < len(levels):
+        raise ValidationError(
+            f"{path}.pad_to: at least the {len(levels)} listed levels, got {pad_to}"
+        )
+    if pad_to > _MAX_LADDER_DEPTH:
+        raise ValidationError(
+            f"{path}.pad_to: at most {_MAX_LADDER_DEPTH} levels, got {pad_to}"
+        )
+    return ladder.padded(pad_to)
 
 
 def build_growth(spec: Any, ladder: GradedLadder, path: str) -> GrowthMap:
@@ -510,7 +462,7 @@ def plan_config(config: Any) -> tuple[Plan | None, list[str]]:
     """Validate a config and build everything its run reads, once: (plan, [])
     when valid, else (None, every violation found).
 
-    A ladder whose spec reads nothing but the domain comes from the
+    A ladder whose levels read nothing but the domain comes from the
     library's one build cache (see ``build_ladder``), so a process builds
     it once; no other field is kept across runs."""
     diags = Diagnostics()

@@ -6,9 +6,10 @@ Everything downstream works over a finite domain of N points indexed
 double precision.  Tolerances: 1e-12 for structural invariants (vectors
 summing to one), 1e-10 for derived sums.
 
-What depends only on a domain and a fixed spec (k-fold layouts, config
-ladders, recurrence bounds) is built once per process and kept in the
-library's one build cache, ``_cached``, bounded at 64 MiB.
+What depends only on a domain and a fixed spec (k-fold layouts, the
+unpadded ladders of config ``levels`` lists, recurrence bounds) is built
+once per process and kept in the library's one build cache, ``_cached``,
+bounded at 64 MiB.
 """
 
 from __future__ import annotations

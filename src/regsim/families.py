@@ -10,7 +10,8 @@ families supports every construction built here.
 
 A member crosses a module boundary as its index: ``best_response`` and
 ``family_distance`` return the index of their witness, and callers read
-``family.descriptors`` and ``family.labels`` at it, and its values at
+``family.descriptors`` (strings, formatted when the family is built) and
+``family.labels`` at it, and its values at
 ``family.matrix[family.rows[index]]``.
 """
 
@@ -19,7 +20,6 @@ from __future__ import annotations
 import bisect
 import functools
 import itertools
-import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Callable
@@ -67,57 +67,6 @@ class ComplexityLabel:
 
     def to_json(self) -> list[int]:
         return [self.s1, self.s2]
-
-
-class Descriptors(Sequence):
-    """Member descriptors held as their parts and formatted when read.
-
-    A part (name, arity, base, count) stands for ``count`` members: member t
-    of it reads f"{name}({base[i1]}, ..., {base[ia]})" for the t-th index
-    tuple over ``base`` in row-major order (last index fastest), or reads
-    base[t] when ``name`` is None.  ``compose_level`` keeps one part per
-    catalog entry, so a family's strings are built only for the entries a
-    caller reads.  It compares equal, entry by entry, to any sequence of
-    the same strings; a prefix slice stays lazy, any other slice is a
-    tuple, and ``+`` appends a tuple's strings as one more part."""
-
-    def __init__(self, parts):
-        self._parts = tuple(parts)
-        self._ends = list(itertools.accumulate(part[3] for part in self._parts))
-
-    def __len__(self) -> int:
-        return self._ends[-1] if self._ends else 0
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            start, stop, step = i.indices(len(self))
-            if (start, step) != (0, 1):
-                return tuple(self[j] for j in range(start, stop, step))
-            return Descriptors(
-                (name, arity, base, min(count, stop - end + count))
-                for (name, arity, base, count), end in zip(self._parts, self._ends)
-                if end - count < stop
-            )
-        i = range(len(self))[i]  # an int in range, negatives counted from the end
-        k = bisect.bisect_right(self._ends, i)
-        name, arity, base, count = self._parts[k]
-        t = i - self._ends[k] + count
-        if name is None:
-            return base[t]
-        args = []
-        for _ in range(arity):
-            t, j = divmod(t, len(base))
-            args.append(base[j])
-        return f"{name}({', '.join(reversed(args))})"
-
-    def __add__(self, other: Sequence[str]) -> "Descriptors":
-        other = tuple(other)
-        return Descriptors(self._parts + ((None, 1, other, len(other)),))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Sequence) or isinstance(other, str):
-            return NotImplemented
-        return len(self) == len(other) and all(map(operator.eq, self, other))
 
 
 class Family:
@@ -175,7 +124,7 @@ class Family:
         ``checked`` on: the leading ones were checked by whoever built them.
         ``firsts`` and ``label``, when given, are the caller's, which knows
         them without a scan of every member (``extended``)."""
-        self.descriptors = descriptors if isinstance(descriptors, Descriptors) else tuple(descriptors)
+        self.descriptors = tuple(descriptors)
         self.labels = tuple(labels)
         if rows is None:
             rows = firsts = np.arange(matrix.shape[0])
@@ -352,8 +301,9 @@ def build_threshold_family(h: BoundedFn, grid: Sequence[float]) -> Family:
     )
 
 
-def build_rectangle_family(rows: int, cols: int, cap: int = DEFAULT_FAMILY_CAP) -> Family:
-    """All rectangle indicators 1_{S x T} on a rows x cols product domain.
+def build_rectangle_family(rows: int, cols: int) -> Family:
+    """All rectangle indicators 1_{S x T} on a rows x cols product domain,
+    at most ``DEFAULT_FAMILY_CAP`` of them.
 
     Elements are indexed row-major: element r * cols + c is (row r, col c).
     Every (S, T) pair is enumerated, S-major, so rectangles that coincide as
@@ -362,8 +312,8 @@ def build_rectangle_family(rows: int, cols: int, cap: int = DEFAULT_FAMILY_CAP) 
     if rows < 1 or cols < 1:
         raise ValidationError("rows and cols must be >= 1")
     count = 2 ** (rows + cols)
-    if count > cap:
-        raise CapExceededError(count, cap, f"rectangle family for {rows}x{cols}")
+    if count > DEFAULT_FAMILY_CAP:
+        raise CapExceededError(count, DEFAULT_FAMILY_CAP, f"rectangle family for {rows}x{cols}")
     r_idx, c_idx = np.divmod(np.arange(rows * cols), cols)
     in_s = ((np.arange(2 ** rows)[:, None] >> r_idx) & 1).astype(bool)
     in_t = ((np.arange(2 ** cols)[:, None] >> c_idx) & 1).astype(bool)
@@ -414,7 +364,8 @@ class Combinator:
     ``semilattice`` declares a binary ``fn`` commutative and idempotent,
     C(a, b) = C(b, a) and C(a, a) = a, as min and max are, so that
     ``compose_level`` computes each unordered pair of rows once.  A
-    combinator built without it is taken as it is.
+    combinator built without it is taken as it is.  A config's ``catalog``
+    names entries of ``STANDARD_COMBINATORS``.
     """
 
     name: str
@@ -428,28 +379,12 @@ def _negate(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.subtract(1.0, a, out=out)
 
 
-def combinator_identity() -> Combinator:
-    # np.positive copies, keeping -0.0 as it is
-    return Combinator("identity", 1, 0, np.positive)
-
-
-def combinator_negation() -> Combinator:
-    return Combinator("negation", 1, 1, _negate)
-
-
-def combinator_min() -> Combinator:
-    return Combinator("min", 2, 1, np.minimum, semilattice=True)
-
-
-def combinator_max() -> Combinator:
-    return Combinator("max", 2, 1, np.maximum, semilattice=True)
-
-
 STANDARD_COMBINATORS = {
-    "identity": combinator_identity,
-    "negation": combinator_negation,
-    "min": combinator_min,
-    "max": combinator_max,
+    # np.positive copies, keeping -0.0 as it is
+    "identity": Combinator("identity", 1, 0, np.positive),
+    "negation": Combinator("negation", 1, 1, _negate),
+    "min": Combinator("min", 2, 1, np.minimum, semilattice=True),
+    "max": Combinator("max", 2, 1, np.maximum, semilattice=True),
 }
 
 
@@ -458,12 +393,12 @@ def compose_entries(
     s1: int,
     s2: int,
     combinators: Sequence[Combinator],
-    cap: int = DEFAULT_FAMILY_CAP,
 ) -> tuple[Combinator, ...]:
-    """The catalog entries ``compose_level(base, s1, s2, combinators, cap)``
+    """The catalog entries ``compose_level(base, s1, s2, combinators)``
     enumerates, in catalog order: those of arity at most s1 and declared
-    size at most s2.  Refuses what compose_level refuses, before any member
-    value is computed."""
+    size at most s2.  Refuses what compose_level refuses (more than
+    ``DEFAULT_FAMILY_CAP`` members among them), before any member value is
+    computed."""
     if s1 < 1:
         raise ValidationError("s1 must be >= 1")
     if s2 < 0:
@@ -471,15 +406,11 @@ def compose_entries(
     entries = tuple(c for c in combinators if c.arity <= s1 and c.size <= s2)
     if not entries:
         raise EmptyFamilyError("no catalog entry fits within (s1, s2)")
-    total = _member_count(len(base), entries)
-    if total > cap:
-        raise CapExceededError(total, cap, "composed family")
+    # m^arity members per entry over m base members
+    total = sum(len(base) ** c.arity for c in entries)
+    if total > DEFAULT_FAMILY_CAP:
+        raise CapExceededError(total, DEFAULT_FAMILY_CAP, "composed family")
     return entries
-
-
-def _member_count(m: int, entries: Sequence[Combinator]) -> int:
-    """Members of the entries' blocks over m base members: m^arity each."""
-    return sum(m ** c.arity for c in entries)
 
 
 def _is_identity(comb: Combinator) -> bool:
@@ -489,9 +420,7 @@ def _is_identity(comb: Combinator) -> bool:
 def _stored_rows(d: int, entries: Sequence[Combinator]) -> list[int]:
     """Rows ``compose_level`` stores for each entry over d distinct base
     rows: d^arity, or for a semilattice pair the d(d - 1)/2 pairs i < j,
-    plus the d diagonal pairs unless an identity entry comes earlier.  An
-    entry's count depends only on the entries before it, so the counts of
-    a leading run of entries are the leading counts."""
+    plus the d diagonal pairs unless an identity entry comes earlier."""
     counts, identity = [], False
     for comb in entries:
         if comb.semilattice and comb.arity == 2:
@@ -502,16 +431,11 @@ def _stored_rows(d: int, entries: Sequence[Combinator]) -> list[int]:
     return counts
 
 
-def _compose_name(base: Family, s1: int, s2: int) -> str:
-    return f"compose({base.name}; s1={s1}, s2={s2})"
-
-
 def compose_level(
     base: Family,
     s1: int,
     s2: int,
     combinators: Sequence[Combinator],
-    cap: int = DEFAULT_FAMILY_CAP,
 ) -> Family:
     """Enumerate C(f_{i1}, ..., f_{ia}) over catalog entries and index tuples.
 
@@ -532,11 +456,11 @@ def compose_level(
     max pass, which is the family's range check; only a block outside
     [0, 1] is read again, row by row.
     """
-    entries = compose_entries(base, s1, s2, combinators, cap)
+    entries = compose_entries(base, s1, s2, combinators)
     d, n = base.matrix.shape
     counts = _stored_rows(d, entries)
     matrix = np.empty((sum(counts), n))
-    maps, parts = [], []
+    maps, descriptors = [], []
     start, finite, identity, pairs = 0, True, None, None
     for comb, count in zip(entries, counts):
         block = matrix[start:start + count]
@@ -589,48 +513,20 @@ def compose_level(
             finite = finite and not np.isnan(low).any()
             np.clip(block, 0.0, 1.0, out=block)
         maps.append(index)
-        parts.append((comb.name, comb.arity, base.descriptors, len(base) ** comb.arity))
+        descriptors.extend(
+            f"{comb.name}({', '.join(tup)})"
+            for tup in itertools.product(base.descriptors, repeat=comb.arity)
+        )
         start += count
     if not finite:
         raise ValidationError(_OUT_OF_RANGE)
-    descriptors = Descriptors(parts)
     return Family._in_range(
         matrix,
         descriptors,
         [ComplexityLabel(s1, s2)] * len(descriptors),
-        _compose_name(base, s1, s2),
+        f"compose({base.name}; s1={s1}, s2={s2})",
         rows=np.concatenate(maps),
     )
-
-
-def compose_levels(
-    requests: Sequence[tuple[Family, int, int, tuple[Combinator, ...]]],
-) -> list[Family]:
-    """``compose_level(base, s1, s2, entries)`` for every request, in
-    order, where ``entries`` is what ``compose_entries(base, s1, s2, ...)``
-    returned for it, with one compose per chain: a request whose entries
-    are a leading run of a wider request's over the same base object is a
-    family over the wider result's leading members and leading rows, a
-    read-only view with its own descriptors slice, labels and name."""
-    out: list[Family | None] = [None] * len(requests)
-    tops: list[tuple[Family, tuple[Combinator, ...], Family]] = []
-    for i in sorted(range(len(requests)), key=lambda i: -len(requests[i][3])):
-        base, s1, s2, entries = requests[i]
-        for top_base, top_entries, top in tops:
-            if top_base is base and top_entries[: len(entries)] == entries:
-                members = _member_count(len(base), entries)
-                out[i] = Family._in_range(
-                    top.matrix[: sum(_stored_rows(len(base.matrix), entries))],
-                    top.descriptors[:members],
-                    [ComplexityLabel(s1, s2)] * members,
-                    _compose_name(base, s1, s2),
-                    rows=top.rows[:members],
-                )
-                break
-        else:
-            out[i] = compose_level(base, s1, s2, entries)
-            tops.append((base, entries, out[i]))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -643,11 +539,12 @@ class GradedLadder:
 
     Nesting is by value: every member value-vector of level i must appear in
     level i+1, with -0.0 equal to 0.0.  A level whose matrix equals the
-    leading rows of the next one's (as a level composed with a shorter
-    catalog does, see ``compose_levels``) is nested by that one compare;
-    any other pair by the exact test on row bytes (``_missing_by_bytes``).
-    Levels may repeat, which is how shallow chains are padded to the depth a
-    construction needs; a repeated level is not compared with itself.
+    leading rows of the next one's (as a level composed over the same base
+    with a leading run of the next one's catalog does) is nested by that
+    one compare; any other pair by the exact test on row bytes
+    (``_missing_by_bytes``).  Levels may repeat, which is how shallow
+    chains are padded to the depth a construction needs (``padded``); a
+    repeated level is not compared with itself.
     """
 
     def __init__(self, levels: Sequence[Family], name: str = "ladder"):
@@ -684,11 +581,15 @@ class GradedLadder:
         return self.levels[i]
 
     def padded(self, depth: int) -> "GradedLadder":
-        """Extend to the requested depth by repeating the top level."""
+        """Extend to the requested depth by repeating the top level.  A
+        repeated top level keeps the chain nested and its labels in order,
+        so the padded ladder is built without checking them again."""
         if depth <= self.depth:
             return self
-        levels = list(self.levels) + [self.levels[-1]] * (depth - self.depth)
-        return GradedLadder(levels, name=self.name)
+        ladder = GradedLadder.__new__(GradedLadder)
+        ladder.levels = self.levels + (self.levels[-1],) * (depth - self.depth)
+        ladder.name, ladder.domain_size = self.name, self.domain_size
+        return ladder
 
 
 def _leads(lower: np.ndarray, upper: np.ndarray) -> bool:

@@ -177,16 +177,15 @@ class TypeClassTable:
         return 0.5 * float(np.dot(self.weights, np.abs(self.masses[i] - self.masses[j])))
 
 
-def kfold_type_classes(
-    measures: Sequence[MeasureLike], k: int, cap: int = DEFAULT_TYPE_CAP
-) -> TypeClassTable:
-    """Build the type-class table for k-fold products of the given measures."""
+def kfold_type_classes(measures: Sequence[MeasureLike], k: int) -> TypeClassTable:
+    """Build the type-class table for k-fold products of the given measures,
+    refusing one of more than ``DEFAULT_TYPE_CAP`` types."""
     k = _check_k(k)
     if not measures:
         raise ValidationError("at least one base measure is required")
     n = _measure_vector(measures[0], None, "measure 0").size
     vecs = [_measure_vector(m, n, f"measure {i}") for i, m in enumerate(measures)]
-    _check_type_cap(n, k, cap)
+    _check_type_cap(n, k)
     counts, weights, idx = _type_table(n, k)
     masses = np.stack([_product_masses(idx, v, k) for v in vecs])
     table = TypeClassTable(k=k, counts=counts, weights=weights, masses=masses)
@@ -201,15 +200,13 @@ def kfold_type_classes(
     return table
 
 
-def kfold_tv(
-    p: MeasureLike, q: MeasureLike, k: int, cap: int = DEFAULT_TYPE_CAP
-) -> float:
+def kfold_tv(p: MeasureLike, q: MeasureLike, k: int) -> float:
     """Exact total variation between k-fold products, via type classes.
 
     Accepts raw nonnegative vectors as well as distributions, in which case
     this is half the L1 distance between the raw product measures.
     """
-    return kfold_type_classes([p, q], k, cap=cap).tv(0, 1)
+    return kfold_type_classes([p, q], k).tv(0, 1)
 
 
 def _test_values(test, counts: np.ndarray) -> np.ndarray:
@@ -230,20 +227,22 @@ def _test_values(test, counts: np.ndarray) -> np.ndarray:
     return values
 
 
-def kfold_expectation(test, p: MeasureLike, k: int, cap: int = DEFAULT_TYPE_CAP) -> float:
+def kfold_expectation(test, p: MeasureLike, k: int) -> float:
     """Exact expectation of a symmetric (counts-only) test under a k-fold product.
 
     ``test`` is either an object exposing ``on_counts(counts_matrix)`` or a
     callable mapping a (T, N) counts matrix to T values in [0, 1].  Tests
     that depend on coordinate order cannot be expressed this way.
     """
-    table = kfold_type_classes([p], k, cap=cap)
+    table = kfold_type_classes([p], k)
     return table.expectation(0, _test_values(test, table.counts))
 
 
-def _check_type_cap(n: int, k: int, cap: int = DEFAULT_TYPE_CAP) -> None:
-    if type_count(n, k) > cap:
-        raise CapExceededError(type_count(n, k), cap, f"type-class table for N={n}, k={k}")
+def _check_type_cap(n: int, k: int) -> None:
+    if type_count(n, k) > DEFAULT_TYPE_CAP:
+        raise CapExceededError(
+            type_count(n, k), DEFAULT_TYPE_CAP, f"type-class table for N={n}, k={k}"
+        )
 
 
 def _check_multinomial_bound(n: int, k: int) -> None:

@@ -190,10 +190,10 @@ def ladder_nested_bytes(levels):
 
 
 def ladder_level_by_level(spec, ctx, path="config.ladder"):
-    """config.build_ladder with nothing shared: every level spec (and every
+    """config.build_ladder with nothing kept: every level spec (and every
     compose base in it) built on its own by build_family, in level order,
     from the one context ``ctx``, then padded to ``pad_to`` by repeating
-    the top level."""
+    the top level, the padded chain checked in full by GradedLadder."""
     from regsim.config import build_family
     from regsim.families import GradedLadder
 

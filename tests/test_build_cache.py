@@ -70,10 +70,34 @@ def test_a_warm_run_builds_no_ladder_and_reports_the_same_bytes(name, fresh_cach
     ladder_builds.update(compose_level=0, GradedLadder=0)
     assert report_bytes(config) == cold
     assert ladder_builds == {"compose_level": 0, "GradedLadder": 0}
-    # one ladder is kept, under the domain and the spec's canonical JSON
+    # one unpadded ladder is kept, under the domain and the canonical JSON
+    # of the levels list
     (key,) = [key for key in fresh_cache if key[0] == "ladder"]
-    dom = config["domain"]
-    assert key == ("ladder", dom["size"], dom.get("bit_width"), json.dumps(config["ladder"], sort_keys=True))
+    dom, levels = config["domain"], config["ladder"]["levels"]
+    assert key == ("ladder", dom["size"], dom.get("bit_width"), json.dumps(levels, sort_keys=True))
+    assert fresh_cache[key][0].depth == len(levels)
+
+
+def test_specs_that_differ_only_in_pad_to_keep_one_ladder(monkeypatch, fresh_cache):
+    """supersim-ladder's expanding and shrinking kinds list the same levels
+    at N = 256 and 512 and pad them to different depths: one unpadded
+    ladder per N is kept, and each run reports the bytes it reports with
+    an empty cache."""
+    configs = [generate("supersim-ladder", pos, 0, seed=1).config()
+               for pos in range(len(WORKLOADS["supersim-ladder"]))]
+    assert len({json.dumps(c["ladder"]["levels"]) for c in configs}) == 1
+    assert len({c["ladder"]["pad_to"] for c in configs}) == 2
+    warm = [report_bytes(config) for config in configs]
+    kept = {key[1]: value for key, (value, _) in fresh_cache.items() if key[0] == "ladder"}
+    assert sorted(kept) == [256, 512, 1024]
+    for config in configs:
+        ladder = plan_config(config)[0].ladder
+        top = kept[config["domain"]["size"]]
+        assert ladder.depth == config["ladder"]["pad_to"] > top.depth
+        assert ladder.levels[: top.depth] == top.levels
+    for config, got in zip(configs, warm):
+        empty_build_cache(monkeypatch)
+        assert report_bytes(config) == got
 
 
 def threshold(source=None):
@@ -130,7 +154,7 @@ def kept_ladder(bits, levels):
         "params": {"epsilon": 0.1},
     })
     assert problems == []
-    return plan.ladder, ("ladder", 2**bits, bits, json.dumps(spec, sort_keys=True))
+    return plan.ladder, ("ladder", 2**bits, bits, json.dumps(levels, sort_keys=True))
 
 
 def compose(catalog):
@@ -145,12 +169,9 @@ def test_layouts_and_ladders_share_one_budget(monkeypatch, fresh_cache):
         return charges
 
     ladder, key = kept_ladder(6, [compose(["identity"]), compose(["identity", "min"])])
-    # the lower level is a view of the top one's rows: one buffer each for
-    # the matrix, the member map and each level's firsts, and the key
-    top = ladder[1]
-    assert np.shares_memory(ladder[0].matrix, top.matrix)
-    assert fresh_cache[key][1] == top.matrix.nbytes + top.rows.nbytes + sum(
-        lvl.firsts.nbytes for lvl in ladder.levels
+    # each level's matrix, member map and firsts, and the key
+    assert fresh_cache[key][1] == sum(
+        lvl.matrix.nbytes + lvl.rows.nbytes + lvl.firsts.nbytes for lvl in ladder.levels
     ) + sys.getsizeof(key[3])
     # explicit members spell each double in up to ~24 characters of JSON,
     # so their key outweighs the matrix, and is charged
@@ -225,10 +246,12 @@ def test_only_ladders_that_read_the_domain_alone_are_kept():
         spec = {"levels": [{"builder": "threshold", "grid": [0.5], "source": odd}]}
         assert not _reads_only_the_domain(spec)
     assert not _reads_only_the_domain({"levels": [{1: "coordinate"}]})
-    # an int too long for json.dumps leaves the ladder unkept, and the
-    # builder still names the problem
+    # an int of more than 64 bits leaves the ladder unkept (10**5000 is too
+    # long even for json.dumps), and the builder still names the problem
+    assert _reads_only_the_domain({"levels": [{"builder": "coordinate", "note": 2**64 - 1}]})
+    for wide in (2**64, -(2**64), 10**5000):
+        assert not _reads_only_the_domain({"levels": [{"builder": "coordinate", "note": wide}]})
     spec = {"levels": [{"builder": "coordinate", "note": 10**5000}]}
-    assert _reads_only_the_domain(spec)
     for _ in range(2):
         _, problems = plan_config({
             "domain": {"size": 2, "bit_width": 1},

@@ -450,6 +450,14 @@ HUGE_DOMAIN["distributions"]["d0"] = {"kind": "uniform"}
         (demo_with("supersim-expanding", "ladder.pad_to", 10**30), "config.ladder.pad_to"),
         (demo_with("supersim-expanding", "ladder.pad_to", 10**9), "config.ladder.pad_to"),
         (demo_with("supersim-expanding", "ladder.pad_to", -3), "config.ladder.pad_to"),
+        (demo_with("supersim-expanding", "ladder.pad_to", 10**5000), "config.ladder.pad_to"),
+        (demo_with("supersim-expanding", "ladder.levels", [
+            {"builder": "compose", "base": {"builder": "explicit", "members": [[1.0, 1.0]]},
+             "s1": 10**5000, "s2": 1, "catalog": ["identity"]},
+        ]), "config.ladder.levels[0].s1"),
+        (demo_with("supersim-expanding", "ladder.levels", [
+            {"builder": "threshold", "grid": [0.5, 10**5000]},
+        ]), "config.ladder.levels[0].grid"),
         (demo_with("characterize-super-gap", "ladder.pad_to", 2), "config.ladder.pad_to"),
         (demo_with("supersim-shrinking", "schedule",
                    {"kind": "geometric", "start": 0.1, "factor": 0.5, "depth": 10**30}),
@@ -475,7 +483,9 @@ HUGE_DOMAIN["distributions"]["d0"] = {"kind": "uniform"}
     ids=[
         "rectangle-without-cols", "two-point-without-j", "rows-not-a-number", "float-domain-size",
         "list", "string", "vector-int-beyond-double", "scalar-int-beyond-double",
-        "pad-to-beyond-index", "pad-to-huge", "pad-to-negative", "pad-to-below-levels",
+        "pad-to-beyond-index", "pad-to-huge", "pad-to-negative",
+        "pad-to-5000-digits", "compose-s1-5000-digits", "threshold-grid-5000-digits",
+        "pad-to-below-levels",
         "schedule-depth-huge", "epsilon-underflow",
         "multicalibrate-epsilon-overflows-bound", "gamma-subnormal", "alpha-subnormal",
         "domain-beyond-memory", "schedule-value-underflow", "bit-width-beyond-64",

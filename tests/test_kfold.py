@@ -132,10 +132,11 @@ def test_kfold_expectation_rejects_non_symmetric():
         rs.kfold_expectation("not-a-test", p, 2)
 
 
-def test_cap_exceeded_instructs_monte_carlo():
+def test_cap_exceeded_instructs_monte_carlo(monkeypatch):
     p = rs.Distribution(np.full(64, 1 / 64))
-    with pytest.raises(rs.CapExceededError, match="Monte Carlo"):
-        rs.kfold_type_classes([p], 40, cap=1000)
+    monkeypatch.setattr(kfold, "DEFAULT_TYPE_CAP", 1000)
+    with pytest.raises(rs.CapExceededError, match="above the cap of 1000; .*Monte Carlo"):
+        rs.kfold_type_classes([p], 40)
 
 
 def test_type_count():
