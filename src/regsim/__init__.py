@@ -23,6 +23,7 @@ from .domain import (
     BoundedFn,
     Distribution,
     FiniteDomain,
+    Inequality,
     correlation,
     expectation,
     potential,
@@ -66,7 +67,6 @@ from .kfold import (
 )
 from .products import (
     CharacterizationReport,
-    Inequality,
     MixtureInstance,
     ProductTest,
     ProxyPair,
@@ -74,9 +74,6 @@ from .products import (
     build_proxies,
     characterize,
     characterize_super,
-    hybrid_bound_check,
-    test_advantage,
-    tie_mass,
     verify_single_proxy,
     verify_two_proxy,
 )

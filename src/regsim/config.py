@@ -17,6 +17,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
+from .boosting import BoostParams
 from .domain import MIN_ACCURACY, BoundedFn, Distribution, FiniteDomain, _cached, _nbytes
 from .errors import RegsimError, ValidationError
 from .families import (
@@ -31,6 +32,8 @@ from .families import (
     compose_level,
     explicit_family,
 )
+from .kfold import _check_kfold_reach
+from .products import _proxy_mode
 
 ALGORITHMS = (
     "boost",
@@ -87,6 +90,9 @@ _MAX_BIT_WIDTH = 64
 # anything formats it (str() of an int past 4,300 digits raises).
 _MAX_INT_BITS = 64
 
+# The proxy mode of each verification; params.mode sets the others'.
+_VERIFY_MODES = {"verify41": "two-proxy", "verify42": "single-proxy"}
+
 # What each algorithm reads; a verify run reads an optional simulator.
 _NEEDS = {
     "boost": {"target", "d", "family", "epsilon"},
@@ -107,6 +113,11 @@ class Diagnostics:
 
     def add(self, path: str, message: str) -> None:
         self.problems.append(f"{path}: {message}")
+
+    def refused(self, path: str, exc: Exception) -> None:
+        """File a refusal under ``path`` unless its message names a field."""
+        message = str(exc)
+        self.problems.append(message if message.startswith("config.") else f"{path}: {message}")
 
 
 def _check_keys(obj: dict, path: str, spec: dict[str, bool], diags: Diagnostics) -> bool:
@@ -169,11 +180,8 @@ def _typed(value: Any, where: str, kind: Any) -> Any:
     if isinstance(value, bool) or not isinstance(value, Integral if kind is int else Real):
         noun = "an integer" if kind is int else "a number"
         raise ValidationError(f"{where}: expected {noun}, got {value!r}")
-    if kind is int and int(value).bit_length() > _MAX_INT_BITS:
-        raise ValidationError(
-            f"{where}: expected an integer of at most {_MAX_INT_BITS} bits, "
-            f"got one of {int(value).bit_length()} bits"
-        )
+    if kind is int:
+        _check_width(value, where)
     try:
         return kind(value)
     except OverflowError:
@@ -181,6 +189,15 @@ def _typed(value: Any, where: str, kind: Any) -> Any:
             f"{where}: expected a number within double range, got an integer "
             f"of {int(value).bit_length()} bits"
         ) from None
+
+
+def _check_width(value: Integral, where: str) -> None:
+    """Refuse an int wider than _MAX_INT_BITS, naming only its bit length."""
+    bits = int(value).bit_length()
+    if bits > _MAX_INT_BITS:
+        raise ValidationError(
+            f"{where}: expected an integer of at most {_MAX_INT_BITS} bits, got one of {bits} bits"
+        )
 
 
 def _vector(spec: Any, path: str, n: int) -> Sequence[float]:
@@ -301,22 +318,27 @@ def build_family(spec: Any, ctx: ConfigContext, path: str) -> Family:
 _PLAIN = (str, int, float, bool, type(None))
 
 
-def _reads_only_the_domain(node: Any) -> bool:
+def _reads_only_the_domain(node: Any, above: tuple[int, ...] = ()) -> bool:
     """Whether a ladder's levels build from the domain alone, so one build
     serves every run over that domain: they hold nothing but plain JSON
     types (a tuple or a numpy scalar would serialize like a list or a
-    number the builders treat differently, and an int of more than 64 bits
-    is refused), no ``"kind": "random"`` node and no threshold builder
-    whose ``source`` is missing or "target"."""
+    number the builders treat differently, an int of more than 64 bits is
+    refused, and a list or dict inside itself, whose ids ``above`` holds,
+    has no JSON form), no ``"kind": "random"`` node and no threshold
+    builder whose ``source`` is missing or "target"."""
     kind = type(node)
+    if kind is list or kind is dict:
+        if id(node) in above:
+            return False
+        above += (id(node),)
     if kind is list:
-        return all(map(_reads_only_the_domain, node))
+        return all(_reads_only_the_domain(v, above) for v in node)
     if kind is int:
         return node.bit_length() <= _MAX_INT_BITS
     if kind is not dict:
         return kind in _PLAIN
     return (
-        all(type(k) is str and _reads_only_the_domain(v) for k, v in node.items())
+        all(type(k) is str and _reads_only_the_domain(v, above) for k, v in node.items())
         and node.get("kind") != "random"
         and not (node.get("builder") == "threshold" and node.get("source", "target") == "target")
     )
@@ -432,6 +454,7 @@ class Plan:
 
     ``algorithm`` is the canonical name; a field the config leaves out is
     None, and a None ``simulator`` means the run builds a calibrated one.
+    ``mode`` is the run's proxy mode, a verification's by its algorithm.
     """
 
     algorithm: str
@@ -469,10 +492,14 @@ def plan_config(config: Any) -> tuple[Plan | None, list[str]]:
     if not _check_keys(config, "config", _TOP_KEYS, diags):
         return None, diags.problems
 
+    spec = config["domain"]
     try:
-        domain = FiniteDomain.from_json(config["domain"])
+        for key in ("size", "bit_width"):
+            if isinstance(spec, dict) and isinstance(spec.get(key), int):
+                _check_width(spec[key], f"config.domain.{key}")
+        domain = FiniteDomain.from_json(spec)
     except (RegsimError, KeyError, TypeError) as exc:
-        diags.add("config.domain", str(exc))
+        diags.refused("config.domain", exc)
         return None, diags.problems
     if domain.size > _MAX_DOMAIN_SIZE:
         diags.add("config.domain.size", f"at most {_MAX_DOMAIN_SIZE} points, got {domain.size}")
@@ -565,6 +592,25 @@ def plan_config(config: Any) -> tuple[Plan | None, list[str]]:
     mode = params.get("mode", "two-proxy")
     if mode not in ("two-proxy", "single-proxy"):
         diags.add("config.params.mode", "mode must be 'two-proxy' or 'single-proxy'")
+    mode = _VERIFY_MODES.get(algo, mode)
+
+    # The run's own refusals that read parameters alone: the k-fold engine's
+    # reach, then, once every check above passes, the BoostParams of the fit
+    # a characterization, or a verification without a simulator, makes.
+    sim = config.get("simulator")
+    fits = sim is None or (isinstance(sim, dict) and sim.get("kind") == "calibrated")
+    if "k" in needs and "k" in num:
+        try:
+            _check_kfold_reach(domain.size, num["k"])
+        except RegsimError as exc:
+            diags.add("config.params.k", str(exc))
+    verify = algo in _VERIFY_MODES
+    if "k" in needs and (fits or not verify) and not diags.problems:
+        _, tol, target = _proxy_mode(mode, eps)
+        try:
+            BoostParams(epsilon=tol, gamma=gamma if verify else target)
+        except RegsimError as exc:
+            diags.add("config.params.gamma" if verify else "config.params.epsilon", str(exc))
 
     # Build once, in the order a run draws from the generator; the builders
     # enforce the structural invariants (ladder nesting, grid order, ...).
@@ -591,13 +637,10 @@ def plan_config(config: Any) -> tuple[Plan | None, list[str]]:
                     built[name] = build_growth(spec, built["ladder"], path)
             elif name == "schedule":
                 built[name] = build_schedule(spec, path)
-            elif not (isinstance(spec, dict) and spec.get("kind") == "calibrated"):
+            elif not fits:
                 built[name] = build_function(spec, ctx, path)
     except RegsimError as exc:
-        # a builder names its own field; a library check inside it names
-        # none, so file it under the field being built
-        message = str(exc)
-        diags.problems.append(message if message.startswith("config.") else f"{path}: {message}")
+        diags.refused(path, exc)
     if diags.problems:
         return None, diags.problems
     return Plan(

@@ -32,6 +32,34 @@ DERIVED_TOL = 1e-10
 # 4 n_grid / epsilon^3, the shrinking run's 1 / alpha rounds) is finite.
 MIN_ACCURACY = 2.0 ** -100
 
+
+@dataclass(frozen=True)
+class Inequality:
+    """One checked claim lhs <= rhs, with slack = rhs - lhs; it passes
+    within DERIVED_TOL."""
+
+    name: str
+    lhs: float
+    rhs: float
+
+    @property
+    def slack(self) -> float:
+        return self.rhs - self.lhs
+
+    @property
+    def passes(self) -> bool:
+        return self.lhs <= self.rhs + DERIVED_TOL
+
+    def to_json(self) -> dict:
+        return {
+            "name": self.name,
+            "lhs": self.lhs,
+            "rhs": self.rhs,
+            "slack": self.slack,
+            "pass": self.passes,
+        }
+
+
 VectorLike = Union["BoundedFn", np.ndarray, Sequence[float]]
 # A Distribution or a raw nonnegative vector; _measure_vector converts both.
 MeasureLike = Union["Distribution", np.ndarray, Sequence[float]]

@@ -13,14 +13,14 @@ all N^k tuples remains the oracle the test suite checks it against.
 Every statistic is read off shared pieces: one table holds the masses of
 all the measures a caller reads (``TypeClassTable.tv`` and
 ``TypeClassTable.expectation`` take rows of it), and one call of
-``_mixed_expectations`` serves all its hybrid pairs.  The public functions
-are thin wrappers over the same pieces, so a verification that builds them
-once reports the same bits.  What depends on (N, k) alone, the type table
-with its weights and gather index and the successor maps, is built once
-and kept read-only in the library's one build cache (``domain._cached``):
-least recently used, keyed by (function name, N, k), and bounded at
-64 MiB, a budget it shares with the config ladders and recurrence labels
-kept there.  A layout larger than that is built, used and not kept.
+``_mixed_expectations`` serves all its hybrid pairs (``kfold_tv`` and
+``kfold_expectation`` read a table of their own).  What depends on (N, k)
+alone, the type table with its weights and gather index and the
+successor maps, is built once and kept read-only in the library's one
+build cache (``domain._cached``): least recently used, keyed by
+(function name, N, k), and bounded at 64 MiB, a budget it shares with
+the config ladders and recurrence labels kept there.  A layout larger
+than that is built, used and not kept.
 A measure is a Distribution or a raw nonnegative vector, converted by
 ``domain._measure_vector`` as everywhere else in the library.
 """

@@ -16,12 +16,12 @@ Two hat vectors appear throughout: the closed-form reweightings
 total variation; expectations against them are plain weighted sums, and
 ``family_distance`` and ``tv_distance`` take them as they are.
 
-A verification makes one k-fold pass: one type-class table over every
-measure it reads, one scoring of the product test on that table's types
-(its fire and tie vectors together) and one successor build for all its
-hybrids.  Each statistic is read off these with the same expression as the
-standalone function (``kfold_tv``, ``test_advantage``, ``tie_mass``,
-``hybrid_bound_check``), so the reported floats equal theirs bit for bit.
+A verification makes one k-fold pass, the library's only path to the
+product test's statistics: one type-class table over every measure it
+reads, one scoring of the test on its types (``ProductTest.outcomes``, fire
+and tie together) and one pass over the cached successor maps for all its
+hybrids (``_hybrid_gaps``).  Each mode's prior, regularity tolerance and
+calibration target are stated once, in ``_proxy_mode``.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from typing import Sequence
 import numpy as np
 
 from .boosting import BoostParams, _boost, calibrated_multiaccuracy, calibration_error
-from .domain import DERIVED_TOL, STRUCT_TOL, BoundedFn, Distribution, _measure_vector, tv_distance
+from .domain import DERIVED_TOL, STRUCT_TOL, BoundedFn, Distribution, Inequality, tv_distance
 from .errors import InternalContractError, ValidationError
 from .families import (
     Family,
@@ -48,11 +48,7 @@ from .kfold import (
     TypeClassTable,
     _check_k,
     _check_kfold_reach,
-    _check_successor_cap,
     _mixed_expectations,
-    _test_values,
-    _type_table,
-    kfold_expectation,
     kfold_type_classes,
 )
 
@@ -219,9 +215,6 @@ class ProductTest:
     def on_counts(self, counts: np.ndarray) -> np.ndarray:
         return self.outcomes(counts)[0]
 
-    def tie_on_counts(self, counts: np.ndarray) -> np.ndarray:
-        return self.outcomes(counts)[1]
-
     def describe(self) -> str:
         if self.kind == "balanced":
             return f"product-threshold[balanced, k={self.k}]"
@@ -235,87 +228,19 @@ def _masked_score(counts: np.ndarray, logvec: np.ndarray) -> np.ndarray:
     return terms.sum(axis=1)
 
 
-def test_advantage(test: ProductTest, m0, m1, k: int) -> float:
-    """|E_{m0^k}[test] - E_{m1^k}[test]| by exact type-class sums.
-
-    Accepts raw measures; the expectations are then raw weighted sums.
-    """
-    table = kfold_type_classes([m0, m1], k)
-    return _advantage(table, _test_values(test, table.counts), 0, 1)
-
-
 def _advantage(table: TypeClassTable, values: np.ndarray, i: int, j: int) -> float:
     return abs(table.expectation(i, values) - table.expectation(j, values))
 
 
-def tie_mass(test: ProductTest, m, k: int) -> float:
-    """Product mass of exact score ties under the k-fold product of m."""
-    return kfold_expectation(test.tie_on_counts, m, k)
-
-
-def hybrid_bound_check(
-    h: BoundedFn,
-    dist_b: Distribution,
-    hat_b: np.ndarray,
-    k: int,
-    test: ProductTest | None = None,
-) -> float:
-    """Swap hat coordinates for real ones one at a time and measure how much
-    each swap moves the test's expectation.
-
-    Every section of the product test in one coordinate is a threshold in
-    h of that coordinate, and thresholded reweightings of h separate
-    dist_b from hat_b by at most twice the calibration error (gamma / eps
-    in the tilted regime).  Returns the largest measured gap; callers
-    assert it against the applicable bound.  The k + 1 hybrids
-    dist_b^j x hat_b^(k-j) are exact type sums (kfold's mixed products).
-    """
-    k = _check_k(k)
-    test = test or ProductTest(h, k, "balanced")
-    if test.k != k:
-        raise ValidationError("test arity does not match k")
-    n = _measure_vector(dist_b, None, "measure 0").size
-    _check_successor_cap(n, k)
-    values = _test_values(test, _type_table(n, k)[0])
-    return _hybrid_gaps(values, [(dist_b, hat_b)], k)[0]
-
-
 def _hybrid_gaps(values: np.ndarray, pairs, k: int) -> list[float]:
-    """Per (dist, hat) pair, the largest gap between adjacent hybrids."""
-    return [
-        float(np.max(np.abs(np.diff(sums)))) for sums in _mixed_expectations(values, pairs, k)
-    ]
+    """Per (dist, hat) pair, the largest gap between adjacent hybrids dist^j x
+    hat^(k-j) of the test with per-type ``values``, which calibration bounds."""
+    return [float(np.max(np.abs(np.diff(sums)))) for sums in _mixed_expectations(values, pairs, k)]
 
 
 # ---------------------------------------------------------------------------
 # Reports
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Inequality:
-    """One checked claim lhs <= rhs, with slack = rhs - lhs."""
-
-    name: str
-    lhs: float
-    rhs: float
-
-    @property
-    def slack(self) -> float:
-        return self.rhs - self.lhs
-
-    @property
-    def passes(self) -> bool:
-        return self.lhs <= self.rhs + DERIVED_TOL
-
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "slack": self.slack,
-            "pass": self.passes,
-        }
 
 
 @dataclass(frozen=True)
@@ -405,11 +330,9 @@ def verify_two_proxy(
     tv_th0 = tv_distance(proxies.tilde0, proxies.hat0)
     tv_th1 = tv_distance(proxies.tilde1, proxies.hat1)
 
-    # One k-fold pass: one table (rows tilde0, tilde1, d0, d1, hat0, hat1,
-    # the order in which the statistics below first read them, so the sum
-    # check meets a bad measure first where the standalone calls would),
-    # one scoring of the size-k types and one successor build for both
-    # hybrids.
+    # One k-fold pass: one table (its rows in the order the statistics
+    # below first read them), one scoring of its types and one successor
+    # pass for both hybrids.
     table = kfold_type_classes(
         [proxies.tilde0, proxies.tilde1, inst.d0, inst.d1, proxies.hat0, proxies.hat1], k
     )
@@ -505,16 +428,14 @@ def verify_single_proxy(
 
     fd1 = family_distance(family, inst.d1, proxies.tilde1)
     tv_th1 = tv_distance(proxies.tilde1, proxies.hat1)
-    # One k-fold pass, as in verify_two_proxy: rows d0, tilde1, d1.
+    # One k-fold pass, as in verify_two_proxy.
     table = kfold_type_classes([inst.d0, proxies.tilde1, inst.d1], k)
     fire, tie = test.outcomes(table.counts)
     tv_proxy = table.tv(0, 1)
     tv_true = table.tv(0, 2)
     advantage = _advantage(table, fire, 0, 2)
     (hybrid1,) = _hybrid_gaps(fire, [(inst.d1, proxies.hat1)], k)
-    ident_d1 = float(
-        np.max(np.abs(inst.d1.weights - inst.g.values * inst.d_x.weights / inst.prior))
-    )
+    ident_d1 = float(np.max(np.abs(inst.d1.weights - inst.g.values * inst.d_x.weights / inst.prior)))
     slack = (2 * gamma / epsilon ** 2 + gamma / epsilon + epsilon) * k
 
     inequalities = (
@@ -557,48 +478,48 @@ def verify_single_proxy(
 # ---------------------------------------------------------------------------
 
 
+def _proxy_mode(mode: str, epsilon: float) -> tuple[float, float, float]:
+    """(prior, regularity tolerance, calibration target) of a proxy mode, the
+    target small enough for the epsilon terms to dominate every slack."""
+    if mode == "two-proxy":
+        return 0.5, epsilon, epsilon ** 2 / 20.0
+    if mode == "single-proxy":
+        return epsilon, epsilon ** 2, epsilon ** 3 / 20.0
+    raise ValidationError("mode must be 'two-proxy' or 'single-proxy'")
+
+
 def _fit_and_verify(
     d0: Distribution,
     d1: Distribution,
     levels: Sequence[Family] | GradedLadder,
     growth: GrowthMap | None,
     epsilon: float,
+    gamma: float,
     k: int,
     mode: str,
-) -> tuple[CharacterizationReport, float, float, tuple[int, int]]:
-    """Shared core of characterize and characterize_super.
-
-    Picks the prior, the regularity tolerance and the calibration target of
-    the mode, fits a simulator to the mixture's posterior that is calibrated
-    and regular against the fooled family (the calibrated boost on
-    levels[0] without a growth map, the calibrated expanding run up the
-    ladder with one), and verifies it.  Returns the verification report,
-    tol, gamma and the run's final (level, fooled).
-    """
-    if mode not in ("two-proxy", "single-proxy"):
-        raise ValidationError("mode must be 'two-proxy' or 'single-proxy'")
+    simulator: BoundedFn | None = None,
+) -> tuple[CharacterizationReport, BoundedFn, tuple[int, int]]:
+    """Mix d0 and d1 with the mode's prior, fit a simulator h of the
+    posterior unless one is given, and verify h in that mode; returns the
+    report, h and the final (level, fooled).  The fit, calibrated at gamma
+    and regular at the mode's tolerance, is the calibrated boost on
+    levels[0], or with a growth map the calibrated expanding run."""
+    prior, tol, _ = _proxy_mode(mode, epsilon)
     # an over-reach k is refused before the simulator is fitted
     _check_kfold_reach(d0.size, k)
-    if mode == "two-proxy":
-        prior, tol, gamma = 0.5, epsilon, epsilon ** 2 / 20.0
-    else:
-        prior, tol, gamma = epsilon, epsilon ** 2, epsilon ** 3 / 20.0
     inst = build_mixture(d0, d1, prior)
-    params = BoostParams(epsilon=tol, gamma=gamma)
-    if growth is None:
-        h, _ = calibrated_multiaccuracy(inst.g, inst.d_x, levels[0], params)
-        reached = (0, 0)
-    else:
-        h, _, reached = _boost(
-            inst.g, inst.d_x, params, levels, growth=partial(apply_growth, growth),
-            gamma=gamma, termination="regular-and-calibrated-above-level",
-        )
-    family = levels[reached[1]]
-    if mode == "two-proxy":
-        base = verify_two_proxy(inst, h, family, tol, gamma, k)
-    else:
-        base = verify_single_proxy(inst, h, family, epsilon, gamma, k)
-    return base, tol, gamma, reached
+    h, reached = simulator, (0, 0)
+    if h is None:
+        params = BoostParams(epsilon=tol, gamma=gamma)
+        if growth is None:
+            h, _ = calibrated_multiaccuracy(inst.g, inst.d_x, levels[0], params)
+        else:
+            h, _, reached = _boost(
+                inst.g, inst.d_x, params, levels, growth=partial(apply_growth, growth),
+                gamma=gamma, termination="regular-and-calibrated-above-level",
+            )
+    verify = verify_two_proxy if mode == "two-proxy" else verify_single_proxy
+    return verify(inst, h, levels[reached[1]], epsilon, gamma, k), h, reached
 
 
 def _chain_gaps(
@@ -626,28 +547,42 @@ def _chain_gaps(
 
 def _chain_report(
     base: CharacterizationReport,
+    route: str,
     lower: tuple[float, str, str],
     upper: tuple[float, str, str],
-    epsilon: float,
-    k: int,
-) -> tuple[tuple[Inequality, Inequality], dict]:
-    """The chain relating the family distances of the k-fold originals to
-    the k-fold proxy total variation, and its report fields."""
+    chain_fields: dict,
+    **extras,
+) -> CharacterizationReport:
+    """``base`` extended into ``route``'s report: the chain relating the family
+    distances of the k-fold originals to the k-fold proxy total variation at
+    base's epsilon and k, plus the route's ``chain_fields`` and ``extras``."""
+    epsilon, k = base.params["epsilon"], base.params["k"]
     proxy_tv = base.audits["tv_kfold_proxies" if base.mode == "two-proxy" else "tv_kfold_d0_proxy"]
     chain = (
         Inequality("chain-lower", lower[0] - k * epsilon, proxy_tv),
         Inequality("chain-upper", proxy_tv, upper[0] + k * epsilon),
     )
-    return chain, {
-        "family_distance_lower": lower[0],
-        "family_distance_upper": upper[0],
-        "proxy_tv": proxy_tv,
-        "k_epsilon": k * epsilon,
-        "lower_family": lower[1],
-        "upper_family": upper[1],
-        "lower_witness": lower[2],
-        "upper_witness": upper[2],
-    }
+    return replace(
+        base,
+        mode=f"{route}/{base.mode}",
+        params={**base.params, "tolerance": _proxy_mode(base.mode, epsilon)[1]},
+        inequalities=base.inequalities + chain,
+        extras={
+            **base.extras,
+            **extras,
+            "chain": {
+                "family_distance_lower": lower[0],
+                "family_distance_upper": upper[0],
+                "proxy_tv": proxy_tv,
+                "k_epsilon": k * epsilon,
+                "lower_family": lower[1],
+                "upper_family": upper[1],
+                "lower_witness": lower[2],
+                "upper_witness": upper[2],
+                **chain_fields,
+            },
+        },
+    )
 
 
 def characterize(
@@ -661,29 +596,18 @@ def characterize(
     """Build the proxies for a pair of distributions and report the chain
     relating family distance of k-fold originals to proxy total variation.
 
-    The calibration target is epsilon^2 / 20 in two-proxy mode and
-    epsilon^3 / 20 in single-proxy mode, small enough that every
-    calibration-driven slack is dominated by the epsilon terms.  The chain's
-    lower family is the per-coordinate lift of the input family; the upper
-    family adds the constructed product test.  The two families
-    deliberately differ: closing that gap is exactly what the
-    ladder-based variant below is for.
+    The simulator is fitted at the mode's tolerance and calibration target
+    (``_proxy_mode``).  The chain's lower family is the per-coordinate lift
+    of the input family; the upper family adds the constructed product
+    test.  The two families deliberately differ: closing that gap is
+    exactly what the ladder-based variant below is for.
     """
-    base, tol, gamma, _ = _fit_and_verify(d0, d1, [family], None, epsilon, k, mode)
+    gamma = _proxy_mode(mode, epsilon)[2]
+    base, _, _ = _fit_and_verify(d0, d1, [family], None, epsilon, gamma, k, mode)
     lift, upper = _chain_gaps(base, family, f"lift({family.name}, k={k})", d0, d1)
-    chain, chain_info = _chain_report(base, lift, upper, epsilon, k)
-    chain_info["distinct_families"] = True
-    certified = 2 * tol + 5 * gamma if mode == "two-proxy" else epsilon + 2 * gamma / epsilon ** 2
-    return replace(
-        base,
-        mode=f"characterize/{mode}",
-        params={"epsilon": epsilon, "gamma": gamma, "k": k, "tolerance": tol},
-        inequalities=base.inequalities + chain,
-        extras={
-            **base.extras,
-            "chain": chain_info,
-            "certified_proxy_indistinguishability": certified,
-        },
+    return _chain_report(
+        base, "characterize", lift, upper, {"distinct_families": True},
+        certified_proxy_indistinguishability=base.inequality("indistinguishability-proxy1").rhs,
     )
 
 
@@ -707,21 +631,13 @@ def characterize_super(
     reports two distinct families instead, and the difference between the
     two reports is the content of the gap-closure demonstration.
     """
-    base, tol, gamma, (level, fooled) = _fit_and_verify(
-        d0, d1, ladder, growth, epsilon, k, mode
-    )
+    gamma = _proxy_mode(mode, epsilon)[2]
+    base, _, (level, fooled) = _fit_and_verify(d0, d1, ladder, growth, epsilon, gamma, k, mode)
     _, upper = _chain_gaps(base, ladder[fooled], f"lift({ladder.name}[{fooled}], k={k})", d0, d1)
-    chain, chain_info = _chain_report(base, upper, upper, epsilon, k)
-    chain_info.update(distinct_families=False, simulator_level=level, chain_level=fooled)
+    fields = {"distinct_families": False, "simulator_level": level, "chain_level": fooled}
     if growth.table[level] == level:
-        chain_info["degenerate_growth"] = (
+        fields["degenerate_growth"] = (
             "growth map fixes this level; the product test may exceed the fooled "
             "class, reproducing the two-family gap"
         )
-    return replace(
-        base,
-        mode=f"characterize-super/{mode}",
-        params={"epsilon": epsilon, "gamma": gamma, "k": k, "tolerance": tol},
-        inequalities=base.inequalities + chain,
-        extras={**base.extras, "chain": chain_info},
-    )
+    return _chain_report(base, "characterize-super", upper, upper, fields)

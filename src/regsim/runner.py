@@ -22,16 +22,9 @@ from .boosting import (
     multicalibration_check,
 )
 from .config import Plan, plan_config
+from .domain import Inequality
 from .errors import InternalContractError, RegsimError
-from .families import best_response
-from .products import (
-    Inequality,
-    build_mixture,
-    characterize,
-    characterize_super,
-    verify_single_proxy,
-    verify_two_proxy,
-)
+from .products import _fit_and_verify, characterize, characterize_super
 from .supersim import (
     _corollary_bound,
     corollary_check,
@@ -94,9 +87,7 @@ def _execute(plan: Plan) -> tuple[dict, list[dict]]:
         return _execute_expanding(plan)
     if plan.algorithm == "supersim-shrinking":
         return _execute_shrinking(plan)
-    if plan.algorithm in ("verify41", "verify42"):
-        return _execute_verify(plan)
-    return _execute_characterize(plan)
+    return _execute_products(plan)
 
 
 def _execute_boost(plan: Plan):
@@ -136,20 +127,9 @@ def _execute_boost(plan: Plan):
 
 
 def _execute_expanding(plan: Plan):
-    g, dist, ladder, eps = plan.target, plan.d, plan.ladder, plan.epsilon
-    result = supersimulator_expanding(g, dist, ladder, plan.growth, eps)
-    ma = best_response(ladder[result.fooled_level], g, result.h, dist).correlation
-    bound_label = result.recurrence.labels[
-        min(result.bound_index, len(result.recurrence.labels) - 1)
-    ]
-    inequalities = [
-        Inequality("regular-against-grown-family", ma, eps),
-        Inequality("updates-within-bound", result.updates, result.bound_index),
-        Inequality("label-s1-within-bound", result.label.s1, bound_label.s1),
-        Inequality("label-s2-within-bound", result.label.s2, bound_label.s2),
-    ]
+    result = supersimulator_expanding(plan.target, plan.d, plan.ladder, plan.growth, plan.epsilon)
     payload = {"result": result.to_json(), "simulator": result.h.to_json()}
-    return payload, [iq.to_json() for iq in inequalities]
+    return payload, [iq.to_json() for iq in result.inequalities]
 
 
 def _execute_shrinking(plan: Plan):
@@ -172,28 +152,20 @@ def _execute_shrinking(plan: Plan):
     return payload, [iq.to_json() for iq in inequalities]
 
 
-def _execute_verify(plan: Plan):
-    eps, gamma = plan.epsilon, plan.gamma
-    if plan.algorithm == "verify41":
-        inst, tol, verify = build_mixture(plan.d0, plan.d1, 0.5), eps, verify_two_proxy
-    else:
-        inst, tol, verify = build_mixture(plan.d0, plan.d1, eps), eps ** 2, verify_single_proxy
-    h = plan.simulator
-    if h is None:
-        h, _ = calibrated_multiaccuracy(
-            inst.g, inst.d_x, plan.family, BoostParams(epsilon=tol, gamma=gamma)
-        )
-    report = verify(inst, h, plan.family, eps, gamma, plan.k)
-    payload = {"report": report.to_json(), "simulator": h.to_json()}
-    return payload, [iq.to_json() for iq in report.inequalities]
-
-
-def _execute_characterize(plan: Plan):
+def _execute_products(plan: Plan):
+    """The verifications, which report their simulator, and the characterizations."""
+    payload = {}
     if plan.algorithm == "characterize-super":
         report = characterize_super(
             plan.d0, plan.d1, plan.ladder, plan.growth, plan.epsilon, plan.k, mode=plan.mode
         )
-    else:
+    elif plan.algorithm == "characterize":
         report = characterize(plan.d0, plan.d1, plan.family, plan.epsilon, plan.k, mode=plan.mode)
-    payload = {"report": report.to_json()}
+    else:
+        report, h, _ = _fit_and_verify(
+            plan.d0, plan.d1, [plan.family], None, plan.epsilon, plan.gamma, plan.k, plan.mode,
+            plan.simulator,
+        )
+        payload["simulator"] = h.to_json()
+    payload["report"] = report.to_json()
     return payload, [iq.to_json() for iq in report.inequalities]

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -31,7 +31,7 @@ from .boosting import (
     calibration_error,
     updates_bound,
 )
-from .domain import DERIVED_TOL, MIN_ACCURACY, BoundedFn, Distribution, _cached, potential
+from .domain import DERIVED_TOL, MIN_ACCURACY, BoundedFn, Distribution, Inequality, _cached, potential
 from .errors import InternalContractError, ValidationError
 from .families import (
     ComplexityLabel,
@@ -152,6 +152,7 @@ class SupersimResult:
 
     ``level`` is the ladder index the simulator lives at; ``fooled_level``
     is the strictly-dominating index it is audited regular against.
+    ``inequalities`` is the measured contract, which ``to_json`` leaves out.
     """
 
     level: int
@@ -164,6 +165,7 @@ class SupersimResult:
     bound_index: int
     trace: BoostTrace
     recurrence: RecurrenceBound
+    inequalities: tuple[Inequality, ...] = ()
 
     def to_json(self) -> dict:
         return {
@@ -215,27 +217,26 @@ def supersimulator_expanding(
         trace=trace,
         recurrence=recurrence,
     )
-    _assert_expanding_contract(result, g, dist, ladder)
-    return result
+    return replace(result, inequalities=_expanding_contract(result, g, dist, ladder))
 
 
-def _assert_expanding_contract(
+def _expanding_contract(
     result: SupersimResult, g: BoundedFn, dist: Distribution, ladder: GradedLadder
-) -> None:
+) -> tuple[Inequality, ...]:
+    """The claims an expanding run reports, each measured once; a failed one
+    is a library bug (InternalContractError)."""
     ma = best_response(ladder[result.fooled_level], g, result.h, dist).correlation
-    if ma > result.epsilon + DERIVED_TOL:
-        raise InternalContractError(
-            f"output not regular against the grown family: {ma!r} > {result.epsilon!r}"
-        )
-    if result.updates > result.bound_index:
-        raise InternalContractError(
-            f"{result.updates} updates exceeds the recurrence bound index {result.bound_index}"
-        )
     formal = result.recurrence.labels[min(result.bound_index, len(result.recurrence.labels) - 1)]
-    if not result.label.le(formal):
-        raise InternalContractError(
-            f"measured label {result.label} exceeds the formal bound {formal}"
-        )
+    contract = (
+        Inequality("regular-against-grown-family", ma, result.epsilon),
+        Inequality("updates-within-bound", result.updates, result.bound_index),
+        Inequality("label-s1-within-bound", result.label.s1, formal.s1),
+        Inequality("label-s2-within-bound", result.label.s2, formal.s2),
+    )
+    for iq in contract:
+        if not iq.passes:
+            raise InternalContractError(f"expanding run breaks {iq.name}: {iq.lhs!r} > {iq.rhs!r}")
+    return contract
 
 
 @dataclass(frozen=True)

@@ -251,6 +251,17 @@ def test_only_ladders_that_read_the_domain_alone_are_kept():
     assert _reads_only_the_domain({"levels": [{"builder": "coordinate", "note": 2**64 - 1}]})
     for wide in (2**64, -(2**64), 10**5000):
         assert not _reads_only_the_domain({"levels": [{"builder": "coordinate", "note": wide}]})
+    # a list or dict inside itself has no JSON form and is not plain; a
+    # value shared by two places is, since neither holds the other
+    members = [[1.0, 1.0]]
+    members.append(members)
+    looped = {"builder": "explicit"}
+    looped["members"] = [looped]
+    for level in ({"builder": "explicit", "members": members}, looped):
+        assert not _reads_only_the_domain({"levels": [level]})
+    shared = [1.0, 1.0]
+    assert _reads_only_the_domain({"levels": [{"builder": "explicit", "members": [shared]},
+                                              {"builder": "explicit", "members": [shared, shared]}]})
     spec = {"levels": [{"builder": "coordinate", "note": 10**5000}]}
     for _ in range(2):
         _, problems = plan_config({

@@ -427,6 +427,17 @@ def demo_with(name, path, value):
     return config
 
 
+def demo_holding_itself(kind):
+    """The supersim-expanding demo whose level 0 holds itself: its members
+    list inside that list ("list"), or the level inside its members ("dict")."""
+    config = demo_config("supersim-expanding")
+    level = config["ladder"]["levels"][0]
+    level["members"] = [level] if kind == "dict" else []
+    if kind == "list":
+        level["members"].append(level["members"])
+    return config
+
+
 # The fuzz case that raised MemoryError: a domain too large to allocate,
 # read by a uniform distribution before any size mismatch is noticed.
 HUGE_DOMAIN = demo_with("verify41-disjoint", "domain.size", 2**53 + 1)
@@ -470,6 +481,15 @@ HUGE_DOMAIN["distributions"]["d0"] = {"kind": "uniform"}
         (HUGE_DOMAIN, "config.domain.size"),
         (demo_with("supersim-shrinking", "schedule.value", 1e-300), "config.schedule"),
         (demo_with("boost-two-point", "domain.bit_width", 65), "config.domain.bit_width"),
+        (demo_with("supersim-expanding", "domain.size", 10**5000), "config.domain.size"),
+        (demo_with("supersim-expanding", "domain.bit_width", 10**5000),
+         "config.domain.bit_width"),
+        (demo_holding_itself("list"), "config.ladder.levels[0].members[0]"),
+        (demo_with("characterize-super-gap", "params.k", 1100), "config.params.k"),
+        (demo_with("verify42-halfsplit", "params.gamma", 0.08), "config.params.gamma"),
+        ({**demo_config("characterize-gap"),
+          "params": {"epsilon": 1e-11, "k": 2, "mode": "single-proxy"}}, "config.params.epsilon"),
+        (demo_holding_itself("dict"), "config.ladder.levels[0].members[0]"),
         (demo_with("supersim-shrinking", "schedule", {"kind": "explicit", "values": [0.1, 0.2]}),
          "config.schedule"),
         (demo_with("supersim-expanding", "ladder.levels",
@@ -489,6 +509,9 @@ HUGE_DOMAIN["distributions"]["d0"] = {"kind": "uniform"}
         "schedule-depth-huge", "epsilon-underflow",
         "multicalibrate-epsilon-overflows-bound", "gamma-subnormal", "alpha-subnormal",
         "domain-beyond-memory", "schedule-value-underflow", "bit-width-beyond-64",
+        "domain-size-5000-digits", "bit-width-5000-digits", "members-list-holds-itself",
+        "k-beyond-double-weights", "gamma-above-fit-tolerance", "fit-gamma-underflow",
+        "level-holds-itself",
         "schedule-increasing", "ladder-levels-reversed", "compose-level-fits-no-entry",
     ],
 )
@@ -559,6 +582,42 @@ def test_mutated_demo_configs_are_runs_or_named_problems(tmp_path, monkeypatch, 
         Path("config.json").write_text(json.dumps(config))
         code = main(["run", "config.json"])
         assert code in (0, 1, 2), (names[i % len(names)], edits, capsys.readouterr())
+
+
+# Parameter values the validate/run agreement sweep sets, one at a time on
+# each demo: in range, at each range's edges and past them.  Epsilon stays
+# at 0.01 or more and alpha at 1e-3 or more: below 0.0023 and 2^-16 a
+# supersimulator's recurrence bound passes its cap, a refusal the run makes
+# (test_recurrence_beyond_cap_is_exit_one).
+SWEEP_GRID = {
+    "epsilon": [-0.1, 0.0, 0.01, 0.05, 0.1, 0.2, 0.3, 0.49, 0.5, 0.9, 1.0],
+    "gamma": [-0.01, 0.0, 0.001, 0.01, 0.04, 0.05, 0.08, 0.1, 0.2, 0.6],
+    "alpha": [-0.1, 0.0, 1e-3, 0.1, 0.3, 0.49, 0.5, 0.7],
+    "k": [0, 1, 2, 5, 1100],
+    "max_iters": [0, 1, 2, 100],
+}
+# Run-time refusals that depend on the data, not on the parameters alone.
+DATA_REFUSALS = ("reached the user cap", "exhausted", "hypothesis audit failed", "proxy undefined")
+# The one inequality a valid config is known to fail (exit 2): the product
+# chain's chain-lower margin, ROADMAP item 2 (the characterize demos at
+# epsilon >= 0.25).
+KNOWN_FAILED = ["chain-lower"]
+
+
+def test_validate_accepts_only_configs_the_run_runs_or_refuses_by_data():
+    for name in demo_names():
+        for key, values in SWEEP_GRID.items():
+            for value in values:
+                config = demo_with(name, f"params.{key}", value)
+                if validate_config(config):
+                    continue
+                outcome = run_config(config)
+                report, code = outcome.report, outcome.exit_code
+                assert (
+                    code == 0
+                    or (code == 1 and any(why in report["error"]["message"] for why in DATA_REFUSALS))
+                    or (code == 2 and report["summary"]["failed"] == KNOWN_FAILED)
+                ), (name, key, value, report.get("error"))
 
 
 @pytest.mark.parametrize(

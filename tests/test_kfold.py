@@ -177,11 +177,6 @@ def test_large_k_is_answered_or_refused_without_building_layers():
     for n, k in [(2, 1030), (2, 20000), (3, 3000)]:
         with pytest.raises(rs.ValidationError, match="double precision"):
             rs.kfold_tv(np.full(n, 1 / n), np.full(n, 1 / n), k)
-    # the hybrid DP keeps successor maps for every size below k
-    h = rs.BoundedFn(np.array([0.2, 0.5, 0.9]))
-    dist = rs.Distribution(np.full(3, 1 / 3))
-    with pytest.raises(rs.CapExceededError, match="successor maps for N=3, k=300"):
-        rs.hybrid_bound_check(h, dist, dist.weights, 300)
 
 
 # -- the (N, k) layout cache and the gathered product masses -----------------
@@ -273,16 +268,15 @@ def test_cache_stays_within_its_byte_budget(monkeypatch, fresh_cache):
 def _k_entry_points(k):
     p, q = [0.7, 0.3], [0.4, 0.6]
     h = rs.BoundedFn(np.array([0.2, 0.9]))
-    dist = rs.Distribution(np.array([0.5, 0.5]))
     test = rs.ProductTest(h, 2, "balanced")
+    d0, d1 = rs.Distribution(np.array(p)), rs.Distribution(np.array(q))
+    family = rs.explicit_family([[1.0, 1.0], [0.0, 1.0]])
     return [
         lambda: rs.kfold_tv(p, q, k),
         lambda: rs.kfold_type_classes([p], k),
         lambda: rs.kfold_expectation(test, p, k),
-        lambda: rs.test_advantage(test, p, q, k),
-        lambda: rs.tie_mass(test, p, k),
-        lambda: rs.hybrid_bound_check(h, dist, dist.weights, k),
-        lambda: rs.hybrid_bound_check(h, dist, dist.weights, k, test=test),
+        # the verification's one k-fold pass: its table, test and hybrids
+        lambda: rs.characterize(d0, d1, family, 0.1, k),
         lambda: rs.ProductTest(h, k, "balanced"),
     ]
 
@@ -301,6 +295,8 @@ def test_numpy_integer_k_is_accepted():
         result = numpy_k()
         if isinstance(result, float):
             assert result == plain()
+        elif isinstance(result, rs.CharacterizationReport):
+            assert result.to_json() == plain().to_json()
 
 
 def test_empty_measure_is_named():

@@ -134,7 +134,7 @@ def test_product_test_tie_example():
     test = rs.ProductTest(h, 2, "balanced")
     counts = np.array([[0, 2], [2, 0], [1, 1]], dtype=np.int64)
     assert list(test.on_counts(counts)) == [1.0, 0.0, 0.0]
-    assert list(test.tie_on_counts(counts)) == [0.0, 0.0, 1.0]
+    assert list(test.outcomes(counts)[1]) == [0.0, 0.0, 1.0]
 
 
 def test_product_test_tilted_example():
@@ -163,8 +163,10 @@ def test_optimal_test_for_hat_pair_brute_force():
         h = rs.BoundedFn(rng.uniform(0.05, 0.95, size=n))
         proxies = rs.build_proxies(inst, h)
         test = rs.ProductTest(h, k, "balanced")
-        adv = rs.test_advantage(test, proxies.hat0, proxies.hat1, k)
-        tv_raw = rs.kfold_tv(proxies.hat0, proxies.hat1, k)
+        table = rs.kfold_type_classes([proxies.hat0, proxies.hat1], k)
+        fire = test.on_counts(table.counts)
+        adv = abs(table.expectation(0, fire) - table.expectation(1, fire))
+        tv_raw = table.tv(0, 1)
         mass1 = float(proxies.hat1.sum()) ** k
         mass0 = float(proxies.hat0.sum()) ** k
         # exact: advantage of the strict test is the positive-part sum
@@ -252,23 +254,42 @@ def test_two_proxy_hypothesis_gate():
         rs.verify_two_proxy(rs.build_mixture(d0, d1, 0.3), inst.g, two_member_family(), 0.05, 0.05, 2)
 
 
+def _hybrid_gap_and_oracle(test, dist, hat):
+    """The largest gap between adjacent hybrids dist^j x hat^(k-j) of a
+    product test, as verification computes it (``products._hybrid_gaps``)
+    and by tuple enumeration."""
+    from regsim import products
+    from regsim.kfold import _type_table
+
+    n, k = len(hat), test.k
+    values = test.on_counts(_type_table(n, k)[0])
+    gap = products._hybrid_gaps(values, [(dist, hat)], k)[0]
+    brute = brute_hybrid_expectations(
+        lambda tup: float(test.on_counts(counts_of(tup, n)[None, :])[0]),
+        np.asarray(getattr(dist, "weights", dist)), np.asarray(hat), k,
+    )
+    return gap, max(abs(brute[j] - brute[j + 1]) for j in range(k))
+
+
 def test_hybrid_bound_check_examples():
     d0 = rs.Distribution(np.array([0.6, 0.4]))
     d1 = rs.Distribution(np.array([0.2, 0.8]))
     inst = rs.build_mixture(d0, d1, 0.5)
     # exact simulator: hats equal the sources, every swap is free
     proxies = rs.build_proxies(inst, inst.g)
-    assert rs.hybrid_bound_check(inst.g, d0, proxies.hat0, 3) <= EXACT
+    gap, brute = _hybrid_gap_and_oracle(rs.ProductTest(inst.g, 3, "balanced"), d0, proxies.hat0)
+    assert gap <= EXACT and brute <= EXACT
     # k = 1 is the plain expectation gap
     h = rs.BoundedFn(np.array([0.4, 0.7]))
     proxies_h = rs.build_proxies(inst, h)
     test = rs.ProductTest(h, 1, "balanced")
-    gap = rs.hybrid_bound_check(h, d1, proxies_h.hat1, 1, test=test)
+    gap, brute = _hybrid_gap_and_oracle(test, d1, proxies_h.hat1)
     direct = abs(
         rs.expectation(rs.BoundedFn(test.on_counts(np.eye(2, dtype=np.int64))), d1)
         - float(np.dot(proxies_h.hat1, test.on_counts(np.eye(2, dtype=np.int64))))
     )
     assert gap == pytest.approx(direct, abs=EXACT)
+    assert gap == pytest.approx(brute, abs=EXACT)
     # k = 3 with a calibrated simulator (the hypothesis the bound needs):
     # every swap is controlled by twice the calibration target
     gamma = 0.02
@@ -279,7 +300,9 @@ def test_hybrid_bound_check_examples():
     proxies_c = rs.build_proxies(inst, hc)
     test3 = rs.ProductTest(hc, 3, "balanced")
     for b, hat in ((d0, proxies_c.hat0), (d1, proxies_c.hat1)):
-        assert rs.hybrid_bound_check(hc, b, hat, 3, test=test3) <= 2 * gamma + TOL
+        gap, brute = _hybrid_gap_and_oracle(test3, b, hat)
+        assert gap <= 2 * gamma + TOL
+        assert gap == pytest.approx(brute, abs=EXACT)
 
 
 def test_hybrid_bound_check_matches_tuple_enumeration():
@@ -295,12 +318,7 @@ def test_hybrid_bound_check_matches_tuple_enumeration():
             test = rs.ProductTest(h, k, "balanced")
         else:
             test = rs.ProductTest(h, k, "tilted", eps=0.1)
-        brute = brute_hybrid_expectations(
-            lambda tup: float(test.on_counts(counts_of(tup, n)[None, :])[0]),
-            dist.weights, hat, k,
-        )
-        expected = max(abs(brute[j] - brute[j + 1]) for j in range(k))
-        gap = rs.hybrid_bound_check(h, dist, hat, k, test=test)
+        gap, expected = _hybrid_gap_and_oracle(test, dist, hat)
         assert gap == pytest.approx(expected, abs=1e-12)
 
 
@@ -576,31 +594,36 @@ def test_verify_kfold_fields_equal_the_standalone_functions(monkeypatch):
         audits = report.audits
         if mode == "two-proxy":
             test = rs.ProductTest(h, k, "balanced")
-            expected = {
-                "tv_kfold_proxies": rs.kfold_tv(proxies.tilde0, proxies.tilde1, k),
-                "advantage_hat_pair": rs.test_advantage(test, proxies.hat0, proxies.hat1, k),
-            }
+            expected = {"tv_kfold_proxies": rs.kfold_tv(proxies.tilde0, proxies.tilde1, k)}
             hybrids = {"hybrid-step-0": (d0, proxies.hat0), "hybrid-step-1": (d1, proxies.hat1)}
         else:
             test = rs.ProductTest(h, k, "tilted", eps=eps)
             expected = {"tv_kfold_d0_proxy": rs.kfold_tv(d0, proxies.tilde1, k)}
             hybrids = {"hybrid-step-1": (d1, proxies.hat1)}
+        # the test's statistics from one table of its own, whose rows are
+        # in another order than verify's, scored by one outcomes() call
+        table = rs.kfold_type_classes([d0, d1, proxies.hat0, proxies.hat1], k)
+        fire, tie = test.outcomes(table.counts)
         expected.update(
             tv_kfold_true=rs.kfold_tv(d0, d1, k),
-            advantage=rs.test_advantage(test, d0, d1, k),
-            tie_mass_d0=rs.tie_mass(test, d0, k),
-            tie_mass_d1=rs.tie_mass(test, d1, k),
+            advantage=abs(table.expectation(0, fire) - table.expectation(1, fire)),
+            tie_mass_d0=table.expectation(0, tie),
+            tie_mass_d1=table.expectation(1, tie),
         )
+        if mode == "two-proxy":
+            expected["advantage_hat_pair"] = abs(
+                table.expectation(2, fire) - table.expectation(3, fire)
+            )
         for name, value in expected.items():
             assert _hex(audits[name]) == _hex(value), name
         if audits["tie_mass_d0"] > 0:
             tie_modes_seen.add(mode)
-        for name, (dist, hat) in hybrids.items():
-            standalone = rs.hybrid_bound_check(h, dist, hat, k, test=test)
-            assert _hex(report.inequality(name).lhs) == _hex(standalone), name
+        values = test.on_counts(_type_table(n, k)[0])
+        for name, pair in hybrids.items():
+            (alone,) = products._hybrid_gaps(values, [pair], k)
+            assert _hex(report.inequality(name).lhs) == _hex(alone), name
 
         # one multi-pair sweep equals per-pair sweeps, bit for bit
-        values = test.on_counts(_type_table(n, k)[0])
         pairs = list(hybrids.values()) + [(proxies.hat1, d0)]
         together = _mixed_expectations(values, pairs, k)
         for pair, sums in zip(pairs, together):

@@ -82,6 +82,39 @@ def test_expanding_random_instances_contract():
         assert res.label.le(formal)
 
 
+def test_expanding_report_lists_its_contract_measured_once(monkeypatch):
+    from regsim import supersim
+    from regsim.config import plan_config
+    from regsim.demos import demo_config
+    from regsim.runner import run_config
+
+    names = ["regular-against-grown-family", "updates-within-bound",
+             "label-s1-within-bound", "label-s2-within-bound"]
+    for eps in (0.1, 0.2, 0.3):
+        config = demo_config("supersim-expanding")
+        config["params"]["epsilon"] = eps
+        plan, _ = plan_config(config)
+        outcome = run_config(config)
+        assert outcome.exit_code == 0
+        payload, claims = outcome.report["payload"], outcome.report["inequalities"]
+        result, h = payload["result"], rs.BoundedFn(np.array(payload["simulator"]))
+        # the report's regularity claim equals a from-scratch best response
+        ma = rs.best_response(plan.ladder[result["fooled_level"]], plan.target, h, plan.d)
+        assert [iq["name"] for iq in claims] == names
+        assert (claims[0]["lhs"], claims[0]["rhs"]) == (ma.correlation, eps)
+        assert (claims[1]["lhs"], claims[1]["rhs"]) == (result["updates"], result["bound_index"])
+        formal = result["recurrence"]["labels"][
+            min(result["bound_index"], len(result["recurrence"]["labels"]) - 1)
+        ]
+        assert [iq["rhs"] for iq in claims[2:]] == formal
+        assert [iq["lhs"] for iq in claims[2:]] == result["label"]
+    # a failed claim is a library bug: exit 3, naming it
+    monkeypatch.setattr(supersim, "best_response", lambda *a: rs.BestResponse(0, 1, 0.5))
+    outcome = run_config(demo_config("supersim-expanding"))
+    assert outcome.exit_code == 3
+    assert "regular-against-grown-family" in outcome.report["error"]["message"]
+
+
 def test_recurrence_bound_rounds_zero():
     ladder = demo_ladder()
     growth = rs.GrowthMap.shift(ladder, 1)
