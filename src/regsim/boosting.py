@@ -46,7 +46,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .domain import DERIVED_TOL, MIN_ACCURACY, BoundedFn, Distribution, potential, round_to_grid
+from .domain import DERIVED_TOL, BoundedFn, Distribution, _check_accuracy, potential, round_to_grid
 from .errors import InternalContractError, ValidationError
 from .families import Family, GradedLadder, best_response
 
@@ -73,18 +73,14 @@ class BoostParams:
     gamma: float | None = None
 
     def __post_init__(self):
-        if not (0.0 < self.epsilon < 0.5):
-            raise ValidationError("epsilon must lie in (0, 0.5)")
-        if self.epsilon < MIN_ACCURACY:
-            raise ValidationError("epsilon must be at least 2^-100")
+        _check_accuracy(self.epsilon, "epsilon")
+        _check_max_iters(self.max_iters)
         if self.max_iters is None:
             object.__setattr__(self, "max_iters", updates_bound(self.epsilon))
-        elif self.max_iters < 1:
-            raise ValidationError("max_iters must be >= 1")
-        if self.gamma is not None and not (0.0 < self.gamma <= self.epsilon):
-            raise ValidationError("gamma must lie in (0, epsilon]")
-        if self.gamma is not None and self.gamma < MIN_ACCURACY:
-            raise ValidationError("gamma must be at least 2^-100")
+        if self.gamma is not None:
+            if not (0.0 < self.gamma <= self.epsilon):
+                raise ValidationError("gamma must lie in (0, epsilon]")
+            _check_accuracy(self.gamma, "gamma")
 
     @property
     def round_grid(self) -> float:
@@ -94,6 +90,18 @@ class BoostParams:
         if self.gamma is None:
             raise ValidationError("this construction needs params.gamma")
         return self.gamma
+
+
+def _check_max_iters(max_iters: int | None) -> None:
+    if max_iters is not None and max_iters < 1:
+        raise ValidationError("max_iters must be >= 1")
+
+
+def _check_multicalibrate(epsilon: float, max_iters: int | None = None) -> None:
+    """multicalibrate's parameter rule: epsilon in (0, 1) and at least
+    2^-100, and a user max_iters of at least 1, as in ``BoostParams``."""
+    _check_accuracy(epsilon, "epsilon", upper=1)
+    _check_max_iters(max_iters)
 
 
 def _digest(h: BoundedFn) -> str:
@@ -560,10 +568,7 @@ def multicalibrate(
     and ``correlation`` (|sum| / level_mass), and the potential-drop guard,
     use the carried mass the scan compared.
     """
-    if not (0.0 < epsilon < 1.0):
-        raise ValidationError("epsilon must lie in (0, 1)")
-    if epsilon < MIN_ACCURACY:
-        raise ValidationError("epsilon must be at least 2^-100")
+    _check_multicalibrate(epsilon, max_iters)
     n_grid = math.ceil(1.0 / epsilon) + 1
     floor = epsilon / n_grid
     bound = math.ceil(4.0 * n_grid / epsilon ** 3)

@@ -5,80 +5,107 @@ Configs are single JSON documents.  Unknown fields are rejected everywhere
 experiment).  plan_config validates a config and builds every object its run
 reads once, reporting every violation it can find rather than stopping at
 the first.  A seed is mandatory as soon as any randomized generator is built.
+
+ALGORITHMS is the one table of what each algorithm reads: fields, params
+and parameter rules, each rule the library's own precondition, the code a
+run calls (``BoostParams``, ``supersim._expanding_rounds``, ...), so validate
+and run refuse a parameter with one text; no parameter range is stated here.
 """
 
 from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, make_dataclass
 from numbers import Integral, Real
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .boosting import BoostParams
-from .domain import MIN_ACCURACY, BoundedFn, Distribution, FiniteDomain, _cached, _nbytes
+from .boosting import BoostParams, _check_multicalibrate
+from .domain import BoundedFn, Distribution, FiniteDomain, _cached, _nbytes
 from .errors import RegsimError, ValidationError
 from .families import (
-    ErrorSchedule,
-    Family,
-    GradedLadder,
-    GrowthMap,
-    STANDARD_COMBINATORS,
-    build_coordinate_family,
-    build_rectangle_family,
-    build_threshold_family,
-    compose_level,
-    explicit_family,
+    STANDARD_COMBINATORS, ErrorSchedule, Family, GradedLadder, GrowthMap, build_coordinate_family,
+    build_rectangle_family, build_threshold_family, compose_level, explicit_family,
 )
 from .kfold import _check_kfold_reach
-from .products import _proxy_mode
+from .products import _check_verify_gamma, _fit_params, _proxy_mode
+from .supersim import _expanding_rounds, _shrinking_rounds
 
-ALGORITHMS = (
-    "boost",
-    "calibrated",
-    "multicalibrate",
-    "supersim-expanding",
-    "supersim-shrinking",
-    "verify41",
-    "verify-two-proxy",
-    "verify42",
-    "verify-single-proxy",
-    "characterize",
-    "characterize-super",
+_REQUIRED = object()
+
+
+@dataclass(frozen=True)
+class _Algorithm:
+    """What one algorithm reads: built ``fields`` (a simulator is never
+    required), ``params`` (name -> default, _REQUIRED when the config must
+    give it) and ``rules``, each (param a refusal is filed under, library
+    check, names of the params or domain ``size`` it is called with), run in
+    order but for a rule that reads a refused value.  A verification fixes
+    its proxy ``mode`` and has a wire ``alias``."""
+
+    fields: tuple[str, ...]
+    params: dict[str, Any]
+    rules: tuple[tuple[str, Callable, tuple[str, ...]], ...]
+    mode: str | None = None
+    alias: str | None = None
+
+
+_R = _REQUIRED
+_EPSILON = ("epsilon", BoostParams, ("epsilon",))
+_BOOST = (_EPSILON, ("max_iters", BoostParams, ("epsilon", "max_iters")))
+# Proxy rules in the order _fit_and_verify checks them; the plan skips
+# _fit_params for a verification given a simulator, which makes no fit.
+_PROXY = (
+    _EPSILON, ("mode", _proxy_mode, ("mode", "epsilon")), ("k", _check_kfold_reach, ("size", "k"))
 )
-
-# Wire tokens mapping to the descriptive verification entry points.
-ALGORITHM_ALIASES = {
-    "verify-two-proxy": "verify41",
-    "verify-single-proxy": "verify42",
+_VERIFY = dict(
+    fields=("d0", "d1", "family", "simulator"),
+    params={"epsilon": _R, "gamma": _R, "k": _R},
+    rules=_PROXY + (
+        ("gamma", _fit_params, ("mode", "epsilon", "gamma")),
+        ("gamma", _check_verify_gamma, ("mode", "epsilon", "gamma")),
+    ),
+)
+_CHARACTERIZE = dict(
+    params={"epsilon": _R, "k": _R, "mode": "two-proxy"},
+    rules=_PROXY + (("epsilon", _fit_params, ("mode", "epsilon")),),
+)
+_BOOSTED, _SUPERSIM = ("target", "d", "family"), ("target", "d", "ladder", "growth")
+ALGORITHMS = {
+    "boost": _Algorithm(_BOOSTED, {"epsilon": _R, "max_iters": None}, _BOOST),
+    "calibrated": _Algorithm(_BOOSTED, {"epsilon": _R, "gamma": _R, "max_iters": None}, _BOOST + (
+        ("gamma", BoostParams, ("epsilon", "max_iters", "gamma")),
+    )),
+    "multicalibrate": _Algorithm(_BOOSTED, {"epsilon": _R, "max_iters": None}, (
+        ("epsilon", _check_multicalibrate, ("epsilon",)),
+        ("max_iters", _check_multicalibrate, ("epsilon", "max_iters")),
+    )),
+    "supersim-expanding": _Algorithm(
+        _SUPERSIM, {"epsilon": _R}, (("epsilon", _expanding_rounds, ("epsilon",)),)
+    ),
+    "supersim-shrinking": _Algorithm(
+        _SUPERSIM + ("schedule",), {"alpha": _R}, (("alpha", _shrinking_rounds, ("alpha",)),)
+    ),
+    "verify41": _Algorithm(**_VERIFY, mode="two-proxy", alias="verify-two-proxy"),
+    "verify42": _Algorithm(**_VERIFY, mode="single-proxy", alias="verify-single-proxy"),
+    "characterize": _Algorithm(("d0", "d1", "family"), **_CHARACTERIZE),
+    "characterize-super": _Algorithm(("d0", "d1", "ladder", "growth"), **_CHARACTERIZE),
+}
+# Every accepted algorithm token, each wire alias after its canonical name.
+_NAMES = {token: name for name, a in ALGORITHMS.items() for token in (name, a.alias) if token}
+_PARAMS = {
+    "epsilon": float, "gamma": float, "alpha": float, "k": int, "max_iters": int, "mode": str
 }
 
-# Built fields in the order a run draws them from the seeded generator: the
-# target first, then the fields the algorithm reads, then the rest (built
-# only to validate them).
-_FIELDS = ("target", "d", "d0", "d1", "family", "ladder", "growth", "schedule", "simulator")
 _DISTS = ("d", "d0", "d1")
-_NUMERIC = {"epsilon": float, "gamma": float, "alpha": float, "k": int, "max_iters": int}
+_TOP_KEYS = ("domain", "algorithm", "params", "seed", "distributions", "output",
+             "target", "family", "ladder", "growth", "schedule", "simulator")
 
-_TOP_KEYS = {
-    "domain": True,
-    "algorithm": True,
-    "params": True,
-    "seed": False,
-    "distributions": False,
-    "output": False,
-    **{name: False for name in _FIELDS if name not in _DISTS},
-}
-
-_PARAM_KEYS = {*_NUMERIC, "mode"}
-
-# Deepest ladder a config may ask for through ``pad_to``, and longest
-# geometric schedule ``depth``.  2^16 levels cover the updates_bound(epsilon)
-# levels a shift-by-1 run can climb for every epsilon >= 0.0023, and the
-# per-level tables (the padded list, a growth map, the schedule's values)
-# stay within a few MiB.
+# Deepest ladder ``pad_to`` and longest geometric schedule ``depth``: 2^16
+# levels cover the updates_bound(epsilon) levels a shift-by-1 run climbs for
+# epsilon >= 0.0023, and the per-level tables stay within a few MiB.
 _MAX_LADDER_DEPTH = 1 << 16
 
 # Largest domain a config may ask for: one vector over it is 128 MiB.  A
@@ -90,50 +117,23 @@ _MAX_BIT_WIDTH = 64
 # anything formats it (str() of an int past 4,300 digits raises).
 _MAX_INT_BITS = 64
 
-# The proxy mode of each verification; params.mode sets the others'.
-_VERIFY_MODES = {"verify41": "two-proxy", "verify42": "single-proxy"}
-
-# What each algorithm reads; a verify run reads an optional simulator.
-_NEEDS = {
-    "boost": {"target", "d", "family", "epsilon"},
-    "calibrated": {"target", "d", "family", "epsilon", "gamma"},
-    "multicalibrate": {"target", "d", "family", "epsilon"},
-    "supersim-expanding": {"target", "d", "ladder", "growth", "epsilon"},
-    "supersim-shrinking": {"target", "d", "ladder", "growth", "schedule", "alpha"},
-    "verify41": {"d0", "d1", "family", "simulator", "epsilon", "gamma", "k"},
-    "verify42": {"d0", "d1", "family", "simulator", "epsilon", "gamma", "k"},
-    "characterize": {"d0", "d1", "family", "epsilon", "k"},
-    "characterize-super": {"d0", "d1", "ladder", "growth", "epsilon", "k"},
-}
+# Bytes a level of a kept growth map is charged in the build cache (127 a
+# level under tracemalloc at 5,000 levels, CPython 3.11).
+_GROWTH_LEVEL_BYTES = 128
 
 
-@dataclass
-class Diagnostics:
-    problems: list[str] = field(default_factory=list)
-
-    def add(self, path: str, message: str) -> None:
-        self.problems.append(f"{path}: {message}")
-
-    def refused(self, path: str, exc: Exception) -> None:
-        """File a refusal under ``path`` unless its message names a field."""
-        message = str(exc)
-        self.problems.append(message if message.startswith("config.") else f"{path}: {message}")
+def _refusal(path: str, exc: Exception) -> str:
+    """A refusal filed under ``path`` unless its message names a field."""
+    message = str(exc)
+    return message if message.startswith("config.") else f"{path}: {message}"
 
 
-def _check_keys(obj: dict, path: str, spec: dict[str, bool], diags: Diagnostics) -> bool:
-    if not isinstance(obj, dict):
-        diags.add(path, f"expected an object, got {type(obj).__name__}")
-        return False
-    ok = True
-    for key, required in spec.items():
-        if required and key not in obj:
-            diags.add(f"{path}.{key}", "missing required field")
-            ok = False
-    for key in obj:
-        if key not in spec:
-            diags.add(f"{path}.{key}", "unknown field (fail-closed: check spelling)")
-            ok = False
-    return ok
+def _unknown(obj: dict, allowed: Sequence[str], path: str) -> list[str]:
+    """A problem for each key of ``obj`` outside ``allowed``."""
+    return [
+        f"{path}.{key}: unknown field (fail-closed: check spelling)"
+        for key in obj if key not in allowed
+    ]
 
 
 class ConfigContext:
@@ -143,14 +143,13 @@ class ConfigContext:
         self.domain = domain
         self.rng = np.random.default_rng(seed) if seed is not None else None
         self.target: BoundedFn | None = None
+        # (cache key, pad_to) of a ladder from the build cache
+        self.ladder_key: tuple | None = None
 
     def require_rng(self, path: str) -> np.random.Generator:
         if self.rng is None:
             raise ValidationError(f"{path}: seed is mandatory when a randomized generator is used")
         return self.rng
-
-
-_REQUIRED = object()
 
 
 def _field(spec: dict, key: str, path: str, kind: Any = float, default: Any = _REQUIRED) -> Any:
@@ -164,10 +163,14 @@ def _field(spec: dict, key: str, path: str, kind: Any = float, default: Any = _R
 
 
 def _typed(value: Any, where: str, kind: Any) -> Any:
-    """``value`` as a float or int, or (``kind`` [float] or [int]) as a
-    nonempty sequence of them; bools, numeric strings, integers of more than
-    64 bits (for ints) and integers beyond double range (for floats) are
-    rejected, a wide integer described by its bit length."""
+    """``value`` as a str, float or int, or (``kind`` [float] or [int]) as a
+    nonempty sequence of numbers; bools, numeric strings, integers of more
+    than 64 bits (for ints) and integers beyond double range (for floats)
+    are rejected, a wide integer described by its bit length."""
+    if kind is str:
+        if not isinstance(value, str):
+            raise ValidationError(f"{where}: expected a string, got {type(value).__name__}")
+        return value
     if isinstance(kind, list):
         if not isinstance(value, list) or not value:
             raise ValidationError(f"{where}: expected a nonempty list")
@@ -177,11 +180,14 @@ def _typed(value: Any, where: str, kind: Any) -> Any:
             except OverflowError:
                 pass  # the per-element path names the problem
         return [_typed(v, where, kind[0]) for v in value]
-    if isinstance(value, bool) or not isinstance(value, Integral if kind is int else Real):
+    if isinstance(value, bool) or not isinstance(value, (kind, Integral if kind is int else Real)):
         noun = "an integer" if kind is int else "a number"
         raise ValidationError(f"{where}: expected {noun}, got {value!r}")
-    if kind is int:
-        _check_width(value, where)
+    if kind is int and int(value).bit_length() > _MAX_INT_BITS:
+        raise ValidationError(
+            f"{where}: expected an integer of at most {_MAX_INT_BITS} bits, "
+            f"got one of {int(value).bit_length()} bits"
+        )
     try:
         return kind(value)
     except OverflowError:
@@ -191,15 +197,6 @@ def _typed(value: Any, where: str, kind: Any) -> Any:
         ) from None
 
 
-def _check_width(value: Integral, where: str) -> None:
-    """Refuse an int wider than _MAX_INT_BITS, naming only its bit length."""
-    bits = int(value).bit_length()
-    if bits > _MAX_INT_BITS:
-        raise ValidationError(
-            f"{where}: expected an integer of at most {_MAX_INT_BITS} bits, got one of {bits} bits"
-        )
-
-
 def _vector(spec: Any, path: str, n: int) -> Sequence[float]:
     values = _typed(spec, path, [float])
     if len(values) != n:
@@ -207,69 +204,68 @@ def _vector(spec: Any, path: str, n: int) -> Sequence[float]:
     return values
 
 
+def _kind(spec: Any, path: str, kinds: dict, what: str, noun: str, key: str = "kind") -> str:
+    """``spec[key]``, once ``spec`` is a ``what`` object whose ``key`` is
+    one of ``kinds`` and whose other keys that kind lists."""
+    if not isinstance(spec, dict):
+        raise ValidationError(f"{path}: expected a {what} object")
+    kind = spec.get(key)
+    if not (isinstance(kind, str) and kind in kinds):
+        raise ValidationError(f"{path}.{key}: unknown {noun} {kind!r}")
+    for problem in _unknown(spec, (key, *kinds[kind]), path):
+        raise ValidationError(problem)
+    return kind
+
+
 def build_distribution(spec: Any, ctx: ConfigContext, path: str) -> Distribution:
     n = ctx.domain.size
     if isinstance(spec, list):
         return Distribution(_vector(spec, path, n))
-    if not isinstance(spec, dict):
-        raise ValidationError(f"{path}: expected a vector or generator object")
-    kind = spec.get("kind")
+    kinds = {"uniform": (), "random": ("concentration",), "two_point": ("i", "j", "p")}
+    kind = _kind(spec, path, kinds, "vector or generator", "distribution kind")
     if kind == "uniform":
-        _only_keys(spec, {"kind"}, path)
         return Distribution.uniform(n)
     if kind == "random":
-        _only_keys(spec, {"kind", "concentration"}, path)
         conc = _field(spec, "concentration", path, default=1.0)
         if conc <= 0:
             raise ValidationError(f"{path}.concentration: must be positive")
         raw = ctx.require_rng(path).gamma(conc, size=n) + 1e-12
         return Distribution(raw / raw.sum())
-    if kind == "two_point":
-        _only_keys(spec, {"kind", "i", "j", "p"}, path)
-        i, j = _field(spec, "i", path, int), _field(spec, "j", path, int)
-        p = _field(spec, "p", path)
-        if not (0 <= i < n and 0 <= j < n):
-            raise ValidationError(f"{path}: indices outside the domain")
-        if not (0.0 <= p <= 1.0):
-            raise ValidationError(f"{path}.p: must lie in [0, 1]")
-        w = np.zeros(n)
-        w[i] += 1.0 - p
-        w[j] += p
-        return Distribution(w)
-    raise ValidationError(f"{path}.kind: unknown distribution kind {kind!r}")
+    i, j = _field(spec, "i", path, int), _field(spec, "j", path, int)
+    p = _field(spec, "p", path)
+    if not (0 <= i < n and 0 <= j < n):
+        raise ValidationError(f"{path}: indices outside the domain")
+    if not (0.0 <= p <= 1.0):
+        raise ValidationError(f"{path}.p: must lie in [0, 1]")
+    w = np.zeros(n)
+    w[i] += 1.0 - p
+    w[j] += p
+    return Distribution(w)
 
 
 def build_function(spec: Any, ctx: ConfigContext, path: str) -> BoundedFn:
     n = ctx.domain.size
     if isinstance(spec, list):
         return BoundedFn(_vector(spec, path, n))
-    if not isinstance(spec, dict):
-        raise ValidationError(f"{path}: expected a vector or generator object")
-    kind = spec.get("kind")
+    kinds = {"random": (), "constant": ("value",), "indicator": ("index",)}
+    kind = _kind(spec, path, kinds, "vector or generator", "function kind")
     if kind == "random":
-        _only_keys(spec, {"kind"}, path)
         return BoundedFn(ctx.require_rng(path).uniform(0.0, 1.0, size=n))
     if kind == "constant":
-        _only_keys(spec, {"kind", "value"}, path)
         return BoundedFn.constant(n, _field(spec, "value", path))
-    if kind == "indicator":
-        _only_keys(spec, {"kind", "index"}, path)
-        idx = _field(spec, "index", path, int)
-        if not (0 <= idx < n):
-            raise ValidationError(f"{path}.index: outside the domain")
-        return BoundedFn.indicator(n, idx)
-    raise ValidationError(f"{path}.kind: unknown function kind {kind!r}")
+    idx = _field(spec, "index", path, int)
+    if not (0 <= idx < n):
+        raise ValidationError(f"{path}.index: outside the domain")
+    return BoundedFn.indicator(n, idx)
 
 
 def build_family(spec: Any, ctx: ConfigContext, path: str) -> Family:
-    if not isinstance(spec, dict):
-        raise ValidationError(f"{path}: expected a family builder object")
-    builder = spec.get("builder")
+    kinds = {"coordinate": (), "threshold": ("grid", "source"), "rectangle": ("rows", "cols"),
+             "explicit": ("members",), "compose": ("base", "s1", "s2", "catalog")}
+    builder = _kind(spec, path, kinds, "family builder", "builder", key="builder")
     if builder == "coordinate":
-        _only_keys(spec, {"builder"}, path)
         return build_coordinate_family(ctx.domain)
     if builder == "threshold":
-        _only_keys(spec, {"builder", "grid", "source"}, path)
         grid = _field(spec, "grid", path, [float])
         source = spec.get("source", "target")
         if source == "target":
@@ -280,7 +276,6 @@ def build_family(spec: Any, ctx: ConfigContext, path: str) -> Family:
             h = build_function(source, ctx, f"{path}.source")
         return build_threshold_family(h, grid)
     if builder == "rectangle":
-        _only_keys(spec, {"builder", "rows", "cols"}, path)
         rows, cols = _field(spec, "rows", path, int), _field(spec, "cols", path, int)
         if rows * cols != ctx.domain.size:
             raise ValidationError(
@@ -288,44 +283,39 @@ def build_family(spec: Any, ctx: ConfigContext, path: str) -> Family:
             )
         return build_rectangle_family(rows, cols)
     if builder == "explicit":
-        _only_keys(spec, {"builder", "members"}, path)
         members = spec.get("members")
         if not isinstance(members, list) or not members:
             raise ValidationError(f"{path}.members: expected a nonempty list of vectors")
         rows = [_vector(v, f"{path}.members[{i}]", ctx.domain.size) for i, v in enumerate(members)]
         return explicit_family(rows, name="explicit")
-    if builder == "compose":
-        _only_keys(spec, {"builder", "base", "s1", "s2", "catalog"}, path)
-        base = build_family(spec.get("base"), ctx, f"{path}.base")
-        catalog_names = spec.get("catalog")
-        if not isinstance(catalog_names, list) or not catalog_names:
-            raise ValidationError(f"{path}.catalog: expected a nonempty list of names")
-        for name in catalog_names:
-            if name not in STANDARD_COMBINATORS:
-                raise ValidationError(
-                    f"{path}.catalog: unknown combinator {name!r}; "
-                    f"known: {sorted(STANDARD_COMBINATORS)}"
-                )
-        s1, s2 = _field(spec, "s1", path, int), _field(spec, "s2", path, int)
-        catalog = [STANDARD_COMBINATORS[name] for name in catalog_names]
-        try:
-            return compose_level(base, s1, s2, catalog)
-        except RegsimError as exc:
-            raise ValidationError(f"{path}: {exc}") from None
-    raise ValidationError(f"{path}.builder: unknown builder {builder!r}")
+    base = build_family(spec.get("base"), ctx, f"{path}.base")
+    catalog_names = spec.get("catalog")
+    if not isinstance(catalog_names, list) or not catalog_names:
+        raise ValidationError(f"{path}.catalog: expected a nonempty list of names")
+    for name in catalog_names:
+        if not (isinstance(name, str) and name in STANDARD_COMBINATORS):
+            raise ValidationError(
+                f"{path}.catalog: unknown combinator {name!r}; "
+                f"known: {sorted(STANDARD_COMBINATORS)}"
+            )
+    s1, s2 = _field(spec, "s1", path, int), _field(spec, "s2", path, int)
+    catalog = [STANDARD_COMBINATORS[name] for name in catalog_names]
+    try:
+        return compose_level(base, s1, s2, catalog)
+    except RegsimError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
 
 
 _PLAIN = (str, int, float, bool, type(None))
 
 
 def _reads_only_the_domain(node: Any, above: tuple[int, ...] = ()) -> bool:
-    """Whether a ladder's levels build from the domain alone, so one build
-    serves every run over that domain: they hold nothing but plain JSON
-    types (a tuple or a numpy scalar would serialize like a list or a
-    number the builders treat differently, an int of more than 64 bits is
-    refused, and a list or dict inside itself, whose ids ``above`` holds,
-    has no JSON form), no ``"kind": "random"`` node and no threshold
-    builder whose ``source`` is missing or "target"."""
+    """Whether a spec builds from the domain alone, so one build serves
+    every run over it: it holds only plain JSON types (a tuple or numpy
+    scalar serializes like a list or number the builders treat apart, an
+    int past 64 bits is refused, and a list or dict inside itself, whose
+    ids ``above`` holds, has no JSON form), no ``"kind": "random"`` node and
+    no threshold builder whose ``source`` is missing or "target"."""
     kind = type(node)
     if kind is list or kind is dict:
         if id(node) in above:
@@ -344,12 +334,6 @@ def _reads_only_the_domain(node: Any, above: tuple[int, ...] = ()) -> bool:
     )
 
 
-def _ladder_bytes(ladder: GradedLadder) -> int:
-    """A ladder's charge in the build cache: its levels' buffers, each
-    counted once."""
-    return _nbytes(arr for lvl in ladder.levels for arr in (lvl.matrix, lvl.rows, lvl.firsts))
-
-
 def build_ladder(spec: Any, ctx: ConfigContext, path: str) -> GradedLadder:
     """The ladder of ``spec``: each listed level built on its own by
     ``build_family``, in level order, then padded to ``pad_to`` levels by
@@ -358,14 +342,14 @@ def build_ladder(spec: Any, ctx: ConfigContext, path: str) -> GradedLadder:
     A ladder whose levels read nothing but the domain is built once per
     process: the unpadded ladder is kept in the library's one build cache
     (``domain._cached``) under (domain size, bit width, canonical JSON of
-    the ``levels`` list), charged its buffers and its key against the
-    shared 64 MiB budget, so specs that differ only in ``pad_to`` share
-    it.  A ladder that draws from the seeded generator or reads the
-    target, and a failed build, are never kept.
-    """
+    ``levels``), charged its levels' buffers and its key, so specs that
+    differ only in ``pad_to`` share it; ``ctx.ladder_key`` records the key
+    and ``pad_to``.  A ladder that draws from the seeded generator or reads
+    the target, and a failed build, are never kept."""
     if not isinstance(spec, dict):
         raise ValidationError(f"{path}: expected a ladder object")
-    _only_keys(spec, {"levels", "pad_to"}, path)
+    for problem in _unknown(spec, ("levels", "pad_to"), path):
+        raise ValidationError(problem)
     levels = spec.get("levels")
     if not isinstance(levels, list) or not levels:
         raise ValidationError(f"{path}.levels: expected a nonempty list of family builders")
@@ -375,14 +359,13 @@ def build_ladder(spec: Any, ctx: ConfigContext, path: str) -> GradedLadder:
             build_family(level, ctx, f"{path}.levels[{i}]") for i, level in enumerate(levels)
         )
 
+    key = None
     if _reads_only_the_domain(levels):
-        key = json.dumps(levels, sort_keys=True)
-        domain = ctx.domain
-        ladder = _cached(
-            ("ladder", domain.size, domain.bit_width, key),
-            build,
-            lambda ladder: _ladder_bytes(ladder) + sys.getsizeof(key),
-        )
+        text = json.dumps(levels, sort_keys=True)
+        key = ("ladder", ctx.domain.size, ctx.domain.bit_width, text)
+        ladder = _cached(key, build, lambda ladder: sys.getsizeof(text) + _nbytes(
+            arr for lvl in ladder.levels for arr in (lvl.matrix, lvl.rows, lvl.firsts)
+        ))
     else:
         ladder = build()
     pad_to = _field(spec, "pad_to", path, int, default=len(levels))
@@ -391,93 +374,86 @@ def build_ladder(spec: Any, ctx: ConfigContext, path: str) -> GradedLadder:
             f"{path}.pad_to: at least the {len(levels)} listed levels, got {pad_to}"
         )
     if pad_to > _MAX_LADDER_DEPTH:
-        raise ValidationError(
-            f"{path}.pad_to: at most {_MAX_LADDER_DEPTH} levels, got {pad_to}"
-        )
+        raise ValidationError(f"{path}.pad_to: at most {_MAX_LADDER_DEPTH} levels, got {pad_to}")
+    ctx.ladder_key = None if key is None else (key, pad_to)
     return ladder.padded(pad_to)
 
 
 def build_growth(spec: Any, ladder: GradedLadder, path: str) -> GrowthMap:
-    if not isinstance(spec, dict):
-        raise ValidationError(f"{path}: expected a growth object")
-    kind = spec.get("kind")
+    kinds = {"identity": (), "shift": ("by",), "explicit": ("map",)}
+    kind = _kind(spec, path, kinds, "growth", "growth kind")
     if kind == "identity":
-        _only_keys(spec, {"kind"}, path)
         return GrowthMap.identity(ladder)
     if kind == "shift":
-        _only_keys(spec, {"kind", "by"}, path)
         return GrowthMap.shift(ladder, _field(spec, "by", path, int, default=1))
-    if kind == "explicit":
-        _only_keys(spec, {"kind", "map"}, path)
-        table = _field(spec, "map", path, [int])
-        if len(table) != ladder.depth:
-            raise ValidationError(f"{path}.map: expected a list of length {ladder.depth}")
-        return GrowthMap.explicit(ladder, table)
-    raise ValidationError(f"{path}.kind: unknown growth kind {kind!r}")
+    table = _field(spec, "map", path, [int])
+    if len(table) != ladder.depth:
+        raise ValidationError(f"{path}.map: expected a list of length {ladder.depth}")
+    return GrowthMap.explicit(ladder, table)
 
 
 def build_schedule(spec: Any, path: str) -> ErrorSchedule:
-    if not isinstance(spec, dict):
-        raise ValidationError(f"{path}: expected a schedule object")
-    kind = spec.get("kind")
+    kinds = {"constant": ("value",), "geometric": ("start", "factor", "depth", "floor"),
+             "explicit": ("values",)}
+    kind = _kind(spec, path, kinds, "schedule", "schedule kind")
     if kind == "constant":
-        _only_keys(spec, {"kind", "value"}, path)
         return ErrorSchedule.constant(_field(spec, "value", path))
-    if kind == "geometric":
-        _only_keys(spec, {"kind", "start", "factor", "depth", "floor"}, path)
-        depth = _field(spec, "depth", path, int)
-        if depth > _MAX_LADDER_DEPTH:
-            raise ValidationError(
-                f"{path}.depth: at most {_MAX_LADDER_DEPTH} levels, got {depth}"
-            )
-        return ErrorSchedule.geometric(
-            _field(spec, "start", path),
-            _field(spec, "factor", path),
-            depth,
-            _field(spec, "floor", path, default=1e-3),
-        )
     if kind == "explicit":
-        _only_keys(spec, {"kind", "values"}, path)
         return ErrorSchedule(_field(spec, "values", path, [float]))
-    raise ValidationError(f"{path}.kind: unknown schedule kind {kind!r}")
+    depth = _field(spec, "depth", path, int)
+    if depth > _MAX_LADDER_DEPTH:
+        raise ValidationError(f"{path}.depth: at most {_MAX_LADDER_DEPTH} levels, got {depth}")
+    return ErrorSchedule.geometric(
+        _field(spec, "start", path),
+        _field(spec, "factor", path),
+        depth,
+        _field(spec, "floor", path, default=1e-3),
+    )
 
 
-def _only_keys(obj: dict, allowed: set[str], path: str) -> None:
-    for key in obj:
-        if key not in allowed:
-            raise ValidationError(f"{path}.{key}: unknown field (fail-closed: check spelling)")
+def _build_growth(spec: Any, ctx: ConfigContext, path: str, built: dict) -> GrowthMap:
+    """``build_growth`` on the planned ladder; over a ladder from the build
+    cache, a growth map of a plain-JSON spec is kept there too, under the
+    ladder's key, ``pad_to`` and the spec's canonical JSON."""
+    if "ladder" not in built:
+        raise ValidationError(f"{path}: growth map needs a ladder")
+    ladder = built["ladder"]
+    if ctx.ladder_key is None or not _reads_only_the_domain(spec):
+        return build_growth(spec, ladder, path)
+    text = json.dumps(spec, sort_keys=True)
+    return _cached(
+        ("growth", *ctx.ladder_key, text),
+        lambda: build_growth(spec, ladder, path),
+        lambda growth: _GROWTH_LEVEL_BYTES * growth.depth + sys.getsizeof(text),
+    )
 
 
-@dataclass(frozen=True)
-class Plan:
-    """A validated config with every object its run reads built once.
+# Each field's builder, in the order a run draws them from the seeded
+# generator: the target first, then the fields the algorithm reads, then
+# the rest (built only to validate them).  Builders are called by their
+# module-level names, so a rebound builder is the one used.
+_BUILDERS: dict[str, Callable[[Any, ConfigContext, str, dict], Any]] = {
+    "target": lambda spec, ctx, path, built: build_function(spec, ctx, path),
+    **dict.fromkeys(_DISTS, lambda spec, ctx, path, built: build_distribution(spec, ctx, path)),
+    "family": lambda spec, ctx, path, built: build_family(spec, ctx, path),
+    "ladder": lambda spec, ctx, path, built: build_ladder(spec, ctx, path),
+    "growth": _build_growth,
+    "schedule": lambda spec, ctx, path, built: build_schedule(spec, path),
+    "simulator": lambda spec, ctx, path, built: build_function(spec, ctx, path),
+}
 
-    ``algorithm`` is the canonical name; a field the config leaves out is
-    None, and a None ``simulator`` means the run builds a calibrated one.
-    ``mode`` is the run's proxy mode, a verification's by its algorithm.
-    """
 
-    algorithm: str
-    target: BoundedFn | None
-    d: Distribution | None
-    d0: Distribution | None
-    d1: Distribution | None
-    family: Family | None
-    ladder: GradedLadder | None
-    growth: GrowthMap | None
-    schedule: ErrorSchedule | None
-    simulator: BoundedFn | None
-    epsilon: float | None
-    gamma: float | None
-    alpha: float | None
-    k: int | None
-    max_iters: int | None
-    mode: str
+Plan = make_dataclass("Plan", ["algorithm", *_BUILDERS, *_PARAMS], frozen=True, namespace={
+    "__module__": __name__,
+    "__doc__": """A validated config with every object its run reads built once: the
+    canonical ``algorithm``, each field of _BUILDERS and each param of _PARAMS
+    (None when left out with no default; a None ``simulator`` means the run
+    fits one, and ``mode`` is a verification's by its algorithm).""",
+})
 
 
 def validate_config(config: Any) -> list[str]:
-    """Schema plus precondition checks without execution; returns every
-    violation found, not just the first."""
+    """Every violation ``plan_config`` finds in ``config``, not just the first."""
     return plan_config(config)[1]
 
 
@@ -485,170 +461,114 @@ def plan_config(config: Any) -> tuple[Plan | None, list[str]]:
     """Validate a config and build everything its run reads, once: (plan, [])
     when valid, else (None, every violation found).
 
-    A ladder whose levels read nothing but the domain comes from the
-    library's one build cache (see ``build_ladder``), so a process builds
-    it once; no other field is kept across runs."""
-    diags = Diagnostics()
-    if not _check_keys(config, "config", _TOP_KEYS, diags):
-        return None, diags.problems
+    The algorithm's entry in ALGORITHMS says what is checked: each field it
+    reads is required, each param it reads is present or defaulted (every
+    param is typed wherever it appears), and its rules run on those values.
+    A ladder whose levels read nothing but the domain, and a growth map over
+    it, come from the library's one build cache (see ``build_ladder``), so a
+    process builds them once; no other field is kept across runs."""
+    if not isinstance(config, dict):
+        return None, [f"config: expected an object, got {type(config).__name__}"]
+    problems = [f"config.{key}: missing required field" for key in _TOP_KEYS[:3]
+                if key not in config]
+    problems += _unknown(config, _TOP_KEYS, "config")
+    if problems:
+        return None, problems
 
     spec = config["domain"]
     try:
         for key in ("size", "bit_width"):
-            if isinstance(spec, dict) and isinstance(spec.get(key), int):
-                _check_width(spec[key], f"config.domain.{key}")
+            if isinstance(spec, dict) and type(spec.get(key)) is int:
+                _typed(spec[key], f"config.domain.{key}", int)
         domain = FiniteDomain.from_json(spec)
     except (RegsimError, KeyError, TypeError) as exc:
-        diags.refused("config.domain", exc)
-        return None, diags.problems
+        return None, [_refusal("config.domain", exc)]
     if domain.size > _MAX_DOMAIN_SIZE:
-        diags.add("config.domain.size", f"at most {_MAX_DOMAIN_SIZE} points, got {domain.size}")
+        problems.append(f"config.domain.size: at most {_MAX_DOMAIN_SIZE} points, got {domain.size}")
     if (domain.bit_width or 0) > _MAX_BIT_WIDTH:
-        diags.add("config.domain.bit_width", f"at most {_MAX_BIT_WIDTH}, got {domain.bit_width}")
-    if diags.problems:
-        return None, diags.problems
+        problems.append(
+            f"config.domain.bit_width: at most {_MAX_BIT_WIDTH}, got {domain.bit_width}"
+        )
+    algorithm = config["algorithm"]
+    name = _NAMES.get(algorithm) if isinstance(algorithm, str) else None
+    if name is None and not problems:
+        problems.append(
+            f"config.algorithm: unknown algorithm {algorithm!r}; known: {tuple(_NAMES)}"
+        )
+    if problems:
+        return None, problems
+    entry = ALGORITHMS[name]
 
-    algorithm = config.get("algorithm")
-    if algorithm not in ALGORITHMS:
-        diags.add("config.algorithm", f"unknown algorithm {algorithm!r}; known: {ALGORITHMS}")
-        return None, diags.problems
-    algo = ALGORITHM_ALIASES.get(algorithm, algorithm)
-
-    params = config.get("params", {})
-    if isinstance(params, dict):
-        for key in params:
-            if key not in _PARAM_KEYS:
-                diags.add(f"config.params.{key}", "unknown field (fail-closed: check spelling)")
-    else:
-        diags.add("config.params", "expected an object")
-        params = {}
-
+    objects = {}
+    for key, allowed in (("params", _PARAMS), ("distributions", _DISTS)):
+        objects[key] = config.get(key, {})
+        if not isinstance(objects[key], dict):
+            problems.append(f"config.{key}: expected an object")
+            objects[key] = {}
+        problems += _unknown(objects[key], allowed, f"config.{key}")
+    params, dists = objects["params"], objects["distributions"]
     seed = config.get("seed")
     if seed is not None and (isinstance(seed, bool) or not isinstance(seed, Integral) or seed < 0):
-        diags.add("config.seed", f"expected a nonnegative integer, got {seed!r}")
+        problems.append(f"config.seed: expected a nonnegative integer, got {seed!r}")
         seed = None
     output = config.get("output")
     if output is not None and not isinstance(output, str):
-        diags.add("config.output", "expected a string path")
+        problems.append("config.output: expected a string path")
 
-    needs = _NEEDS[algo]
-    dists = config.get("distributions", {})
-    if not isinstance(dists, dict):
-        diags.add("config.distributions", "expected an object")
-        dists = {}
-    else:
-        for key in dists:
-            if key not in _DISTS:
-                diags.add(f"config.distributions.{key}", "unknown field")
+    specs = {
+        field: (dists.get(field), f"config.distributions.{field}") if field in _DISTS
+        else (config.get(field), f"config.{field}")
+        for field in _BUILDERS
+    }
+    problems += [
+        f"{specs[field][1]}: required by algorithm {algorithm!r}"
+        for field in entry.fields if specs[field][0] is None and field != "simulator"
+    ]
 
-    def spec_and_path(name: str) -> tuple[Any, str]:
-        if name in _DISTS:
-            return dists.get(name), f"config.distributions.{name}"
-        return config.get(name), f"config.{name}"
-
-    for name in _FIELDS[:-1]:  # a simulator is never required
-        spec, path = spec_and_path(name)
-        if name in needs and spec is None:
-            diags.add(path, f"required by algorithm {algorithm!r}")
-
-    # Every numeric parameter is type-checked wherever it appears; a
-    # malformed one is named once and left out of the range checks below.
-    num = {}
-    for key, kind in _NUMERIC.items():
-        if params.get(key) is None:
-            if key in needs:
-                diags.add(f"config.params.{key}", f"required by algorithm {algorithm!r}")
-            continue
+    # Every param is typed wherever it appears; a malformed one, or a
+    # missing one the algorithm needs, is named once and skips the rules
+    # that read it.
+    values, refused = {"size": domain.size}, set()
+    for key, kind in _PARAMS.items():
+        default = entry.params.get(key)
         try:
-            value = _typed(params[key], f"config.params.{key}", kind)
+            if params.get(key) is not None:
+                values[key] = _typed(params[key], f"config.params.{key}", kind)
+            elif default is _REQUIRED:
+                raise ValidationError(f"config.params.{key}: required by algorithm {algorithm!r}")
+            else:
+                values[key] = default
         except ValidationError as exc:
-            diags.problems.append(str(exc))
-            continue
-        if kind is int and value < 1:
-            diags.add(f"config.params.{key}", f"{key} must be >= 1")
-        else:
-            num[key] = value
-    eps, gamma, alpha = num.get("epsilon"), num.get("gamma"), num.get("alpha")
-    if "epsilon" in needs and eps is not None:
-        if algo == "multicalibrate":
-            if not (0.0 < eps < 1.0):
-                diags.add("config.params.epsilon", "epsilon must lie in (0, 1)")
-        elif not (0.0 < eps < 0.5):
-            diags.add("config.params.epsilon", "epsilon must lie in (0, 0.5)")
-    if "gamma" in needs and gamma is not None:
-        if algo == "verify41":
-            if not (0.0 < gamma < 0.1):
-                diags.add("config.params.gamma", "gamma must lie in (0, 1/10)")
-        elif algo == "verify42":
-            if eps is not None and not (0.0 < gamma < eps / 2.0):
-                diags.add("config.params.gamma", "gamma must lie in (0, epsilon/2)")
-        elif eps is not None and not (0.0 < gamma <= eps):
-            diags.add("config.params.gamma", "gamma must lie in (0, epsilon]")
-    if "alpha" in needs and alpha is not None and not (0.0 < alpha < 0.5):
-        diags.add("config.params.alpha", "alpha must lie in (0, 0.5)")
-    for key in ("epsilon", "gamma", "alpha"):
-        if key in needs and 0.0 < num.get(key, 1.0) < MIN_ACCURACY:
-            diags.add(f"config.params.{key}", f"{key} must be at least 2^-100")
-    mode = params.get("mode", "two-proxy")
-    if mode not in ("two-proxy", "single-proxy"):
-        diags.add("config.params.mode", "mode must be 'two-proxy' or 'single-proxy'")
-    mode = _VERIFY_MODES.get(algo, mode)
-
-    # The run's own refusals that read parameters alone: the k-fold engine's
-    # reach, then, once every check above passes, the BoostParams of the fit
-    # a characterization, or a verification without a simulator, makes.
+            problems.append(str(exc))
+            refused.add(key)
+    values["mode"] = entry.mode or values.get("mode")
     sim = config.get("simulator")
     fits = sim is None or (isinstance(sim, dict) and sim.get("kind") == "calibrated")
-    if "k" in needs and "k" in num:
+    for param, check, args in entry.rules:
+        if not refused.isdisjoint(args) or (check is _fit_params and entry.mode and not fits):
+            continue
         try:
-            _check_kfold_reach(domain.size, num["k"])
+            check(*map(values.__getitem__, args))
         except RegsimError as exc:
-            diags.add("config.params.k", str(exc))
-    verify = algo in _VERIFY_MODES
-    if "k" in needs and (fits or not verify) and not diags.problems:
-        _, tol, target = _proxy_mode(mode, eps)
-        try:
-            BoostParams(epsilon=tol, gamma=gamma if verify else target)
-        except RegsimError as exc:
-            diags.add("config.params.gamma" if verify else "config.params.epsilon", str(exc))
+            problems.append(f"config.params.{param}: {exc}")
+            refused.add(param)
 
     # Build once, in the order a run draws from the generator; the builders
     # enforce the structural invariants (ladder nesting, grid order, ...).
-    ctx = ConfigContext(domain, seed)
-    reads = [f for f in _FIELDS[1:] if f in needs]
-    built: dict[str, Any] = {}
+    ctx, built, path = ConfigContext(domain, seed), {}, "config"
     try:
-        for name in ["target"] + reads + [f for f in _FIELDS[1:] if f not in reads]:
-            spec, path = spec_and_path(name)
-            if spec is None:
-                continue
-            if name == "target":
-                built[name] = ctx.target = build_function(spec, ctx, path)
-            elif name in _DISTS:
-                built[name] = build_distribution(spec, ctx, path)
-            elif name == "family":
-                built[name] = build_family(spec, ctx, path)
-            elif name == "ladder":
-                built[name] = build_ladder(spec, ctx, path)
-            elif name == "growth":
-                if "ladder" not in built:
-                    diags.add(path, "growth map needs a ladder")
-                else:
-                    built[name] = build_growth(spec, built["ladder"], path)
-            elif name == "schedule":
-                built[name] = build_schedule(spec, path)
-            elif not fits:
-                built[name] = build_function(spec, ctx, path)
+        for field in sorted(_BUILDERS, key=lambda f: (f != "target", f not in entry.fields)):
+            spec, path = specs[field]
+            if spec is not None and not (field == "simulator" and fits):
+                built[field] = _BUILDERS[field](spec, ctx, path, built)
+            if field == "target":
+                ctx.target = built.get(field)
     except RegsimError as exc:
-        diags.refused(path, exc)
-    if diags.problems:
-        return None, diags.problems
-    return Plan(
-        algorithm=algo,
-        **{name: built.get(name) for name in _FIELDS},
-        **{key: num.get(key) for key in _NUMERIC},
-        mode=mode,
-    ), []
+        problems.append(_refusal(path, exc))
+    if problems:
+        return None, problems
+    fields = {field: built.get(field) for field in _BUILDERS}
+    return Plan(algorithm=name, **fields, **{key: values.get(key) for key in _PARAMS}), []
 
 
 def load_config(path: str) -> dict:

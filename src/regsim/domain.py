@@ -33,6 +33,14 @@ DERIVED_TOL = 1e-10
 MIN_ACCURACY = 2.0 ** -100
 
 
+def _check_accuracy(value: float, name: str, upper: float = 0.5) -> None:
+    """Refuse an accuracy parameter outside (0, upper) or below MIN_ACCURACY."""
+    if not (0.0 < value < upper):
+        raise ValidationError(f"{name} must lie in (0, {upper})")
+    if value < MIN_ACCURACY:
+        raise ValidationError(f"{name} must be at least 2^-100")
+
+
 @dataclass(frozen=True)
 class Inequality:
     """One checked claim lhs <= rhs, with slack = rhs - lhs; it passes

@@ -27,12 +27,12 @@ from typing import Callable
 import numpy as np
 
 from .domain import (
-    MIN_ACCURACY,
     STRUCT_TOL,
     BoundedFn,
     Distribution,
     FiniteDomain,
     MeasureLike,
+    _check_accuracy,
     _measure_vector,
 )
 from .errors import (
@@ -706,10 +706,7 @@ class ErrorSchedule:
         if not values:
             raise ValidationError("error schedule needs at least one value")
         for v in values:
-            if not (0.0 < v < 0.5):
-                raise ValidationError("schedule values must lie in (0, 0.5)")
-            if v < MIN_ACCURACY:
-                raise ValidationError("schedule values must be at least 2^-100")
+            _check_accuracy(v, "schedule values")
         if any(a < b for a, b in zip(values, values[1:])):
             raise ValidationError("error schedule must be nonincreasing")
         self.values = tuple(values)

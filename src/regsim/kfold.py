@@ -65,10 +65,12 @@ def _types(n: int, k: int) -> np.ndarray:
 
 
 def _check_k(k) -> int:
-    """k as an int: a bool or a non-integral k is refused before any cache
-    lookup, where 2.0 and True would hash like 2 and 1."""
-    if isinstance(k, bool) or not isinstance(k, Integral) or k < 1:
-        raise ValidationError("k must be an integer >= 1")
+    """k as an int of at least 1: a bool or a non-integral k is refused
+    before any cache lookup, where 2.0 and True would hash like 2 and 1."""
+    if isinstance(k, bool) or not isinstance(k, Integral):
+        raise ValidationError("k must be an integer")
+    if k < 1:
+        raise ValidationError("k must be >= 1")
     return int(k)
 
 

@@ -34,7 +34,9 @@ from typing import Sequence
 import numpy as np
 
 from .boosting import BoostParams, _boost, calibrated_multiaccuracy, calibration_error
-from .domain import DERIVED_TOL, STRUCT_TOL, BoundedFn, Distribution, Inequality, tv_distance
+from .domain import (
+    DERIVED_TOL, STRUCT_TOL, BoundedFn, Distribution, Inequality, _check_accuracy, tv_distance
+)
 from .errors import InternalContractError, ValidationError
 from .families import (
     Family,
@@ -280,6 +282,14 @@ class CharacterizationReport:
         }
 
 
+def _check_verify_gamma(mode: str, epsilon: float, gamma: float) -> None:
+    """The calibration a verification's conclusions need: gamma < 1/10 in
+    two-proxy mode, gamma < epsilon / 2 in single-proxy mode."""
+    bound, text = (0.1, "1/10") if mode == "two-proxy" else (epsilon / 2.0, "epsilon / 2")
+    if not (0.0 < gamma < bound):
+        raise ValidationError(f"gamma must lie in (0, {text})")
+
+
 def _require_hypothesis(name: str, measured: float, bound: float) -> None:
     if measured > bound + DERIVED_TOL:
         raise ValidationError(
@@ -312,8 +322,7 @@ def verify_two_proxy(
     """
     if abs(inst.prior - 0.5) > STRUCT_TOL:
         raise ValidationError("two-proxy verification needs prior 1/2")
-    if not (0.0 < gamma < 0.1):
-        raise ValidationError("gamma must lie in (0, 1/10)")
+    _check_verify_gamma("two-proxy", epsilon, gamma)
     _check_kfold_reach(inst.size, k)
     br = best_response(family, inst.g, h, inst.d_x)
     _require_hypothesis("regularity (multiaccuracy) of h", br.correlation, epsilon)
@@ -413,8 +422,7 @@ def verify_single_proxy(
     """
     if abs(inst.prior - epsilon) > STRUCT_TOL:
         raise ValidationError("single-proxy verification needs prior == epsilon")
-    if not (0.0 < gamma < epsilon / 2.0):
-        raise ValidationError("gamma must lie in (0, epsilon / 2)")
+    _check_verify_gamma("single-proxy", epsilon, gamma)
     _check_kfold_reach(inst.size, k)
     br = best_response(family, inst.g, h, inst.d_x)
     _require_hypothesis(
@@ -479,13 +487,22 @@ def verify_single_proxy(
 
 
 def _proxy_mode(mode: str, epsilon: float) -> tuple[float, float, float]:
-    """(prior, regularity tolerance, calibration target) of a proxy mode, the
-    target small enough for the epsilon terms to dominate every slack."""
+    """(prior, regularity tolerance, calibration target) of a proxy mode at a
+    boosting epsilon (``BoostParams``'s rule), the target small enough for
+    the epsilon terms to dominate every slack."""
+    if mode not in ("two-proxy", "single-proxy"):
+        raise ValidationError("mode must be 'two-proxy' or 'single-proxy'")
+    _check_accuracy(epsilon, "epsilon")
     if mode == "two-proxy":
         return 0.5, epsilon, epsilon ** 2 / 20.0
-    if mode == "single-proxy":
-        return epsilon, epsilon ** 2, epsilon ** 3 / 20.0
-    raise ValidationError("mode must be 'two-proxy' or 'single-proxy'")
+    return epsilon, epsilon ** 2, epsilon ** 3 / 20.0
+
+
+def _fit_params(mode: str, epsilon: float, gamma: float | None = None) -> BoostParams:
+    """The proxy fit's knobs: regular at the mode's tolerance, calibrated at
+    gamma, by default the mode's calibration target."""
+    _, tol, target = _proxy_mode(mode, epsilon)
+    return BoostParams(epsilon=tol, gamma=target if gamma is None else gamma)
 
 
 def _fit_and_verify(
@@ -504,13 +521,13 @@ def _fit_and_verify(
     report, h and the final (level, fooled).  The fit, calibrated at gamma
     and regular at the mode's tolerance, is the calibrated boost on
     levels[0], or with a growth map the calibrated expanding run."""
-    prior, tol, _ = _proxy_mode(mode, epsilon)
+    prior = _proxy_mode(mode, epsilon)[0]
     # an over-reach k is refused before the simulator is fitted
     _check_kfold_reach(d0.size, k)
     inst = build_mixture(d0, d1, prior)
     h, reached = simulator, (0, 0)
     if h is None:
-        params = BoostParams(epsilon=tol, gamma=gamma)
+        params = _fit_params(mode, epsilon, gamma)
         if growth is None:
             h, _ = calibrated_multiaccuracy(inst.g, inst.d_x, levels[0], params)
         else:

@@ -44,7 +44,14 @@ class RunOutcome:
     exit_code: int
 
     def report_text(self) -> str:
-        return json.dumps(self.report, sort_keys=True, indent=2) + "\n"
+        """The report as `regsim run` prints it.  A config built in Python
+        may have no JSON form (it holds itself, or a numpy scalar); the
+        report then says why in place of the config."""
+        try:
+            return json.dumps(self.report, sort_keys=True, indent=2) + "\n"
+        except (TypeError, ValueError) as exc:
+            report = {**self.report, "config": f"not serializable: {exc}"}
+            return json.dumps(report, sort_keys=True, indent=2) + "\n"
 
 
 def run_config(config: dict, seed_override: int | None = None) -> RunOutcome:

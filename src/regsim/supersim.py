@@ -31,7 +31,9 @@ from .boosting import (
     calibration_error,
     updates_bound,
 )
-from .domain import DERIVED_TOL, MIN_ACCURACY, BoundedFn, Distribution, Inequality, _cached, potential
+from .domain import (
+    DERIVED_TOL, BoundedFn, Distribution, Inequality, _cached, _check_accuracy, potential
+)
 from .errors import InternalContractError, ValidationError
 from .families import (
     ComplexityLabel,
@@ -81,6 +83,30 @@ def _recal_gates(epsilon: float) -> int:
     return math.ceil(1.0 / epsilon ** 3) * math.ceil(math.log2(1.0 / epsilon)) ** 2
 
 
+def _check_rounds(rounds: int) -> int:
+    """``rounds``, refused past MAX_RECURRENCE_ROUNDS."""
+    if rounds > MAX_RECURRENCE_ROUNDS:
+        raise ValidationError(
+            f"the recurrence bound spans {rounds} rounds, above the cap of "
+            f"{MAX_RECURRENCE_ROUNDS}; use a larger epsilon or alpha"
+        )
+    return rounds
+
+
+def _expanding_rounds(epsilon: float) -> int:
+    """The expanding run's update bound floor(1 / (3 epsilon^2)) for a
+    boosting epsilon (``BoostParams``), refused past the cap."""
+    BoostParams(epsilon=epsilon)
+    return _check_rounds(math.floor(1.0 / (3.0 * epsilon * epsilon)))
+
+
+def _shrinking_rounds(alpha: float) -> int:
+    """The shrinking run's round bound floor(1 / alpha) for alpha in
+    (0, 0.5) and at least 2^-100, refused past the cap."""
+    _check_accuracy(alpha, "alpha")
+    return _check_rounds(math.floor(1.0 / alpha))
+
+
 def recurrence_bound(
     growth: GrowthMap,
     rounds: int,
@@ -103,11 +129,7 @@ def recurrence_bound(
     """
     if rounds < 0:
         raise ValidationError("rounds must be >= 0")
-    if rounds > MAX_RECURRENCE_ROUNDS:
-        raise ValidationError(
-            f"the recurrence bound spans {rounds} rounds, above the cap of "
-            f"{MAX_RECURRENCE_ROUNDS}; use a larger epsilon or alpha"
-        )
+    _check_rounds(rounds)
     if mode not in ("expanding", "shrinking"):
         raise ValidationError("mode must be 'expanding' or 'shrinking'")
     if mode == "expanding" and epsilon is None:
@@ -199,7 +221,7 @@ def supersimulator_expanding(
     params = BoostParams(epsilon=epsilon)
     if growth.depth != ladder.depth:
         raise ValidationError("growth map and ladder depth disagree")
-    bound_index = math.floor(1.0 / (3.0 * epsilon * epsilon))
+    bound_index = _expanding_rounds(epsilon)
     recurrence = recurrence_bound(growth, bound_index, mode="expanding", epsilon=epsilon)
     h, trace, (level, fooled) = _boost(
         g, dist, params, ladder,
@@ -297,13 +319,9 @@ def supersimulator_shrinking(
     simulator adjoined as an explicit member, which is what makes the
     cross-term bound |E[h (g - h')]| <= eps auditable rather than assumed.
     """
-    if not (0.0 < alpha < 0.5):
-        raise ValidationError("alpha must lie in (0, 0.5)")
-    if alpha < MIN_ACCURACY:
-        raise ValidationError("alpha must be at least 2^-100")
+    round_bound = _shrinking_rounds(alpha)
     if growth.depth != ladder.depth:
         raise ValidationError("growth map and ladder depth disagree")
-    round_bound = math.floor(1.0 / alpha)
     recurrence = recurrence_bound(growth, round_bound, mode="shrinking", schedule=eps_schedule)
     h = BoundedFn.constant(g.size, 0.5)
     level = 0

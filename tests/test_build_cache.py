@@ -142,19 +142,35 @@ def test_ladders_that_read_the_target_or_draw_are_built_every_run(
     assert warm[0] != warm[1]
 
 
+def test_a_growth_map_is_kept_with_its_ladder(fresh_cache):
+    """A second plan of a config whose ladder reads the domain alone reuses
+    the first plan's growth map, kept under the ladder's key, ``pad_to``
+    and the canonical growth JSON; one over a ladder that reads the target
+    is built every plan and never kept."""
+    config = demo_config("supersim-expanding")
+    first = plan_config(config)[0]
+    assert plan_config(demo_config("supersim-expanding"))[0].growth is first.growth
+    (ladder_key,) = [key for key in fresh_cache if key[0] == "ladder"]
+    text = json.dumps(config["growth"], sort_keys=True)
+    key = ("growth", ladder_key, config["ladder"]["pad_to"], text)
+    charge = config_mod._GROWTH_LEVEL_BYTES * 10 + sys.getsizeof(text)
+    assert fresh_cache[key] == (first.growth, charge)
+    # another pad_to is another ladder depth, so another map
+    deeper = plan_config({**config, "ladder": {**config["ladder"], "pad_to": 12}})[0].growth
+    assert deeper.depth == 12 and deeper is not first.growth
+    config["ladder"]["levels"] = [threshold()]
+    kept = set(fresh_cache)
+    maps = [plan_config(config)[0].growth for _ in range(2)]
+    assert maps[0] is not maps[1] and maps[0].table == maps[1].table
+    assert set(fresh_cache) == kept
+
+
 def kept_ladder(bits, levels):
-    spec = {"levels": levels}
-    plan, problems = plan_config({
-        "domain": {"size": 2**bits, "bit_width": bits},
-        "algorithm": "supersim-expanding",
-        "target": {"kind": "constant", "value": 0.5},
-        "distributions": {"d": {"kind": "uniform"}},
-        "ladder": spec,
-        "growth": {"kind": "identity"},
-        "params": {"epsilon": 0.1},
-    })
-    assert problems == []
-    return plan.ladder, ("ladder", 2**bits, bits, json.dumps(levels, sort_keys=True))
+    """The ladder ``build_ladder`` plans for ``levels`` (with no growth map
+    beside it in the cache), and its cache key."""
+    ctx = config_mod.ConfigContext(rs.FiniteDomain(size=2**bits, bit_width=bits), seed=None)
+    ladder = config_mod.build_ladder({"levels": levels}, ctx, "config.ladder")
+    return ladder, ("ladder", 2**bits, bits, json.dumps(levels, sort_keys=True))
 
 
 def compose(catalog):

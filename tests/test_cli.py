@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import functools
 import hashlib
 import json
@@ -15,7 +16,7 @@ from gap_golden import DIGESTS_PATH, canonical_lines, demo_digests
 from regsim.cli import main
 from regsim.config import validate_config
 from regsim.demos import demo_config, demo_names
-from regsim.errors import InternalContractError
+from regsim.errors import InternalContractError, RegsimError
 from regsim.runner import run_config
 
 
@@ -499,6 +500,10 @@ HUGE_DOMAIN["distributions"]["d0"] = {"kind": "uniform"}
             {"builder": "compose", "base": {"builder": "explicit", "members": [[1.0, 1.0]]},
              "s1": 1, "s2": 0, "catalog": ["min"]},
         ]), "config.ladder.levels[1]"),
+        (demo_with("supersim-expanding", "ladder.levels", [
+            {"builder": "compose", "base": {"builder": "explicit", "members": [[1.0, 1.0]]},
+             "s1": 1, "s2": 1, "catalog": [["identity"]]},
+        ]), "config.ladder.levels[0].catalog"),
     ],
     ids=[
         "rectangle-without-cols", "two-point-without-j", "rows-not-a-number", "float-domain-size",
@@ -513,6 +518,7 @@ HUGE_DOMAIN["distributions"]["d0"] = {"kind": "uniform"}
         "k-beyond-double-weights", "gamma-above-fit-tolerance", "fit-gamma-underflow",
         "level-holds-itself",
         "schedule-increasing", "ladder-levels-reversed", "compose-level-fits-no-entry",
+        "catalog-name-unhashable",
     ],
 )
 def test_malformed_builder_input_is_a_named_problem(config, path):
@@ -585,14 +591,11 @@ def test_mutated_demo_configs_are_runs_or_named_problems(tmp_path, monkeypatch, 
 
 
 # Parameter values the validate/run agreement sweep sets, one at a time on
-# each demo: in range, at each range's edges and past them.  Epsilon stays
-# at 0.01 or more and alpha at 1e-3 or more: below 0.0023 and 2^-16 a
-# supersimulator's recurrence bound passes its cap, a refusal the run makes
-# (test_recurrence_beyond_cap_is_exit_one).
+# each demo: in range, at each range's edges and past them.
 SWEEP_GRID = {
-    "epsilon": [-0.1, 0.0, 0.01, 0.05, 0.1, 0.2, 0.3, 0.49, 0.5, 0.9, 1.0],
+    "epsilon": [-0.1, 0.0, 1e-3, 0.01, 0.05, 0.1, 0.2, 0.3, 0.49, 0.5, 0.9, 1.0],
     "gamma": [-0.01, 0.0, 0.001, 0.01, 0.04, 0.05, 0.08, 0.1, 0.2, 0.6],
-    "alpha": [-0.1, 0.0, 1e-3, 0.1, 0.3, 0.49, 0.5, 0.7],
+    "alpha": [-0.1, 0.0, 1e-5, 1e-3, 0.1, 0.3, 0.49, 0.5, 0.7],
     "k": [0, 1, 2, 5, 1100],
     "max_iters": [0, 1, 2, 100],
 }
@@ -629,10 +632,75 @@ def test_validate_accepts_only_configs_the_run_runs_or_refuses_by_data():
     ids=["expanding-epsilon", "shrinking-alpha"],
 )
 def test_recurrence_beyond_cap_is_exit_one(config):
+    key = "epsilon" if "epsilon" in config["params"] else "alpha"
+    problems = validate_config(config)
+    assert len(problems) == 1 and problems[0].startswith(f"config.params.{key}: ")
+    assert "above the cap of 65536; use a larger epsilon or alpha" in problems[0]
     outcome = run_config(config)
     assert outcome.exit_code == 1
-    assert outcome.report["error"]["kind"] == "precondition"
-    assert "above the cap of 65536" in outcome.report["error"]["message"]
+    assert outcome.report["error"] == {"kind": "configuration", "problems": problems}
+
+
+@pytest.mark.parametrize("kind", ["list", "dict"])
+def test_report_text_of_a_config_holding_itself_names_the_problem(kind):
+    outcome = run_config(demo_holding_itself(kind))
+    assert outcome.exit_code == 1
+    report = json.loads(outcome.report_text())
+    assert report["error"] == outcome.report["error"]
+    assert report["error"]["problems"][0].startswith("config.ladder.levels[0].members[0]: ")
+    assert report["config"] == "not serializable: Circular reference detected"
+
+
+# One out-of-range value for each parameter rule of each algorithm: (valid
+# config, param, value).  A verification's gamma meets the fit's rule first
+# unless its simulator is given or its epsilon is large.
+RULE_CASES = [
+    (demo_config("boost-two-point"), "epsilon", 0.5),
+    (demo_config("boost-two-point"), "epsilon", 1e-300),
+    (demo_config("boost-two-point"), "max_iters", 0),
+    (demo_config("calibrated-two-point"), "gamma", 0.2),
+    (demo_config("calibrated-two-point"), "gamma", 1e-300),
+    (demo_config("calibrated-two-point"), "max_iters", -1),
+    (demo_config("multicalibrate-two-point"), "epsilon", 1.0),
+    (demo_config("multicalibrate-two-point"), "epsilon", 1e-100),
+    (demo_config("multicalibrate-two-point"), "max_iters", 0),
+    (demo_config("supersim-expanding"), "epsilon", 0.5),
+    (demo_config("supersim-expanding"), "epsilon", 1e-3),
+    (demo_config("supersim-shrinking"), "alpha", 0.5),
+    (demo_config("supersim-shrinking"), "alpha", 1e-5),
+    (demo_config("supersim-shrinking"), "alpha", 5e-324),
+    (demo_config("verify41-disjoint"), "epsilon", 0.5),
+    (demo_config("verify41-disjoint"), "gamma", 0.06),
+    (demo_with("verify41-disjoint", "params.epsilon", 0.3), "gamma", 0.2),
+    (demo_config("verify41-disjoint"), "k", 0),
+    (demo_config("verify41-disjoint"), "k", 1100),
+    (demo_config("verify42-halfsplit"), "epsilon", 1e-300),
+    (demo_config("verify42-halfsplit"), "gamma", 0.08),
+    (demo_with("verify42-halfsplit", "simulator", [0.4, 0.6]), "gamma", 0.1),
+    (demo_config("characterize-gap"), "epsilon", 0.7),
+    (demo_config("characterize-gap"), "mode", "three-proxy"),
+    (demo_with("characterize-gap", "params.mode", "single-proxy"), "epsilon", 1e-11),
+    (demo_config("characterize-gap"), "k", 0),
+    (demo_config("characterize-super-gap"), "epsilon", 0.0),
+    (demo_config("characterize-super-gap"), "k", 1100),
+]
+
+
+@pytest.mark.parametrize(
+    "config,key,value", RULE_CASES,
+    ids=[f"{config['algorithm']}-{key}={value}" for config, key, value in RULE_CASES],
+)
+def test_each_parameter_rule_has_one_text(config, key, value):
+    """``validate`` files the refusal of an out-of-range param under it, in
+    the words the library raises when the run calls it with that value on
+    the otherwise valid plan."""
+    plan, problems = runner_mod.plan_config(config)
+    assert problems == []
+    with pytest.raises(RegsimError) as raised:
+        runner_mod._execute(dataclasses.replace(plan, **{key: value}))
+    config = copy.deepcopy(config)
+    config["params"][key] = value
+    assert validate_config(config) == [f"config.params.{key}: {raised.value}"]
 
 
 MULTICALIBRATE_7_STEPS = minimal_boost_config(
