@@ -1,17 +1,19 @@
 """Boosting constructions for regular, calibrated, and multicalibrated simulators.
 
-One private loop, ``_boost``, builds every simulator that moves by
-correlation updates: ``multiaccuracy_boost``, ``calibrated_multiaccuracy``,
-``supersim.supersimulator_expanding`` and the calibrated expanding run
-behind ``products.characterize_super``.  Each round measures the worst
-violation the distinguisher family can still witness, shifts the simulator
-a step of size epsilon against it, and charges the step to the
-squared-error potential E[(g - h)^2].  The potential starts at most 1/4,
-never goes below 0, and every update is guaranteed to spend at least
-(3/4) * epsilon^2 of it, which bounds the number of updates by
-ceil(1/(3 epsilon^2)) + 1 before the run even starts.  ``multicalibrate``
-is a separate loop: it shifts one level set at a time by a thresholded
-member and charges each shift epsilon^2 times the level's mass.
+Every constructor is one potential argument, run by one private loop,
+``_run``: each update spends a guaranteed share of the squared-error
+potential E[(g - h)^2], which starts at most 1/4 and never goes below 0, so
+the number of updates is bounded before the run starts.  The loop owns the
+optional recalibration, the update cap, the per-update potential-drop check
+and the trace; a constructor supplies only a step rule.  The correlation
+rule (``_boost``) serves ``multiaccuracy_boost``, ``calibrated_multiaccuracy``,
+``supersim.supersimulator_expanding`` and the fits behind
+``products.characterize``/``characterize_super``: it shifts the simulator a
+step of size epsilon against the worst violation the distinguisher family
+can still witness, spending at least (3/4) * epsilon^2, which bounds the
+updates by ceil(1/(3 epsilon^2)) + 1.  The level rule (``multicalibrate``)
+shifts one level set at a time by a thresholded member, spending epsilon^2
+times the level's mass.
 
 Every per-level reduction (level masses, level residual sums, the (member,
 level) correlation matrix of ``multicalibration_check`` and
@@ -48,7 +50,7 @@ import numpy as np
 
 from .domain import DERIVED_TOL, BoundedFn, Distribution, _check_accuracy, potential, round_to_grid
 from .errors import InternalContractError, ValidationError
-from .families import Family, GradedLadder, best_response
+from .families import Family, GradedLadder, GrowthMap, apply_growth, best_response
 
 
 def updates_bound(epsilon: float) -> int:
@@ -131,14 +133,9 @@ class TraceRecord:
             "phi_after": self.phi_after,
             "digest": self.digest,
         }
-        if self.correlation is not None:
-            out["correlation"] = self.correlation
-        if self.sign is not None:
-            out["sign"] = self.sign
-        if self.member_index is not None:
-            out["member_index"] = self.member_index
-        if self.descriptor is not None:
-            out["descriptor"] = self.descriptor
+        for key in ("correlation", "sign", "member_index", "descriptor"):
+            if getattr(self, key) is not None:
+                out[key] = getattr(self, key)
         if self.detail:
             out["detail"] = self.detail
         return out
@@ -174,17 +171,9 @@ class BoostTrace:
 
     def to_jsonl(self) -> str:
         lines = [json.dumps(r.to_json(), sort_keys=True) for r in self.records]
-        lines.append(
-            json.dumps(
-                {
-                    "final_digest": _digest(self.final),
-                    "termination": self.termination,
-                    "updates": self.update_count,
-                },
-                sort_keys=True,
-            )
-        )
-        return "\n".join(lines)
+        final = {"final_digest": _digest(self.final), "termination": self.termination,
+                 "updates": self.update_count}
+        return "\n".join([*lines, json.dumps(final, sort_keys=True)])
 
 
 # ---------------------------------------------------------------------------
@@ -382,33 +371,37 @@ def audit(
 # ---------------------------------------------------------------------------
 
 
-def _boost(
+def _run(
     g: BoundedFn,
     dist: Distribution,
-    params: BoostParams,
-    families: Sequence[Family] | GradedLadder,
-    growth: Callable[[int, float], int] | None = None,
+    h: BoundedFn,
+    propose: Callable,
+    *,
+    epsilon: float,
+    bound: int,
+    max_iters: int | None,
+    min_drop: float,
+    termination: str,
     gamma: float | None = None,
-    termination: str = "regular",
-) -> tuple[BoundedFn, BoostTrace, tuple[int, int]]:
-    """The boosting loop behind every correlation-update constructor.
+) -> BoostTrace:
+    """The update loop behind every constructor: the potential argument,
+    written once.
 
-    Starts at the constant 1/2.  Each round optionally recalibrates at gamma
-    (charged at most gamma^2/4 of potential), asks ``growth(level, phi)``
-    for the level it must fool (level 0 without a growth map), and stops
-    once no signed member of ``families[fooled]`` correlates with the
-    residual above epsilon.  Otherwise it steps by epsilon toward the best
-    response, clips to [0, 1], rounds to the grid, asserts the one-step
-    potential law phi' <= phi - 2 eps corr + eps^2 + 2 grid, and promotes
-    the simulator to the fooled level.  Returns the simulator, its
-    validated trace and the final (level, fooled).
+    Starting from h, each round optionally recalibrates at gamma (charged at
+    most gamma^2/4 of potential), then asks the step rule ``propose(h, phi)``
+    for the next simulator.  None stops the run; otherwise the rule returns
+    (h', drop, fields): the potential its step is guaranteed to spend and
+    the step's trace-record fields.  The loop refuses an update past
+    max_iters (default ``bound``, the rule's a-priori update count): below
+    ``bound`` that is the user's cap, a ValidationError, and at ``bound`` a
+    library bug.  It asserts phi - phi' >= drop for every update, records
+    it, and validates the finished trace against ``min_drop``, the least
+    drop any step of the rule guarantees.
     """
-    eps = params.epsilon
-    grid = params.round_grid
-    h = BoundedFn.constant(g.size, 0.5)
+    max_iters = bound if max_iters is None else max_iters
     phi = potential(g, h, dist)
     records: list[TraceRecord] = []
-    level = fooled = updates = 0
+    updates = 0
     while True:
         if gamma is not None:
             h_cal = recalibrate(g, h, dist, gamma)
@@ -417,63 +410,90 @@ def _boost(
                 raise InternalContractError(
                     f"recalibration raised potential by {phi_cal - phi!r} at step {len(records)}"
                 )
-            records.append(
-                TraceRecord(
-                    step=len(records),
-                    kind="recalibrate",
-                    phi_before=phi,
-                    phi_after=phi_cal,
-                    digest=_digest(h_cal),
-                    detail={"gamma": gamma},
-                )
-            )
+            records.append(TraceRecord(
+                step=len(records), kind="recalibrate", phi_before=phi, phi_after=phi_cal,
+                digest=_digest(h_cal), detail={"gamma": gamma},
+            ))
             h, phi = h_cal, phi_cal
+        step = propose(h, phi)
+        if step is None:
+            break
+        if updates >= max_iters:
+            if max_iters < bound:
+                raise ValidationError(
+                    f"params.max_iters: the run reached the user cap of max_iters = {max_iters} "
+                    "before converging"
+                )
+            raise InternalContractError(
+                f"the run exceeded its bound of {max_iters} updates; "
+                "the potential argument rules this out for a valid family"
+            )
+        h_new, drop, fields = step
+        phi_new = potential(g, h_new, dist)
+        if phi - phi_new < drop - DERIVED_TOL:
+            raise InternalContractError(
+                f"update at step {len(records)} dropped potential by {phi - phi_new!r}, "
+                f"below the guaranteed {drop!r}"
+            )
+        records.append(TraceRecord(
+            step=len(records), phi_before=phi, phi_after=phi_new, digest=_digest(h_new), **fields
+        ))
+        h, phi = h_new, phi_new
+        updates += 1
+    trace = BoostTrace(epsilon=epsilon, records=tuple(records), final=h, termination=termination)
+    trace.validate(min_drop)
+    return trace
+
+
+def _boost(
+    g: BoundedFn,
+    dist: Distribution,
+    params: BoostParams,
+    families: Sequence[Family] | GradedLadder,
+    growth: GrowthMap | None = None,
+    gamma: float | None = None,
+    termination: str = "regular",
+) -> tuple[BoundedFn, BoostTrace, tuple[int, int]]:
+    """``_run`` under the correlation rule, from the constant 1/2.
+
+    The rule reads the level it must fool from the growth map
+    (``apply_growth(growth, level, phi)``; level 0 without one) and stops
+    once no signed member of ``families[fooled]`` correlates with the
+    residual above epsilon.  Otherwise it steps by epsilon toward the best
+    response, clips to [0, 1], rounds to the grid and promotes the
+    simulator to the fooled level; the step is guaranteed to spend
+    2 eps corr - eps^2 - 2 grid of potential, at least (3/4) eps^2.
+    Returns the simulator, its validated trace and the final (level, fooled).
+    """
+    eps = params.epsilon
+    grid = params.round_grid
+    level = fooled = 0
+
+    def correlation_step(h, phi):
+        nonlocal level, fooled
         if growth is not None:
-            fooled = growth(level, phi)
+            fooled = apply_growth(growth, level, phi)
         family = families[fooled]
         br = best_response(family, g, h, dist)
         if br.correlation <= eps + DERIVED_TOL:
-            break
-        if updates >= params.max_iters:
-            if params.max_iters < updates_bound(eps):
-                raise ValidationError(
-                    f"params.max_iters: boost ({termination}) reached the user cap of "
-                    f"{params.max_iters} updates"
-                )
-            raise InternalContractError(
-                f"boost ({termination}) exceeded {params.max_iters} updates; "
-                "the potential argument rules this out for a valid family"
-            )
+            return None
         # the shift is built and clipped in one fresh buffer
         shifted = np.multiply(family.matrix[family.rows[br.index]], eps * br.sign)
         np.add(h.values, shifted, out=shifted)
         h_new = BoundedFn(round_to_grid(shifted.clip(0.0, 1.0, out=shifted), grid))
-        phi_new = potential(g, h_new, dist)
-        if phi_new > phi - 2 * eps * br.correlation + eps * eps + 2 * grid + DERIVED_TOL:
-            raise InternalContractError(
-                f"potential law violated at step {len(records)}: {phi!r} -> {phi_new!r} "
-                f"with correlation {br.correlation!r}"
-            )
-        records.append(
-            TraceRecord(
-                step=len(records),
-                kind="update",
-                phi_before=phi,
-                phi_after=phi_new,
-                digest=_digest(h_new),
-                correlation=br.correlation,
-                sign=br.sign,
-                member_index=br.index,
-                descriptor=family.descriptors[br.index],
-                detail={} if growth is None else {"level": level, "fooled_level": fooled},
-            )
-        )
-        h, phi = h_new, phi_new
+        detail = {} if growth is None else {"level": level, "fooled_level": fooled}
         level = fooled
-        updates += 1
-    trace = BoostTrace(epsilon=eps, records=tuple(records), final=h, termination=termination)
-    trace.validate(0.75 * eps * eps)
-    return h, trace, (level, fooled)
+        return h_new, 2 * eps * br.correlation - eps * eps - 2 * grid, dict(
+            kind="update", correlation=br.correlation, sign=br.sign, member_index=br.index,
+            descriptor=family.descriptors[br.index], detail=detail,
+        )
+
+    trace = _run(
+        g, dist, BoundedFn.constant(g.size, 0.5), correlation_step, epsilon=eps,
+        bound=updates_bound(eps), max_iters=params.max_iters, min_drop=0.75 * eps * eps,
+        termination=termination, gamma=gamma,
+    )
+    return trace.final, trace, (level, fooled)
 
 
 def multiaccuracy_boost(
@@ -485,8 +505,8 @@ def multiaccuracy_boost(
     arithmetic grid.
 
     Guarantees asserted on every run: at most ceil(1/(3 eps^2)) + 1 updates,
-    each dropping the potential by at least (3/4) eps^2, and the one-step
-    potential law phi' <= phi - 2 eps corr + eps^2 + 2 grid.
+    each dropping the potential by at least 2 eps corr - eps^2 - 2 grid,
+    which is at least (3/4) eps^2.
     """
     h, trace, _ = _boost(g, dist, params, [family])
     return h, trace
@@ -543,17 +563,19 @@ def multicalibrate(
 ) -> tuple[BoundedFn, BoostTrace]:
     """Drive the simulator until, outside a set of mass epsilon, no level set
     of its values leaves a family member with conditional correlation above
-    epsilon.
+    epsilon: ``_run`` under the level rule.
 
-    The simulator lives on the epsilon grid throughout.  Each round picks
-    the level/member pair with the largest mass-weighted violation among
-    levels whose mass clears the floor epsilon / (number of grid values);
-    levels below the floor can total at most epsilon mass, which is exactly
-    the exempt mass the guarantee allows.  The shift applied to the level is
-    the best thresholding of the chosen member: shifting by the raw member
-    values and re-rounding to the grid could round away to nothing, while a
-    maximizing threshold provably drops the potential by at least
-    epsilon^2 times the level mass.  A max_iters below the default bound is
+    The simulator starts at 1/2 on the epsilon grid and stays on it.  Each
+    step picks the level/member pair with the largest mass-weighted
+    violation among levels whose mass clears the floor
+    epsilon / n_grid (n_grid the number of grid values); levels below the
+    floor can total at most epsilon mass, which is exactly the exempt mass
+    the guarantee allows.  The shift applied to the level is the best
+    thresholding of the chosen member: shifting by the raw member values and
+    re-rounding to the grid could round away to nothing, while a maximizing
+    threshold provably drops the potential by at least epsilon^2 times the
+    level mass, and so by epsilon^2 times the floor, which bounds the run
+    at ceil(4 n_grid / epsilon^3) updates; a max_iters below that bound is
     a user cap, and reaching it is a ValidationError.
 
     The level sets and their (member, level) sums are built once and carried
@@ -565,82 +587,35 @@ def multicalibrate(
     mass >= floor has some |sum| / mass strictly above epsilon, on those
     point-order sums, with no tolerance: a level within rounding of epsilon
     is shifted or not as its rounded sum falls.  The trace's ``level_mass``
-    and ``correlation`` (|sum| / level_mass), and the potential-drop guard,
-    use the carried mass the scan compared.
+    and ``correlation`` (|sum| / level_mass), and the step's guaranteed
+    drop, use the carried mass the scan compared.
     """
     _check_multicalibrate(epsilon, max_iters)
     n_grid = math.ceil(1.0 / epsilon) + 1
     floor = epsilon / n_grid
-    bound = math.ceil(4.0 * n_grid / epsilon ** 3)
-    if max_iters is None:
-        max_iters = bound
     h = BoundedFn(round_to_grid(np.full(g.size, 0.5), epsilon))
-    records: list[TraceRecord] = []
-    phi = potential(g, h, dist)
     # the carried level state: sorted level values (an emptied level stays
     # as a zero-mass column), each point's level, level masses, level sums
     values, inverse, masses = _level_sets(h, dist)
-    residual = dist.weights * (g.values - h.values)
     by_point = family.by_point
     # h starts constant, so every point lies on the one level
-    sums = _point_sums(by_point, residual, np.arange(g.size))[:, None]
-    step = 0
-    while True:
+    sums = _point_sums(by_point, dist.weights * (g.values - h.values), np.arange(g.size))[:, None]
+
+    def level_step(h, _phi):
+        nonlocal values, masses, sums
         choice = _worst_weighted_violation(masses, sums, epsilon, floor)
         if choice is None:
-            trace = BoostTrace(
-                epsilon=epsilon,
-                records=tuple(records),
-                final=h,
-                termination="violating-mass-below-floor",
-            )
-            trace.validate(epsilon * epsilon * floor)
-            return h, trace
-        if step >= max_iters:
-            if max_iters < bound:
-                raise ValidationError(
-                    f"params.max_iters: multicalibration reached the user cap of "
-                    f"{max_iters} iterations"
-                )
-            raise InternalContractError(
-                f"multicalibration exceeded {max_iters} iterations"
-            )
+            return None
         j, row, sign, weighted = choice
-        member_idx = int(family.firsts[row])
+        member = int(family.firsts[row])
         level_value, mass = float(values[j]), float(masses[j])
-        sel = inverse == j
-        f_vals = family.matrix[row]
         threshold, target = _best_threshold_shift(
-            g, h, dist, sel, f_vals, sign, epsilon, level_value
+            g, dist, inverse == j, family.matrix[row], sign, epsilon, level_value
         )
         new_value = np.clip(level_value + epsilon * sign, 0.0, 1.0)
         new_values = h.values.copy()
         new_values[target] = new_value
         h_new = BoundedFn(new_values)
-        phi_new = potential(g, h_new, dist)
-        if phi - phi_new < epsilon * epsilon * mass - DERIVED_TOL:
-            raise InternalContractError(
-                f"level update at step {step} dropped potential by {phi - phi_new!r}, "
-                f"below epsilon^2 * level mass = {epsilon * epsilon * mass!r}"
-            )
-        records.append(
-            TraceRecord(
-                step=step,
-                kind="level-update",
-                phi_before=phi,
-                phi_after=phi_new,
-                digest=_digest(h_new),
-                correlation=weighted / mass,
-                sign=sign,
-                member_index=member_idx,
-                descriptor=family.descriptors[member_idx],
-                detail={
-                    "level": level_value,
-                    "level_mass": mass,
-                    "threshold": threshold,
-                },
-            )
-        )
         k = int(np.searchsorted(values, new_value))
         if k == values.size or values[k] != new_value:
             values = np.insert(values, k, new_value)
@@ -657,8 +632,18 @@ def multicalibrate(
         )[cols]
         for col in cols:
             sums[:, col] = _point_sums(by_point, residual, pts[inverse[pts] == col])
-        h, phi = h_new, phi_new
-        step += 1
+        return h_new, epsilon * epsilon * mass, dict(
+            kind="level-update", correlation=weighted / mass, sign=sign, member_index=member,
+            descriptor=family.descriptors[member],
+            detail={"level": level_value, "level_mass": mass, "threshold": threshold},
+        )
+
+    trace = _run(
+        g, dist, h, level_step, epsilon=epsilon, bound=math.ceil(4.0 * n_grid / epsilon ** 3),
+        max_iters=max_iters, min_drop=epsilon * epsilon * floor,
+        termination="violating-mass-below-floor",
+    )
+    return trace.final, trace
 
 
 def _worst_weighted_violation(masses, sums, epsilon, floor):
@@ -680,7 +665,7 @@ def _worst_weighted_violation(masses, sums, epsilon, floor):
     return int(cols[col]), row, +1 if w > 0 else -1, abs(w)
 
 
-def _best_threshold_shift(g, h, dist, sel, f_vals, sign, epsilon, level_value):
+def _best_threshold_shift(g, dist, sel, f_vals, sign, epsilon, level_value):
     """Choose the threshold t maximizing the guaranteed potential drop of
     shifting {x in level : f(x) >= t} by sign * epsilon.
 

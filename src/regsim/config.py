@@ -23,7 +23,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from .boosting import BoostParams, _check_multicalibrate
-from .domain import BoundedFn, Distribution, FiniteDomain, _cached, _nbytes
+from .domain import BoundedFn, Distribution, FiniteDomain, _cached, _nbytes, _quoted
 from .errors import RegsimError, ValidationError
 from .families import (
     STANDARD_COMBINATORS, ErrorSchedule, Family, GradedLadder, GrowthMap, build_coordinate_family,
@@ -131,7 +131,8 @@ def _refusal(path: str, exc: Exception) -> str:
 def _unknown(obj: dict, allowed: Sequence[str], path: str) -> list[str]:
     """A problem for each key of ``obj`` outside ``allowed``."""
     return [
-        f"{path}.{key}: unknown field (fail-closed: check spelling)"
+        f"{path}.{key if isinstance(key, str) else _quoted(key)}: unknown field "
+        "(fail-closed: check spelling)"
         for key in obj if key not in allowed
     ]
 
@@ -182,7 +183,7 @@ def _typed(value: Any, where: str, kind: Any) -> Any:
         return [_typed(v, where, kind[0]) for v in value]
     if isinstance(value, bool) or not isinstance(value, (kind, Integral if kind is int else Real)):
         noun = "an integer" if kind is int else "a number"
-        raise ValidationError(f"{where}: expected {noun}, got {value!r}")
+        raise ValidationError(f"{where}: expected {noun}, got {_quoted(value)}")
     if kind is int and int(value).bit_length() > _MAX_INT_BITS:
         raise ValidationError(
             f"{where}: expected an integer of at most {_MAX_INT_BITS} bits, "
@@ -211,7 +212,7 @@ def _kind(spec: Any, path: str, kinds: dict, what: str, noun: str, key: str = "k
         raise ValidationError(f"{path}: expected a {what} object")
     kind = spec.get(key)
     if not (isinstance(kind, str) and kind in kinds):
-        raise ValidationError(f"{path}.{key}: unknown {noun} {kind!r}")
+        raise ValidationError(f"{path}.{key}: unknown {noun} {_quoted(kind)}")
     for problem in _unknown(spec, (key, *kinds[kind]), path):
         raise ValidationError(problem)
     return kind
@@ -295,7 +296,7 @@ def build_family(spec: Any, ctx: ConfigContext, path: str) -> Family:
     for name in catalog_names:
         if not (isinstance(name, str) and name in STANDARD_COMBINATORS):
             raise ValidationError(
-                f"{path}.catalog: unknown combinator {name!r}; "
+                f"{path}.catalog: unknown combinator {_quoted(name)}; "
                 f"known: {sorted(STANDARD_COMBINATORS)}"
             )
     s1, s2 = _field(spec, "s1", path, int), _field(spec, "s2", path, int)
@@ -493,7 +494,7 @@ def plan_config(config: Any) -> tuple[Plan | None, list[str]]:
     name = _NAMES.get(algorithm) if isinstance(algorithm, str) else None
     if name is None and not problems:
         problems.append(
-            f"config.algorithm: unknown algorithm {algorithm!r}; known: {tuple(_NAMES)}"
+            f"config.algorithm: unknown algorithm {_quoted(algorithm)}; known: {tuple(_NAMES)}"
         )
     if problems:
         return None, problems
@@ -509,7 +510,7 @@ def plan_config(config: Any) -> tuple[Plan | None, list[str]]:
     params, dists = objects["params"], objects["distributions"]
     seed = config.get("seed")
     if seed is not None and (isinstance(seed, bool) or not isinstance(seed, Integral) or seed < 0):
-        problems.append(f"config.seed: expected a nonnegative integer, got {seed!r}")
+        problems.append(f"config.seed: expected a nonnegative integer, got {_quoted(seed)}")
         seed = None
     output = config.get("output")
     if output is not None and not isinstance(output, str):
@@ -521,7 +522,7 @@ def plan_config(config: Any) -> tuple[Plan | None, list[str]]:
         for field in _BUILDERS
     }
     problems += [
-        f"{specs[field][1]}: required by algorithm {algorithm!r}"
+        f"{specs[field][1]}: required by algorithm {_quoted(algorithm)}"
         for field in entry.fields if specs[field][0] is None and field != "simulator"
     ]
 
@@ -535,7 +536,9 @@ def plan_config(config: Any) -> tuple[Plan | None, list[str]]:
             if params.get(key) is not None:
                 values[key] = _typed(params[key], f"config.params.{key}", kind)
             elif default is _REQUIRED:
-                raise ValidationError(f"config.params.{key}: required by algorithm {algorithm!r}")
+                raise ValidationError(
+                    f"config.params.{key}: required by algorithm {_quoted(algorithm)}"
+                )
             else:
                 values[key] = default
         except ValidationError as exc:

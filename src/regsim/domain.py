@@ -18,7 +18,7 @@ import sys
 from collections import OrderedDict
 from dataclasses import dataclass
 from numbers import Integral
-from typing import Callable, Hashable, Iterable, Sequence, TypeVar, Union
+from typing import Any, Callable, Hashable, Iterable, Sequence, TypeVar, Union
 
 import numpy as np
 
@@ -39,6 +39,20 @@ def _check_accuracy(value: float, name: str, upper: float = 0.5) -> None:
         raise ValidationError(f"{name} must lie in (0, {upper})")
     if value < MIN_ACCURACY:
         raise ValidationError(f"{name} must be at least 2^-100")
+
+
+def _quoted(value: Any) -> str:
+    """A user value as a message quotes it, without raising: its repr, but
+    an integer of more than 64 bits named by its bit length (str() of one
+    past 4,300 digits raises), and a value that still fails to format (a
+    list holding such an integer, or nested past the recursion limit) named
+    by its type."""
+    if isinstance(value, Integral) and int(value).bit_length() > 64:
+        return f"an integer of {int(value).bit_length()} bits"
+    try:
+        return repr(value)
+    except (ValueError, RecursionError):
+        return f"a {type(value).__name__} too large to print"
 
 
 @dataclass(frozen=True)
@@ -109,7 +123,7 @@ class FiniteDomain:
         for key in ("size", "bit_width"):
             value = getattr(self, key)
             if value is not None and (isinstance(value, bool) or not isinstance(value, Integral)):
-                raise ValidationError(f"domain {key} must be an integer, got {value!r}")
+                raise ValidationError(f"domain {key} must be an integer, got {_quoted(value)}")
         if self.size < 1:
             raise ValidationError("domain size must be >= 1")
         if self.bit_width is not None:
@@ -117,7 +131,7 @@ class FiniteDomain:
                 raise ValidationError("bit_width must be nonnegative")
             if (self.size - 1).bit_length() > self.bit_width:
                 raise ValidationError(
-                    f"domain size {self.size} does not fit in {self.bit_width} bits"
+                    f"domain size {_quoted(self.size)} does not fit in {self.bit_width} bits"
                 )
 
     def to_json(self) -> dict:

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -42,7 +41,6 @@ from .families import (
     Family,
     GradedLadder,
     GrowthMap,
-    apply_growth,
     best_response,
     family_distance,
 )
@@ -532,7 +530,7 @@ def _fit_and_verify(
             h, _ = calibrated_multiaccuracy(inst.g, inst.d_x, levels[0], params)
         else:
             h, _, reached = _boost(
-                inst.g, inst.d_x, params, levels, growth=partial(apply_growth, growth),
+                inst.g, inst.d_x, params, levels, growth=growth,
                 gamma=gamma, termination="regular-and-calibrated-above-level",
             )
     verify = verify_two_proxy if mode == "two-proxy" else verify_single_proxy

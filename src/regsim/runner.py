@@ -143,7 +143,7 @@ def _execute_shrinking(plan: Plan):
     pair = supersimulator_shrinking(
         plan.target, plan.d, plan.ladder, plan.growth, plan.schedule, plan.alpha
     )
-    ok, measured = corollary_check(pair, plan.ladder, plan.growth)
+    ok, measured = corollary_check(pair, plan.ladder)
     inequalities = [
         Inequality("similarity", pair.similarity, pair.phi_gap + 4 * pair.eps_at_s),
         Inequality("markov-regularity-of-h", measured, _corollary_bound(pair)),

@@ -19,7 +19,6 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, replace
-from functools import partial
 
 import numpy as np
 
@@ -224,8 +223,7 @@ def supersimulator_expanding(
     bound_index = _expanding_rounds(epsilon)
     recurrence = recurrence_bound(growth, bound_index, mode="expanding", epsilon=epsilon)
     h, trace, (level, fooled) = _boost(
-        g, dist, params, ladder,
-        growth=partial(apply_growth, growth), termination="regular-above-level",
+        g, dist, params, ladder, growth=growth, termination="regular-above-level",
     )
     result = SupersimResult(
         level=level,
@@ -407,9 +405,7 @@ def _corollary_bound(pair: PairResult) -> float:
     return pair.eps_at_s + 2.0 * max(pair.similarity, 0.0) ** (1.0 / 3.0)
 
 
-def corollary_check(
-    pair: PairResult, ladder: GradedLadder, growth: GrowthMap
-) -> tuple[bool, float]:
+def corollary_check(pair: PairResult, ladder: GradedLadder) -> tuple[bool, float]:
     """Audit that the earlier simulator of a shrinking pair is itself regular
     against the grown family, up to the cube-root similarity penalty.
 

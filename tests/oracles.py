@@ -302,7 +302,7 @@ def multicalibrate_rescan(g, dist, family, epsilon):
         level_value = float(values[j])
         sel = inverse == j
         threshold, target = _best_threshold_shift(
-            g, h, dist, sel, members[i], sign, epsilon, level_value
+            g, dist, sel, members[i], sign, epsilon, level_value
         )
         new_value = np.clip(level_value + epsilon * sign, 0.0, 1.0)
         kinds.add("onto-existing" if new_value in values else "onto-new")

@@ -131,7 +131,7 @@ def test_criterion_4_shrinking_similarity_and_corollary():
         cross = float(np.dot(dist.weights, diff * (g.values - pair.h_prime.values)))
         assert abs(pair.similarity - (pair.phi_gap + 2.0 * cross)) <= TOL
         # Markov corollary with the explicit constant 2
-        ok, measured = rs.corollary_check(pair, ladder, growth)
+        ok, measured = rs.corollary_check(pair, ladder)
         assert ok
         assert measured <= pair.eps_at_s + 2.0 * pair.similarity ** (1.0 / 3.0) + TOL
     print("\nACCEPTANCE 4 PASS: 50 shrinking runs satisfy similarity, identity, corollary")

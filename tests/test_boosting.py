@@ -103,6 +103,36 @@ def test_boost_iteration_bound_and_potential_law():
         assert ma <= eps + TOL
 
 
+# Both step rules, (name, run), each making updates on a four-point instance.
+STEP_RULES = [
+    ("correlation", lambda g, d, f: rs.multiaccuracy_boost(g, d, f, rs.BoostParams(epsilon=0.1))),
+    ("level", lambda g, d, f: rs.multicalibrate(g, d, f, 0.2)),
+]
+
+
+@pytest.mark.parametrize("run", [r for _, r in STEP_RULES], ids=[n for n, _ in STEP_RULES])
+def test_potential_drop_check_is_one_text(monkeypatch, run):
+    """Both step rules are held to their guaranteed drop by the one loop:
+    a potential that stops falling is refused at the first update."""
+    real = rs.boosting.potential
+    seen = []
+
+    def stalled(g, h, dist):
+        seen.append(h)
+        return real(g, h, dist) + (0.5 if len(seen) > 1 else 0.0)
+
+    monkeypatch.setattr(rs.boosting, "potential", stalled)
+    with pytest.raises(
+        rs.InternalContractError,
+        match=r"^update at step 0 dropped potential by -0\.\d+, below the guaranteed 0\.\d+",
+    ):
+        run(
+            rs.BoundedFn(np.array([0.9, 0.1, 0.8, 0.2])),
+            rs.Distribution.uniform(4),
+            rs.explicit_family([[1.0, 0.0, 1.0, 0.0], [1.0, 1.0, 0.0, 0.0]]),
+        )
+
+
 def test_boost_trace_jsonl():
     g = rs.BoundedFn(np.array([1.0, 0.0]))
     _, trace = rs.multiaccuracy_boost(
@@ -412,7 +442,7 @@ def test_threshold_shift_matches_loop_oracle():
         level_value = float(h.values[0])
         sel = h.values == level_value
         f_vals[np.flatnonzero(sel)[0]] = 0.5
-        t, target = _best_threshold_shift(g, h, d, sel, f_vals, sign, epsilon, level_value)
+        t, target = _best_threshold_shift(g, d, sel, f_vals, sign, epsilon, level_value)
         t_loop, target_loop = best_threshold_loop(
             g.values, d.weights, sel, f_vals, sign, epsilon, level_value
         )
@@ -428,10 +458,9 @@ def test_threshold_shift_equal_drops_pick_largest_threshold():
     # so t = 1 and t = 0.5 tie
     d = rs.Distribution.uniform(4)
     g = rs.BoundedFn(np.array([1.0, 0.75, 0.5, 0.5]))
-    h = rs.BoundedFn(np.array([0.5, 0.5, 0.5, 0.5]))
     sel = np.array([True, True, False, False])
     f_vals = np.array([1.0, 0.5, 0.0, 0.0])
-    t, target = _best_threshold_shift(g, h, d, sel, f_vals, +1, 0.5, 0.5)
+    t, target = _best_threshold_shift(g, d, sel, f_vals, +1, 0.5, 0.5)
     assert t == 1.0 == best_threshold_loop(g.values, d.weights, sel, f_vals, +1, 0.5, 0.5)[0]
     assert list(target) == [True, False, False, False]
 

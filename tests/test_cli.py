@@ -444,6 +444,11 @@ def demo_holding_itself(kind):
 HUGE_DOMAIN = demo_with("verify41-disjoint", "domain.size", 2**53 + 1)
 HUGE_DOMAIN["distributions"]["d0"] = {"kind": "uniform"}
 
+# An int past 4,300 digits, which str() refuses to format; a message names
+# it by its bit length.
+WIDE = 10**5000
+WIDE_NAME = f"an integer of {WIDE.bit_length()} bits"
+
 
 @pytest.mark.parametrize(
     "config,path",
@@ -504,6 +509,22 @@ HUGE_DOMAIN["distributions"]["d0"] = {"kind": "uniform"}
             {"builder": "compose", "base": {"builder": "explicit", "members": [[1.0, 1.0]]},
              "s1": 1, "s2": 1, "catalog": [["identity"]]},
         ]), "config.ladder.levels[0].catalog"),
+        (demo_with("boost-two-point", "algorithm", WIDE), "config.algorithm"),
+        (demo_with("boost-two-point", "seed", -WIDE), "config.seed"),
+        (demo_with("boost-two-point", "distributions.d", {"kind": WIDE}),
+         "config.distributions.d.kind"),
+        (demo_with("supersim-expanding", "growth", {"kind": WIDE}), "config.growth.kind"),
+        (demo_with("boost-two-point", "family", {"builder": WIDE}), "config.family.builder"),
+        (demo_with("supersim-expanding", "ladder.levels", [
+            {"builder": "compose", "base": {"builder": "explicit", "members": [[1.0, 1.0]]},
+             "s1": 1, "s2": 1, "catalog": [WIDE]},
+        ]), "config.ladder.levels[0].catalog"),
+        (demo_with("boost-two-point", "params", {"epsilon": 0.1, WIDE: 1}),
+         f"config.params.{WIDE_NAME}"),
+        (demo_with("characterize-gap", "params.k", [WIDE]), "config.params.k"),
+        (demo_with("boost-two-point", "params.epsilon", [WIDE]), "config.params.epsilon"),
+        (demo_with("supersim-expanding", "ladder.pad_to", [WIDE]), "config.ladder.pad_to"),
+        (demo_with("boost-two-point", "domain.size", [WIDE]), "config.domain"),
     ],
     ids=[
         "rectangle-without-cols", "two-point-without-j", "rows-not-a-number", "float-domain-size",
@@ -518,7 +539,11 @@ HUGE_DOMAIN["distributions"]["d0"] = {"kind": "uniform"}
         "k-beyond-double-weights", "gamma-above-fit-tolerance", "fit-gamma-underflow",
         "level-holds-itself",
         "schedule-increasing", "ladder-levels-reversed", "compose-level-fits-no-entry",
-        "catalog-name-unhashable",
+        "catalog-name-unhashable", "algorithm-5000-digits", "seed-5000-digits",
+        "distribution-kind-5000-digits", "growth-kind-5000-digits", "builder-5000-digits",
+        "catalog-name-5000-digits", "params-key-5000-digits", "k-list-of-5000-digits",
+        "epsilon-list-of-5000-digits", "pad-to-list-of-5000-digits",
+        "domain-size-list-of-5000-digits",
     ],
 )
 def test_malformed_builder_input_is_a_named_problem(config, path):
@@ -711,19 +736,33 @@ MULTICALIBRATE_7_STEPS = minimal_boost_config(
 )
 
 
+CALIBRATED_2_UPDATES = minimal_boost_config(
+    algorithm="calibrated",
+    domain={"size": 8},
+    target=[0.11, 0.73, 0.93, 0.97, 0.01, 0.86, 0.98, 0.96],
+    family={"builder": "explicit", "members": [
+        [1, 0, 1, 0, 1, 1, 0, 0], [1, 0, 1, 1, 0, 0, 0, 1], [0, 1, 0, 0, 1, 0, 0, 0],
+    ]},
+    params={"epsilon": 0.05, "gamma": 0.01},
+)
+
+
 @pytest.mark.parametrize(
     "config",
-    [demo_config("boost-two-point"), MULTICALIBRATE_7_STEPS],
-    ids=["boost", "multicalibrate"],
+    [demo_config("boost-two-point"), CALIBRATED_2_UPDATES, MULTICALIBRATE_7_STEPS],
+    ids=["boost", "calibrated", "multicalibrate"],
 )
 def test_user_max_iters_cap_is_exit_one(config):
+    """Every constructor refuses a run past the user's cap in one text."""
     config = json.loads(json.dumps(config))
     assert run_config(config).report["payload"]["updates"] >= 2
     config["params"]["max_iters"] = 1
     outcome = run_config(config)
     assert outcome.exit_code == 1, outcome.report
     assert outcome.report["error"]["kind"] == "precondition"
-    assert outcome.report["error"]["message"].startswith("params.max_iters:")
+    assert outcome.report["error"]["message"] == (
+        "params.max_iters: the run reached the user cap of max_iters = 1 before converging"
+    )
 
 
 # Report digests (gap_golden canonical form) of seeded configs whose

@@ -181,7 +181,7 @@ def test_shrinking_constant_target_zero_similarity(uniform2):
     sched = rs.ErrorSchedule.constant(0.1)
     pair = rs.supersimulator_shrinking(g, uniform2, ladder, growth, sched, 0.4)
     assert pair.similarity <= 4 * pair.eps_at_s + TOL
-    ok, measured = rs.corollary_check(pair, ladder, growth)
+    ok, measured = rs.corollary_check(pair, ladder)
     assert ok
 
 
@@ -208,7 +208,7 @@ def test_shrinking_identity_and_bounds_random():
         assert pair.phi_gap <= alpha
         assert pair.similarity <= alpha + 4 * pair.eps_at_s + TOL
         assert pair.round_index <= pair.round_bound + 1
-        ok, measured = rs.corollary_check(pair, ladder, growth)
+        ok, measured = rs.corollary_check(pair, ladder)
         assert ok
         beta = pair.similarity
         assert measured <= pair.eps_at_s + 2 * beta ** (1 / 3) + TOL
@@ -224,7 +224,7 @@ def test_corollary_check_equal_pair_bound_is_schedule_value(uniform2):
     pair = rs.supersimulator_shrinking(g, uniform2, ladder, growth, sched, 0.01)
     assert pair.round_index == 1
     assert pair.similarity == pytest.approx(0.0, abs=TOL)
-    ok, measured = rs.corollary_check(pair, ladder, growth)
+    ok, measured = rs.corollary_check(pair, ladder)
     assert ok and measured <= pair.eps_at_s + TOL
 
 
