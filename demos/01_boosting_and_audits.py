@@ -48,8 +48,9 @@ def main():
     print("\n== multicalibration ==")
     eps_mc = 0.2
     hm, trace_m = rs.multicalibrate(g, dist, family, eps_mc)
-    ok, report = rs.multicalibration_check(g, hm, dist, family, eps_mc)
-    print(f"level updates: {trace_m.update_count}, passes: {ok}, bad mass: {report.bad_mass:.4f}")
+    report = rs.multicalibration_check(g, hm, dist, family, eps_mc)
+    print(f"level updates: {trace_m.update_count}, passes: {report.passes}, "
+          f"bad mass: {report.bad_mass:.4f}")
     for lvl in report.levels:
         print(f"  level {lvl.value:.2f}: mass={lvl.mass:.3f} worst conditional error={lvl.max_error:.4f}")
     ma3 = rs.best_response(family, g, hm, dist).correlation

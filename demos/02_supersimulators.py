@@ -56,10 +56,9 @@ def main():
           f"stopped at round {pair.round_index} (bound {pair.round_bound})")
     print(f"similarity E(h-h')^2 = {pair.similarity:.6f} "
           f"<= gap + 4*eps = {pair.phi_gap + 4 * pair.eps_at_s:.6f}")
-    ok, measured = rs.corollary_check(pair, ladder)
-    beta = pair.similarity
-    print(f"Markov corollary: measured {measured:.4f} <= "
-          f"{pair.eps_at_s:.4f} + 2*beta^(1/3) = {pair.eps_at_s + 2 * beta ** (1/3):.4f} -> {ok}")
+    _, markov, _ = pair.inequalities
+    print(f"Markov corollary: measured {markov.lhs:.4f} <= "
+          f"{pair.eps_at_s:.4f} + 2*beta^(1/3) = {markov.rhs:.4f} -> {markov.passes}")
 
 
 if __name__ == "__main__":

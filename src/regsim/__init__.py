@@ -81,7 +81,6 @@ from .supersim import (
     PairResult,
     RecurrenceBound,
     SupersimResult,
-    corollary_check,
     recurrence_bound,
     supersimulator_expanding,
     supersimulator_shrinking,

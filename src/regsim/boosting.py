@@ -33,9 +33,11 @@ those same sums.  Where a scan picks a (level, member) pair, ties go to the
 lowest level, then the lowest member: the first strict maximum in level-major
 order.
 
-Constructors never self-certify: they assert their own postconditions by
-re-running the audits in this module from scratch on the finished simulator,
-and the test suite audits them again through an independent path.
+Constructors never self-certify.  ``_run`` checks each run's potential
+bookkeeping, every check an ``Inequality`` raised through ``require``; the
+runner (``runner._execute_boost``) measures a finished simulator's guarantees
+with this module's audits, and the test suite audits them again through an
+independent path.
 """
 
 from __future__ import annotations
@@ -48,7 +50,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .domain import DERIVED_TOL, BoundedFn, Distribution, _check_accuracy, potential, round_to_grid
+from .domain import (
+    DERIVED_TOL, BoundedFn, Distribution, Inequality, _check_accuracy, potential, round_to_grid
+)
 from .errors import InternalContractError, ValidationError
 from .families import Family, GradedLadder, GrowthMap, apply_growth, best_response
 
@@ -155,19 +159,18 @@ class BoostTrace:
         return sum(1 for r in self.records if r.kind in ("update", "level-update"))
 
     def validate(self, min_update_drop: float) -> None:
-        """Check the potential bookkeeping the constructors promise."""
-        for r in self.records:
-            if not (-DERIVED_TOL <= r.phi_before <= 1 + DERIVED_TOL) or not (
-                -DERIVED_TOL <= r.phi_after <= 1 + DERIVED_TOL
-            ):
-                raise InternalContractError(f"potential left [0, 1] at step {r.step}")
-            if r.kind in ("update", "level-update"):
-                drop = r.phi_before - r.phi_after
-                if drop < min_update_drop - DERIVED_TOL:
-                    raise InternalContractError(
-                        f"update at step {r.step} dropped potential by {drop!r}, "
-                        f"below the guaranteed {min_update_drop!r}"
-                    )
+        """Check the potential bookkeeping the constructors promise, each claim
+        on the trace's worst record: every potential lies in [0, 1], and every
+        update drops it by at least ``min_update_drop``."""
+        phis = [phi for r in self.records for phi in (r.phi_before, r.phi_after)]
+        drops = [r.phi_before - r.phi_after for r in self.records
+                 if r.kind in ("update", "level-update")]
+        for claim in (
+            Inequality("potential-nonnegative", -min(phis, default=0.0), 0.0),
+            Inequality("potential-at-most-one", max(phis, default=0.0), 1.0),
+            Inequality("guaranteed-drop", min_update_drop, min(drops, default=math.inf)),
+        ):
+            claim.require(InternalContractError, "the trace breaks")
 
     def to_jsonl(self) -> str:
         lines = [json.dumps(r.to_json(), sort_keys=True) for r in self.records]
@@ -280,10 +283,19 @@ class LevelAudit:
 
 @dataclass(frozen=True)
 class MulticalibrationAudit:
+    """The per-level audit; it passes when its ``claim`` does."""
+
     epsilon: float
     bad_mass: float
-    passes: bool
     levels: tuple[LevelAudit, ...]
+
+    @property
+    def claim(self) -> Inequality:
+        return Inequality("multicalibration-bad-mass", self.bad_mass, self.epsilon)
+
+    @property
+    def passes(self) -> bool:
+        return self.claim.passes
 
     def to_json(self) -> dict:
         return {
@@ -296,10 +308,10 @@ class MulticalibrationAudit:
 
 def multicalibration_check(
     g: BoundedFn, h: BoundedFn, dist: Distribution, family: Family, epsilon: float
-) -> tuple[bool, MulticalibrationAudit]:
+) -> MulticalibrationAudit:
     """Per-level regularity audit: the mass of level sets of h on which some
     family member keeps conditional correlation above epsilon must not
-    exceed epsilon.
+    exceed epsilon (the audit's ``claim``).
 
     Each level's member correlations are summed in point order (see
     ``_level_matrix``); a level's witness is its lowest-index member of
@@ -324,10 +336,7 @@ def multicalibration_check(
             values[live].tolist(), live_masses.tolist(), worst.tolist(), witnesses.tolist()
         )
     )
-    passes = bad_mass <= epsilon
-    return passes, MulticalibrationAudit(
-        epsilon=epsilon, bad_mass=bad_mass, passes=passes, levels=levels
-    )
+    return MulticalibrationAudit(epsilon=epsilon, bad_mass=bad_mass, levels=levels)
 
 
 @dataclass(frozen=True)
@@ -357,7 +366,7 @@ def audit(
 ) -> AuditReport:
     br = best_response(family, g, h, dist)
     cal = calibration_error(g, h, dist)
-    _, mc = multicalibration_check(g, h, dist, family, epsilon)
+    mc = multicalibration_check(g, h, dist, family, epsilon)
     return AuditReport(
         multiaccuracy_error=br.correlation,
         multiaccuracy_witness=br.index,
@@ -406,10 +415,9 @@ def _run(
         if gamma is not None:
             h_cal = recalibrate(g, h, dist, gamma)
             phi_cal = potential(g, h_cal, dist)
-            if phi_cal > phi + gamma * gamma / 4.0 + DERIVED_TOL:
-                raise InternalContractError(
-                    f"recalibration raised potential by {phi_cal - phi!r} at step {len(records)}"
-                )
+            Inequality("recalibrated-potential", phi_cal, phi + gamma * gamma / 4.0).require(
+                InternalContractError, f"step {len(records)} breaks"
+            )
             records.append(TraceRecord(
                 step=len(records), kind="recalibrate", phi_before=phi, phi_after=phi_cal,
                 digest=_digest(h_cal), detail={"gamma": gamma},
@@ -430,11 +438,9 @@ def _run(
             )
         h_new, drop, fields = step
         phi_new = potential(g, h_new, dist)
-        if phi - phi_new < drop - DERIVED_TOL:
-            raise InternalContractError(
-                f"update at step {len(records)} dropped potential by {phi - phi_new!r}, "
-                f"below the guaranteed {drop!r}"
-            )
+        Inequality("potential-drop", drop, phi - phi_new).require(
+            InternalContractError, f"update at step {len(records)} breaks"
+        )
         records.append(TraceRecord(
             step=len(records), phi_before=phi, phi_after=phi_new, digest=_digest(h_new), **fields
         ))

@@ -509,8 +509,11 @@ def plan_config(config: Any) -> tuple[Plan | None, list[str]]:
         problems += _unknown(objects[key], allowed, f"config.{key}")
     params, dists = objects["params"], objects["distributions"]
     seed = config.get("seed")
-    if seed is not None and (isinstance(seed, bool) or not isinstance(seed, Integral) or seed < 0):
-        problems.append(f"config.seed: expected a nonnegative integer, got {_quoted(seed)}")
+    try:
+        if seed is not None and _typed(seed, "config.seed", int) < 0:
+            raise ValidationError(f"config.seed: expected a nonnegative integer, got {seed}")
+    except ValidationError as exc:
+        problems.append(str(exc))
         seed = None
     output = config.get("output")
     if output is not None and not isinstance(output, str):

@@ -72,6 +72,13 @@ class Inequality:
     def passes(self) -> bool:
         return self.lhs <= self.rhs + DERIVED_TOL
 
+    def require(self, error: type[Exception], what: str) -> "Inequality":
+        """This claim, or ``error`` naming it and its two sides when it fails;
+        ``what`` says whose claim it is."""
+        if not self.passes:
+            raise error(f"{what} {self.name}: {self.lhs!r} > {self.rhs!r}")
+        return self
+
     def to_json(self) -> dict:
         return {
             "name": self.name,
@@ -308,7 +315,6 @@ def round_to_grid(values: np.ndarray, step: float) -> np.ndarray:
 # used and not kept.
 _CACHE_BYTES = 64 << 20
 _cache = OrderedDict()  # hashable key -> (read-only value, bytes charged)
-_cache_total = 0  # the sum of the charges in _cache
 
 _T = TypeVar("_T")
 
@@ -331,7 +337,6 @@ def _cached(key: Hashable, build: Callable[[], _T], nbytes: Callable[[_T], int])
     total does.  Every later caller shares a kept value, so ``build`` hands
     over only read-only arrays and objects nobody mutates; a build that
     raises keeps nothing."""
-    global _cache_total
     hit = _cache.get(key)
     if hit is not None:
         _cache.move_to_end(key)
@@ -340,7 +345,7 @@ def _cached(key: Hashable, build: Callable[[], _T], nbytes: Callable[[_T], int])
     size = nbytes(value)
     if size <= _CACHE_BYTES:
         _cache[key] = (value, size)
-        _cache_total += size
-        while _cache_total > _CACHE_BYTES:
-            _cache_total -= _cache.popitem(last=False)[1][1]
+        total = sum(charge for _, charge in _cache.values())
+        while total > _CACHE_BYTES:
+            total -= _cache.popitem(last=False)[1][1]
     return value

@@ -34,7 +34,7 @@ import numpy as np
 
 from .boosting import BoostParams, _boost, calibrated_multiaccuracy, calibration_error
 from .domain import (
-    DERIVED_TOL, STRUCT_TOL, BoundedFn, Distribution, Inequality, _check_accuracy, tv_distance
+    STRUCT_TOL, BoundedFn, Distribution, Inequality, _check_accuracy, tv_distance
 )
 from .errors import InternalContractError, ValidationError
 from .families import (
@@ -289,10 +289,7 @@ def _check_verify_gamma(mode: str, epsilon: float, gamma: float) -> None:
 
 
 def _require_hypothesis(name: str, measured: float, bound: float) -> None:
-    if measured > bound + DERIVED_TOL:
-        raise ValidationError(
-            f"hypothesis audit failed: {name} measured {measured!r}, needs <= {bound!r}"
-        )
+    Inequality(name, measured, bound).require(ValidationError, "hypothesis audit failed on")
 
 
 # ---------------------------------------------------------------------------

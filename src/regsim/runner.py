@@ -1,9 +1,11 @@
 """Execute validated configs and assemble reproducible run reports.
 
-One run per invocation; a report embeds the raw audit numbers for every
-asserted inequality so that each can be re-derived offline from the report
-alone.  Re-running the same config and seed yields a byte-identical report
-except for the wall-time field.
+One run per invocation; a report embeds every asserted inequality with its
+name and both measured sides, next to the simulator it was measured on.  The
+claims are measured on the construction's in-memory objects, so re-checking
+a saved report still means re-running its config.  Re-running the same
+config and seed yields a byte-identical report except for the wall-time
+field.
 """
 
 from __future__ import annotations
@@ -25,12 +27,7 @@ from .config import Plan, plan_config
 from .domain import Inequality
 from .errors import InternalContractError, RegsimError
 from .products import _fit_and_verify, characterize, characterize_super
-from .supersim import (
-    _corollary_bound,
-    corollary_check,
-    supersimulator_expanding,
-    supersimulator_shrinking,
-)
+from .supersim import supersimulator_expanding, supersimulator_shrinking
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -101,8 +98,8 @@ def _execute_boost(plan: Plan):
     g, dist, family, eps = plan.target, plan.d, plan.family, plan.epsilon
     if plan.algorithm == "multicalibrate":
         h, trace = multicalibrate(g, dist, family, eps, max_iters=plan.max_iters)
-        passed, mc = multicalibration_check(g, h, dist, family, eps)
-        inequalities = [Inequality("multicalibration-bad-mass", mc.bad_mass, eps).to_json()]
+        mc = multicalibration_check(g, h, dist, family, eps)
+        inequalities = [mc.claim.to_json()]
         payload = {
             "simulator": h.to_json(),
             "updates": trace.update_count,
@@ -143,20 +140,15 @@ def _execute_shrinking(plan: Plan):
     pair = supersimulator_shrinking(
         plan.target, plan.d, plan.ladder, plan.growth, plan.schedule, plan.alpha
     )
-    ok, measured = corollary_check(pair, plan.ladder)
-    inequalities = [
-        Inequality("similarity", pair.similarity, pair.phi_gap + 4 * pair.eps_at_s),
-        Inequality("markov-regularity-of-h", measured, _corollary_bound(pair)),
-        Inequality("round-index", pair.round_index, pair.round_bound + 1),
-    ]
+    _, markov, _ = pair.inequalities
     payload = {
         "pair": pair.to_json(),
-        "corollary_measured_error": measured,
-        "corollary_passes": ok,
+        "corollary_measured_error": markov.lhs,
+        "corollary_passes": markov.passes,
         "simulator": pair.h.to_json(),
         "simulator_prime": pair.h_prime.to_json(),
     }
-    return payload, [iq.to_json() for iq in inequalities]
+    return payload, [iq.to_json() for iq in pair.inequalities]
 
 
 def _execute_products(plan: Plan):

@@ -30,9 +30,7 @@ from .boosting import (
     calibration_error,
     updates_bound,
 )
-from .domain import (
-    DERIVED_TOL, BoundedFn, Distribution, Inequality, _cached, _check_accuracy, potential
-)
+from .domain import BoundedFn, Distribution, Inequality, _cached, _check_accuracy, potential
 from .errors import InternalContractError, ValidationError
 from .families import (
     ComplexityLabel,
@@ -254,8 +252,7 @@ def _expanding_contract(
         Inequality("label-s2-within-bound", result.label.s2, formal.s2),
     )
     for iq in contract:
-        if not iq.passes:
-            raise InternalContractError(f"expanding run breaks {iq.name}: {iq.lhs!r} > {iq.rhs!r}")
+        iq.require(InternalContractError, "expanding run breaks")
     return contract
 
 
@@ -266,7 +263,8 @@ class PairResult:
     ``h_prime`` is regular at eps_at_s and calibrated at eps_at_s against the
     ladder level ``level_s_prime`` = G(level_s); ``similarity`` is the exact
     L2 gap E[(h - h')^2], bounded by phi_gap + 4 * eps_at_s with the
-    constant 4 recorded in ``similarity_constant``.
+    constant 4 recorded in ``similarity_constant``.  ``inequalities``, which
+    ``to_json`` leaves out, are the claims a report states.
     """
 
     h: BoundedFn
@@ -281,9 +279,8 @@ class PairResult:
     round_index: int
     round_bound: int
     similarity_constant: int
-    target: BoundedFn
-    dist: Distribution
     recurrence: RecurrenceBound
+    inequalities: tuple[Inequality, ...]
 
     def to_json(self) -> dict:
         return {
@@ -352,67 +349,35 @@ def _finish_pair(
     g, dist, ladder, eps_schedule, alpha, h, level, h_prime, fooled,
     gap, round_index, round_bound, recurrence,
 ):
+    """The shrinking pair and its contract, each claim measured once; a failed
+    one is a library bug (InternalContractError).  Besides the reported
+    claims, E[(h - h')^2] = phi_gap + 2 cross exactly (the sign of the cross
+    term matters), |cross| <= 2 eps, and h' is regular and calibrated at eps
+    against the grown level.  The Markov corollary: splitting the domain at
+    |h - h'| <= beta^(1/3), beta the similarity, bounds the regularity error
+    of h against the grown level by eps + 2 beta^(1/3)."""
     eps_i = eps_schedule.eps_at(level)
     diff = h.values - h_prime.values
     similarity = float(np.dot(dist.weights, diff * diff))
     cross = float(np.dot(dist.weights, diff * (g.values - h_prime.values)))
-    # Exact decomposition of the L2 gap; the sign of the cross term matters.
-    identity_gap = abs(similarity - (gap + 2.0 * cross))
-    if identity_gap > DERIVED_TOL:
-        raise InternalContractError(
-            f"L2/potential decomposition violated by {identity_gap!r}"
-        )
-    cross_bound = 2.0 * eps_i
-    if abs(cross) > cross_bound + DERIVED_TOL:
-        raise InternalContractError(
-            f"cross term {cross!r} above the audited bound {cross_bound!r}"
-        )
-    if similarity > gap + 4.0 * eps_i + DERIVED_TOL:
-        raise InternalContractError(
-            f"similarity {similarity!r} above phi gap + 4 eps = {gap + 4.0 * eps_i!r}"
-        )
-    ma = best_response(ladder[fooled], g, h_prime, dist).correlation
-    if ma > eps_i + DERIVED_TOL:
-        raise InternalContractError(
-            f"h' not regular at {eps_i!r} against the grown family (measured {ma!r})"
-        )
-    cal = calibration_error(g, h_prime, dist)
-    if cal > eps_i + DERIVED_TOL:
-        raise InternalContractError(
-            f"h' not calibrated at {eps_i!r} (measured {cal!r})"
-        )
-    return PairResult(
-        h=h,
-        level_s=level,
-        h_prime=h_prime,
-        level_s_prime=fooled,
-        similarity=similarity,
-        eps_at_s=eps_i,
-        alpha=alpha,
-        phi_gap=gap,
-        cross_term=cross,
-        round_index=round_index,
-        round_bound=round_bound,
-        similarity_constant=4,
-        target=g,
-        dist=dist,
-        recurrence=recurrence,
+    grown = ladder[fooled]
+    reported = (
+        Inequality("similarity", similarity, gap + 4 * eps_i),
+        Inequality("markov-regularity-of-h", best_response(grown, g, h, dist).correlation,
+                   eps_i + 2.0 * max(similarity, 0.0) ** (1.0 / 3.0)),
+        Inequality("round-index", round_index, round_bound + 1),
     )
-
-
-def _corollary_bound(pair: PairResult) -> float:
-    """eps(s) + 2 beta^(1/3), with beta the pair's measured similarity."""
-    return pair.eps_at_s + 2.0 * max(pair.similarity, 0.0) ** (1.0 / 3.0)
-
-
-def corollary_check(pair: PairResult, ladder: GradedLadder) -> tuple[bool, float]:
-    """Audit that the earlier simulator of a shrinking pair is itself regular
-    against the grown family, up to the cube-root similarity penalty.
-
-    With beta the measured similarity, splitting the domain at
-    |h - h'| <= beta^(1/3) and applying Markov to the complement bounds the
-    regularity error of h by eps(s) + 2 beta^(1/3); the audit measures the
-    left side exactly.
-    """
-    measured = best_response(ladder[pair.level_s_prime], pair.target, pair.h, pair.dist).correlation
-    return measured <= _corollary_bound(pair) + DERIVED_TOL, measured
+    for iq in (
+        Inequality("l2-decomposition", abs(similarity - (gap + 2.0 * cross)), 0.0),
+        Inequality("cross-term", abs(cross), 2.0 * eps_i),
+        Inequality("h-prime-regular", best_response(grown, g, h_prime, dist).correlation, eps_i),
+        Inequality("h-prime-calibrated", calibration_error(g, h_prime, dist), eps_i),
+        *reported,
+    ):
+        iq.require(InternalContractError, "shrinking run breaks")
+    return PairResult(
+        h=h, level_s=level, h_prime=h_prime, level_s_prime=fooled, similarity=similarity,
+        eps_at_s=eps_i, alpha=alpha, phi_gap=gap, cross_term=cross, round_index=round_index,
+        round_bound=round_bound, similarity_constant=4, recurrence=recurrence,
+        inequalities=reported,
+    )

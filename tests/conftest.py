@@ -12,11 +12,10 @@ from regsim import domain
 
 
 def empty_build_cache(monkeypatch):
-    """Swap in an empty build cache (``domain._cache``, with its running
-    total) until the test ends, and return it."""
+    """Swap in an empty build cache (``domain._cache``) until the test ends,
+    and return it."""
     cache = OrderedDict()
     monkeypatch.setattr(domain, "_cache", cache)
-    monkeypatch.setattr(domain, "_cache_total", 0)
     return cache
 
 

@@ -124,7 +124,7 @@ def test_potential_drop_check_is_one_text(monkeypatch, run):
     monkeypatch.setattr(rs.boosting, "potential", stalled)
     with pytest.raises(
         rs.InternalContractError,
-        match=r"^update at step 0 dropped potential by -0\.\d+, below the guaranteed 0\.\d+",
+        match=r"^update at step 0 breaks potential-drop: 0\.\d+ > -0\.\d+$",
     ):
         run(
             rs.BoundedFn(np.array([0.9, 0.1, 0.8, 0.2])),
@@ -264,28 +264,39 @@ def test_calibrated_update_budget():
 def test_multicalibration_check_exact_simulator(uniform2, g10):
     fam = ind_x1_family()
     for eps in (0.01, 0.1, 0.5):
-        ok, _ = rs.multicalibration_check(g10, g10, uniform2, fam, eps)
-        assert ok
+        assert rs.multicalibration_check(g10, g10, uniform2, fam, eps).passes
 
 
 def test_multicalibration_check_constant_half_fails(uniform2, g10):
     h = rs.BoundedFn(np.array([0.5, 0.5]))
-    ok, audit = rs.multicalibration_check(g10, h, uniform2, ind_x1_family(), 0.1)
-    assert not ok
+    audit = rs.multicalibration_check(g10, h, uniform2, ind_x1_family(), 0.1)
+    assert not audit.passes
     assert audit.bad_mass == pytest.approx(1.0, abs=TOL)
     assert audit.levels[0].max_error == pytest.approx(0.25, abs=TOL)
 
 
 def test_multicalibration_check_vacuous_at_one(uniform2, g10):
     h = rs.BoundedFn(np.array([0.5, 0.5]))
-    ok, _ = rs.multicalibration_check(g10, h, uniform2, ind_x1_family(), 1.0)
-    assert ok
+    assert rs.multicalibration_check(g10, h, uniform2, ind_x1_family(), 1.0).passes
+
+
+def test_multicalibration_audit_and_report_agree_at_the_tolerance_edge():
+    # one failing level of mass 0.25, against an epsilon 5e-11 below it:
+    # within DERIVED_TOL, so the audit passes exactly when the reported claim does
+    eps = 0.25 - 5e-11
+    audit = rs.multicalibration_check(
+        rs.BoundedFn(np.array([1.0, 0.3])), rs.BoundedFn(np.array([0.5, 0.3])),
+        rs.Distribution(np.array([0.25, 0.75])), rs.explicit_family([[1.0, 0.0]]), eps,
+    )
+    assert audit.bad_mass == 0.25
+    assert audit.passes is True
+    assert audit.passes == rs.Inequality("multicalibration-bad-mass", audit.bad_mass, eps).passes
 
 
 def test_multicalibrate_two_point(uniform2, g10):
     h, _ = rs.multicalibrate(g10, uniform2, ind_x1_family(), 0.2)
-    ok, audit = rs.multicalibration_check(g10, h, uniform2, ind_x1_family(), 0.2)
-    assert ok, audit
+    audit = rs.multicalibration_check(g10, h, uniform2, ind_x1_family(), 0.2)
+    assert audit.passes, audit
 
 
 def test_multicalibrate_single_element_domain():
@@ -294,8 +305,7 @@ def test_multicalibrate_single_element_domain():
     fam = rs.explicit_family([[1.0]])
     h, _ = rs.multicalibrate(g, d, fam, 0.2)
     assert h.values[0] == pytest.approx(0.8, abs=1e-12)  # grid point nearest E[g]
-    ok, _ = rs.multicalibration_check(g, h, d, fam, 0.2)
-    assert ok
+    assert rs.multicalibration_check(g, h, d, fam, 0.2).passes
 
 
 def test_multicalibrate_random_instances_pass_check_and_imply_multiaccuracy():
@@ -307,8 +317,8 @@ def test_multicalibrate_random_instances_pass_check_and_imply_multiaccuracy():
         d = random_distribution(rng, n)
         fam = random_family(rng, n, int(rng.integers(1, 8)))
         h, trace = rs.multicalibrate(g, d, fam, eps)
-        ok, audit = rs.multicalibration_check(g, h, d, fam, eps)
-        assert ok, audit.to_json()
+        audit = rs.multicalibration_check(g, h, d, fam, eps)
+        assert audit.passes, audit.to_json()
         # per-level guarantee implies plain multiaccuracy at 3 eps
         ma = rs.best_response(fam, g, h, d).correlation
         assert ma <= 3 * eps + TOL
@@ -478,7 +488,7 @@ def test_violation_scan_exact_ties_pick_lowest_level_then_member():
     values, inverse, masses = _level_sets(h, d)
     sums = _level_matrix(fam.matrix, d.weights * (g.values - h.values), inverse, values.size)
     assert _worst_weighted_violation(masses, sums, 0.1, 0.01) == (0, 2, +1, 0.125)
-    _, audit = rs.multicalibration_check(g, h, d, fam, 0.1)
+    audit = rs.multicalibration_check(g, h, d, fam, 0.1)
     assert [lvl.witness_index for lvl in audit.levels] == [2, 1]
 
 

@@ -511,6 +511,8 @@ WIDE_NAME = f"an integer of {WIDE.bit_length()} bits"
         ]), "config.ladder.levels[0].catalog"),
         (demo_with("boost-two-point", "algorithm", WIDE), "config.algorithm"),
         (demo_with("boost-two-point", "seed", -WIDE), "config.seed"),
+        (demo_with("boost-two-point", "seed", WIDE), "config.seed"),
+        (demo_with("boost-two-point", "seed", 2**64), "config.seed"),
         (demo_with("boost-two-point", "distributions.d", {"kind": WIDE}),
          "config.distributions.d.kind"),
         (demo_with("supersim-expanding", "growth", {"kind": WIDE}), "config.growth.kind"),
@@ -540,6 +542,7 @@ WIDE_NAME = f"an integer of {WIDE.bit_length()} bits"
         "level-holds-itself",
         "schedule-increasing", "ladder-levels-reversed", "compose-level-fits-no-entry",
         "catalog-name-unhashable", "algorithm-5000-digits", "seed-5000-digits",
+        "seed-positive-5000-digits", "seed-beyond-64-bits",
         "distribution-kind-5000-digits", "growth-kind-5000-digits", "builder-5000-digits",
         "catalog-name-5000-digits", "params-key-5000-digits", "k-list-of-5000-digits",
         "epsilon-list-of-5000-digits", "pad-to-list-of-5000-digits",

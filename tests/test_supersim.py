@@ -115,6 +115,54 @@ def test_expanding_report_lists_its_contract_measured_once(monkeypatch):
     assert "regular-against-grown-family" in outcome.report["error"]["message"]
 
 
+def test_shrinking_report_lists_its_contract_measured_once(monkeypatch):
+    from regsim import supersim
+    from regsim.config import plan_config
+    from regsim.demos import demo_config
+    from regsim.runner import run_config
+
+    names = ["similarity", "markov-regularity-of-h", "round-index"]
+    # h = h' (alpha 0.1), and h != h' (the demo, and a target near 0.4)
+    configs = [demo_config("supersim-shrinking") for _ in range(3)]
+    configs[0]["params"]["alpha"] = 0.1
+    configs[2]["target"] = [0.3, 0.45]
+    for config in configs:
+        plan, _ = plan_config(config)
+        outcome = run_config(config)
+        assert outcome.exit_code == 0
+        payload, claims = outcome.report["payload"], outcome.report["inequalities"]
+        pair, h = payload["pair"], rs.BoundedFn(np.array(payload["simulator"]))
+        assert [iq["name"] for iq in claims] == names
+        # each claim equals a from-scratch measurement
+        diff = h.values - np.array(payload["simulator_prime"])
+        similarity = float(np.dot(plan.d.weights, diff * diff))
+        assert (claims[0]["lhs"], claims[0]["rhs"]) == (
+            similarity, pair["phi_gap"] + 4 * pair["eps_at_s"]
+        )
+        markov = rs.best_response(plan.ladder[pair["level_s_prime"]], plan.target, h, plan.d)
+        assert (claims[1]["lhs"], claims[1]["rhs"]) == (
+            markov.correlation, pair["eps_at_s"] + 2 * similarity ** (1 / 3)
+        )
+        assert (claims[2]["lhs"], claims[2]["rhs"]) == (pair["round_index"], pair["round_bound"] + 1)
+        # the payload's corollary fields are the Markov claim's two readings
+        assert payload["corollary_measured_error"] == claims[1]["lhs"]
+        assert payload["corollary_passes"] is claims[1]["pass"]
+    # a failed claim is a library bug: exit 3, naming it.  Only h, not h',
+    # is made to look irregular, so every other claim still holds.
+    h_prime = np.array(payload["simulator_prime"])
+    real = supersim.best_response
+
+    def skewed(family, g, h, dist):
+        if np.array_equal(h.values, h_prime):
+            return real(family, g, h, dist)
+        return rs.BestResponse(0, 1, 0.5)
+
+    monkeypatch.setattr(supersim, "best_response", skewed)
+    outcome = run_config(config)
+    assert outcome.exit_code == 3
+    assert "markov-regularity-of-h" in outcome.report["error"]["message"]
+
+
 def test_recurrence_bound_rounds_zero():
     ladder = demo_ladder()
     growth = rs.GrowthMap.shift(ladder, 1)
@@ -181,8 +229,7 @@ def test_shrinking_constant_target_zero_similarity(uniform2):
     sched = rs.ErrorSchedule.constant(0.1)
     pair = rs.supersimulator_shrinking(g, uniform2, ladder, growth, sched, 0.4)
     assert pair.similarity <= 4 * pair.eps_at_s + TOL
-    ok, measured = rs.corollary_check(pair, ladder)
-    assert ok
+    assert all(iq.passes for iq in pair.inequalities)
 
 
 def test_shrinking_identity_and_bounds_random():
@@ -208,8 +255,7 @@ def test_shrinking_identity_and_bounds_random():
         assert pair.phi_gap <= alpha
         assert pair.similarity <= alpha + 4 * pair.eps_at_s + TOL
         assert pair.round_index <= pair.round_bound + 1
-        ok, measured = rs.corollary_check(pair, ladder)
-        assert ok
+        measured = rs.best_response(ladder[pair.level_s_prime], g, pair.h, d).correlation
         beta = pair.similarity
         assert measured <= pair.eps_at_s + 2 * beta ** (1 / 3) + TOL
 
@@ -224,8 +270,9 @@ def test_corollary_check_equal_pair_bound_is_schedule_value(uniform2):
     pair = rs.supersimulator_shrinking(g, uniform2, ladder, growth, sched, 0.01)
     assert pair.round_index == 1
     assert pair.similarity == pytest.approx(0.0, abs=TOL)
-    ok, measured = rs.corollary_check(pair, ladder)
-    assert ok and measured <= pair.eps_at_s + TOL
+    markov = pair.inequalities[1]
+    assert markov.name == "markov-regularity-of-h"
+    assert markov.passes and markov.lhs <= pair.eps_at_s + TOL
 
 
 def test_shrinking_alpha_range(uniform2, g10):
