@@ -24,8 +24,6 @@ from .domain import (
     Distribution,
     FiniteDomain,
     Inequality,
-    correlation,
-    expectation,
     potential,
     round_to_grid,
     tv_distance,

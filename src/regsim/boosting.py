@@ -45,13 +45,14 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .domain import (
-    DERIVED_TOL, BoundedFn, Distribution, Inequality, _check_accuracy, potential, round_to_grid
+    DERIVED_TOL, BoundedFn, Distribution, Inequality, Reported, _check_accuracy, potential,
+    round_to_grid,
 )
 from .errors import InternalContractError, ValidationError
 from .families import Family, GradedLadder, GrowthMap, apply_growth, best_response
@@ -115,7 +116,7 @@ def _digest(h: BoundedFn) -> str:
 
 
 @dataclass(frozen=True)
-class TraceRecord:
+class TraceRecord(Reported):
     """One trace event: a correlation update, a recalibration, or a level shift."""
 
     step: int
@@ -127,22 +128,7 @@ class TraceRecord:
     sign: int | None = None
     member_index: int | None = None
     descriptor: str | None = None
-    detail: dict = field(default_factory=dict)
-
-    def to_json(self) -> dict:
-        out = {
-            "step": self.step,
-            "kind": self.kind,
-            "phi_before": self.phi_before,
-            "phi_after": self.phi_after,
-            "digest": self.digest,
-        }
-        for key in ("correlation", "sign", "member_index", "descriptor"):
-            if getattr(self, key) is not None:
-                out[key] = getattr(self, key)
-        if self.detail:
-            out["detail"] = self.detail
-        return out
+    detail: dict | None = None  # a supersimulator update's levels, a recalibration's gamma
 
 
 @dataclass(frozen=True)
@@ -266,23 +252,15 @@ def calibration_error(g: BoundedFn, h: BoundedFn, dist: Distribution) -> float:
 
 
 @dataclass(frozen=True)
-class LevelAudit:
+class LevelAudit(Reported):
     value: float
     mass: float
     max_error: float
     witness_index: int
 
-    def to_json(self) -> dict:
-        return {
-            "value": self.value,
-            "mass": self.mass,
-            "max_error": self.max_error,
-            "witness_index": self.witness_index,
-        }
-
 
 @dataclass(frozen=True)
-class MulticalibrationAudit:
+class MulticalibrationAudit(Reported):
     """The per-level audit; it passes when its ``claim`` does."""
 
     epsilon: float
@@ -298,12 +276,7 @@ class MulticalibrationAudit:
         return self.claim.passes
 
     def to_json(self) -> dict:
-        return {
-            "epsilon": self.epsilon,
-            "bad_mass": self.bad_mass,
-            "passes": self.passes,
-            "levels": [l.to_json() for l in self.levels],
-        }
+        return {**super().to_json(), "passes": self.passes}
 
 
 def multicalibration_check(
@@ -340,21 +313,13 @@ def multicalibration_check(
 
 
 @dataclass(frozen=True)
-class AuditReport:
+class AuditReport(Reported):
     """From-scratch measurements of every guarantee a constructor can claim."""
 
     multiaccuracy_error: float
     multiaccuracy_witness: int
     calibration_error: float
     multicalibration: MulticalibrationAudit
-
-    def to_json(self) -> dict:
-        return {
-            "multiaccuracy_error": self.multiaccuracy_error,
-            "multiaccuracy_witness": self.multiaccuracy_witness,
-            "calibration_error": self.calibration_error,
-            "multicalibration": self.multicalibration.to_json(),
-        }
 
 
 def audit(
@@ -487,7 +452,7 @@ def _boost(
         shifted = np.multiply(family.matrix[family.rows[br.index]], eps * br.sign)
         np.add(h.values, shifted, out=shifted)
         h_new = BoundedFn(round_to_grid(shifted.clip(0.0, 1.0, out=shifted), grid))
-        detail = {} if growth is None else {"level": level, "fooled_level": fooled}
+        detail = None if growth is None else {"level": level, "fooled_level": fooled}
         level = fooled
         return h_new, 2 * eps * br.correlation - eps * eps - 2 * grid, dict(
             kind="update", correlation=br.correlation, sign=br.sign, member_index=br.index,

@@ -2,16 +2,16 @@
 
 Exit codes: 0 all asserted inequalities pass, 1 configuration or
 precondition error, 2 assertion failure, 3 internal-contract violation
-(a library bug).  Set REGSIM_THREADS to cap BLAS thread counts.  A rerun
-reports the same bytes for one BLAS build and one thread count; another
-thread count can move reported floats by ulps.
+(a library bug).  The BLAS reads its thread count when it loads, so cap
+it with the BLAS's own variable (OPENBLAS_NUM_THREADS or OMP_NUM_THREADS)
+set before launch.  A rerun reports the same bytes for one BLAS build and
+one thread count; another thread count can move reported floats by ulps.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .config import load_config, validate_config
@@ -19,11 +19,17 @@ from .demos import demo_config, demo_names
 from .runner import EXIT_CONFIG, RunOutcome, run_config
 
 
-def _apply_thread_env() -> None:
-    threads = os.environ.get("REGSIM_THREADS")
-    if threads:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, threads)
+def _on_config(command):
+    """``command(config, args)`` on the config read from ``args.config``;
+    exit 1 after saying why when it cannot be read."""
+    def run(args) -> int:
+        try:
+            config = load_config(args.config)
+        except (OSError, json.JSONDecodeError) as exc:
+            print(f"error: cannot read config: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
+        return command(config, args)
+    return run
 
 
 def _emit(outcome: RunOutcome, out_path: str | None) -> int:
@@ -41,24 +47,14 @@ def _emit(outcome: RunOutcome, out_path: str | None) -> int:
     return outcome.exit_code
 
 
-def _cmd_run(args) -> int:
-    try:
-        config = load_config(args.config)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: cannot read config: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+def _cmd_run(config, args) -> int:
     outcome = run_config(config, seed_override=args.seed)
     # a non-string output is a named problem in the report, which goes to stdout
     output = config.get("output") if isinstance(config, dict) else None
     return _emit(outcome, args.out or (output if isinstance(output, str) else None))
 
 
-def _cmd_validate(args) -> int:
-    try:
-        config = load_config(args.config)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: cannot read config: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+def _cmd_validate(config, args) -> int:
     problems = validate_config(config)
     for p in problems:
         print(p)
@@ -94,11 +90,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("config", help="path to a JSON config")
     p_run.add_argument("--seed", type=int, default=None, help="override the config seed")
     p_run.add_argument("--out", default=None, help="report path (default: config output or stdout)")
-    p_run.set_defaults(fn=_cmd_run)
+    p_run.set_defaults(fn=_on_config(_cmd_run))
 
     p_val = sub.add_parser("validate", help="schema/precondition check without executing")
     p_val.add_argument("config", help="path to a JSON config")
-    p_val.set_defaults(fn=_cmd_validate)
+    p_val.set_defaults(fn=_on_config(_cmd_validate))
 
     p_demo = sub.add_parser("demo", help="run a named built-in demo")
     p_demo.add_argument("name", nargs="?", default=None, help="demo name; omit with --list")
@@ -110,7 +106,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    _apply_thread_env()
     args = build_parser().parse_args(argv)
     return args.fn(args)
 

@@ -4,7 +4,8 @@ Everything downstream works over a finite domain of N points indexed
 0..N-1.  Distributions are probability vectors, bounded functions are
 [0, 1]-valued vectors, and every statistic is an exact weighted sum in
 double precision.  Tolerances: 1e-12 for structural invariants (vectors
-summing to one), 1e-10 for derived sums.
+summing to one), 1e-10 for derived sums.  A result is written to a report
+by one rule, ``Reported``: its dataclass fields by name.
 
 What depends only on a domain and a fixed spec (k-fold layouts, the
 unpadded ladders of config ``levels`` lists, recurrence bounds) is built
@@ -14,9 +15,10 @@ bounded at 64 MiB.
 
 from __future__ import annotations
 
+import functools
 import sys
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from numbers import Integral
 from typing import Any, Callable, Hashable, Iterable, Sequence, TypeVar, Union
 
@@ -55,6 +57,47 @@ def _quoted(value: Any) -> str:
         return f"a {type(value).__name__} too large to print"
 
 
+# Metadata of a dataclass field that a report leaves out:
+# ``field(metadata=UNREPORTED)``.
+UNREPORTED = {"reported": False}
+
+
+@functools.cache
+def _reported_names(cls: type) -> tuple[str, ...]:
+    """The names of ``cls``'s reported fields, in declaration order; the
+    fields of a class never change, so each class is read once."""
+    return tuple(f.name for f in fields(cls) if f.metadata.get("reported", True))
+
+
+# Types a report writes as they are, checked before ``_json_form`` is called:
+# most reported fields hold one, and the call would cost more than the check.
+_PLAIN = frozenset({int, float, str, bool, dict})
+
+
+def _json_form(value: Any) -> Any:
+    """A value as a report writes it: its own ``to_json`` if it has one, a
+    tuple or list element by element, anything else as it is."""
+    if hasattr(value, "to_json"):
+        return value.to_json()
+    if isinstance(value, (tuple, list)):
+        return [_json_form(v) for v in value]
+    return value
+
+
+class Reported:
+    """The one rule for how a result dataclass is written to a report: its
+    fields by name, each in its JSON form, leaving out a field that holds
+    None and a field declared ``field(metadata=UNREPORTED)``."""
+
+    def to_json(self) -> dict:
+        out = {}
+        for name in _reported_names(type(self)):
+            value = getattr(self, name)
+            if value is not None:
+                out[name] = value if type(value) in _PLAIN else _json_form(value)
+        return out
+
+
 @dataclass(frozen=True)
 class Inequality:
     """One checked claim lhs <= rhs, with slack = rhs - lhs; it passes
@@ -80,6 +123,8 @@ class Inequality:
         return self
 
     def to_json(self) -> dict:
+        # written out, not ``Reported``: a run writes each claim twice, and
+        # this form takes a quarter of the rule's time
         return {
             "name": self.name,
             "lhs": self.lhs,
@@ -89,7 +134,6 @@ class Inequality:
         }
 
 
-VectorLike = Union["BoundedFn", np.ndarray, Sequence[float]]
 # A Distribution or a raw nonnegative vector; _measure_vector converts both.
 MeasureLike = Union["Distribution", np.ndarray, Sequence[float]]
 
@@ -115,7 +159,7 @@ def _frozen_array(values, name: str, high: float, range_error: str) -> np.ndarra
 
 
 @dataclass(frozen=True)
-class FiniteDomain:
+class FiniteDomain(Reported):
     """A finite set of ``size`` points, optionally carrying an n-bit encoding.
 
     When ``bit_width`` is set, element i is identified with the n-bit binary
@@ -140,12 +184,6 @@ class FiniteDomain:
                 raise ValidationError(
                     f"domain size {_quoted(self.size)} does not fit in {self.bit_width} bits"
                 )
-
-    def to_json(self) -> dict:
-        d = {"size": self.size}
-        if self.bit_width is not None:
-            d["bit_width"] = self.bit_width
-        return d
 
     @classmethod
     def from_json(cls, obj: dict) -> "FiniteDomain":
@@ -214,18 +252,6 @@ class BoundedFn:
         return cls(v)
 
 
-def as_values(f: VectorLike) -> np.ndarray:
-    """Extract the raw value vector from a BoundedFn or a finite array-like."""
-    if isinstance(f, BoundedFn):
-        return f.values
-    arr = np.asarray(f, dtype=float)
-    if arr.ndim != 1:
-        raise ValidationError(f"expected a vector, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise ValidationError("vector entries must be finite")
-    return arr
-
-
 def _check_size(n: int, arr: np.ndarray, what: str) -> None:
     if arr.size != n:
         raise DomainMismatchError(n, arr.size, what)
@@ -249,28 +275,6 @@ def _measure_vector(m: MeasureLike, n: int | None, what: str) -> np.ndarray:
     if n is not None:
         _check_size(n, vec, what)
     return vec
-
-
-def expectation(f: VectorLike, dist: Distribution) -> float:
-    """E_{x~D}[f(x)] as an exact weighted sum.
-
-    Accepts signed vectors as well as BoundedFn; only the domain size is
-    checked here.
-    """
-    fv = as_values(f)
-    _check_size(dist.size, fv, "function")
-    return float(np.dot(dist.weights, fv))
-
-
-def correlation(f: VectorLike, g: BoundedFn, h: BoundedFn, dist: Distribution) -> float:
-    """E_{x~D}[f(x) (g(x) - h(x))] for a signed test f with values in [-1, 1]."""
-    fv = as_values(f)
-    _check_size(dist.size, fv, "test function")
-    _check_size(dist.size, g.values, "target")
-    _check_size(dist.size, h.values, "simulator")
-    if np.any(fv < -1) or np.any(fv > 1):
-        raise ValidationError("test function values must lie in [-1, 1]")
-    return float(np.dot(dist.weights, fv * (g.values - h.values)))
 
 
 def tv_distance(p: MeasureLike, q: MeasureLike) -> float:

@@ -34,7 +34,7 @@ import numpy as np
 
 from .boosting import BoostParams, _boost, calibrated_multiaccuracy, calibration_error
 from .domain import (
-    STRUCT_TOL, BoundedFn, Distribution, Inequality, _check_accuracy, tv_distance
+    STRUCT_TOL, BoundedFn, Distribution, Inequality, Reported, _check_accuracy, tv_distance
 )
 from .errors import InternalContractError, ValidationError
 from .families import (
@@ -59,7 +59,7 @@ from .kfold import (
 
 
 @dataclass(frozen=True)
-class MixtureInstance:
+class MixtureInstance(Reported):
     """Two source distributions, a prior, their mixture, and the posterior
     target g(x) = prior * D1(x) / D_X(x).
 
@@ -89,15 +89,6 @@ class MixtureInstance:
     @property
     def size(self) -> int:
         return self.d_x.size
-
-    def to_json(self) -> dict:
-        return {
-            "d0": self.d0.to_json(),
-            "d1": self.d1.to_json(),
-            "prior": self.prior,
-            "d_x": self.d_x.to_json(),
-            "g": self.g.to_json(),
-        }
 
 
 def build_mixture(d0: Distribution, d1: Distribution, prior: float) -> MixtureInstance:
@@ -130,15 +121,6 @@ class ProxyPair:
     tilde1: Distribution
     hat0: np.ndarray
     hat1: np.ndarray
-
-    def to_json(self) -> dict:
-        return {
-            "p": self.p,
-            "tilde0": self.tilde0.to_json(),
-            "tilde1": self.tilde1.to_json(),
-            "hat0": self.hat0.tolist(),
-            "hat1": self.hat1.tolist(),
-        }
 
 
 def build_proxies(inst: MixtureInstance, h: BoundedFn) -> ProxyPair:
@@ -244,7 +226,7 @@ def _hybrid_gaps(values: np.ndarray, pairs, k: int) -> list[float]:
 
 
 @dataclass(frozen=True)
-class CharacterizationReport:
+class CharacterizationReport(Reported):
     """All measured quantities and checked inequalities of a verification run."""
 
     mode: str
@@ -267,17 +249,6 @@ class CharacterizationReport:
             if iq.name == name:
                 return iq
         raise KeyError(name)
-
-    def to_json(self) -> dict:
-        return {
-            "mode": self.mode,
-            "instance": self.instance,
-            "params": self.params,
-            "audits": self.audits,
-            "inequalities": [iq.to_json() for iq in self.inequalities],
-            "witnesses": self.witnesses,
-            "extras": self.extras,
-        }
 
 
 def _check_verify_gamma(mode: str, epsilon: float, gamma: float) -> None:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -30,7 +30,10 @@ from .boosting import (
     calibration_error,
     updates_bound,
 )
-from .domain import BoundedFn, Distribution, Inequality, _cached, _check_accuracy, potential
+from .domain import (
+    UNREPORTED, BoundedFn, Distribution, Inequality, Reported, _cached, _check_accuracy,
+    potential,
+)
 from .errors import InternalContractError, ValidationError
 from .families import (
     ComplexityLabel,
@@ -53,17 +56,11 @@ _LABEL_BYTES = 168
 
 
 @dataclass(frozen=True)
-class RecurrenceBound:
+class RecurrenceBound(Reported):
     """Formal complexity-label sequence under the implementation's constants."""
 
     labels: tuple[ComplexityLabel, ...]
     saturated: bool
-
-    def to_json(self) -> dict:
-        return {
-            "labels": [l.to_json() for l in self.labels],
-            "saturated": self.saturated,
-        }
 
 
 def polylog_gates(epsilon: float) -> int:
@@ -166,37 +163,27 @@ def recurrence_bound(
 
 
 @dataclass(frozen=True)
-class SupersimResult:
+class SupersimResult(Reported):
     """Output of the expanding construction.
 
     ``level`` is the ladder index the simulator lives at; ``fooled_level``
     is the strictly-dominating index it is audited regular against.
-    ``inequalities`` is the measured contract, which ``to_json`` leaves out.
+    ``inequalities`` is the measured contract.  The simulator, its trace and
+    the contract are unreported fields: a report states the simulator and
+    the contract on their own.
     """
 
     level: int
     label: ComplexityLabel
     fooled_level: int
     fooled_label: ComplexityLabel
-    h: BoundedFn
+    h: BoundedFn = field(metadata=UNREPORTED)
     epsilon: float
     updates: int
     bound_index: int
-    trace: BoostTrace
+    trace: BoostTrace = field(metadata=UNREPORTED)
     recurrence: RecurrenceBound
-    inequalities: tuple[Inequality, ...] = ()
-
-    def to_json(self) -> dict:
-        return {
-            "level": self.level,
-            "label": self.label.to_json(),
-            "fooled_level": self.fooled_level,
-            "fooled_label": self.fooled_label.to_json(),
-            "epsilon": self.epsilon,
-            "updates": self.updates,
-            "bound_index": self.bound_index,
-            "recurrence": self.recurrence.to_json(),
-        }
+    inequalities: tuple[Inequality, ...] = field(default=(), metadata=UNREPORTED)
 
 
 def supersimulator_expanding(
@@ -257,19 +244,20 @@ def _expanding_contract(
 
 
 @dataclass(frozen=True)
-class PairResult:
+class PairResult(Reported):
     """Output of the shrinking construction: two adjacent simulators.
 
     ``h_prime`` is regular at eps_at_s and calibrated at eps_at_s against the
     ladder level ``level_s_prime`` = G(level_s); ``similarity`` is the exact
     L2 gap E[(h - h')^2], bounded by phi_gap + 4 * eps_at_s with the
-    constant 4 recorded in ``similarity_constant``.  ``inequalities``, which
-    ``to_json`` leaves out, are the claims a report states.
+    constant 4 recorded in ``similarity_constant``.  ``inequalities`` are the
+    claims a report states.  The two simulators and the claims are
+    unreported fields: a report states each on its own.
     """
 
-    h: BoundedFn
+    h: BoundedFn = field(metadata=UNREPORTED)
     level_s: int
-    h_prime: BoundedFn
+    h_prime: BoundedFn = field(metadata=UNREPORTED)
     level_s_prime: int
     similarity: float
     eps_at_s: float
@@ -280,22 +268,7 @@ class PairResult:
     round_bound: int
     similarity_constant: int
     recurrence: RecurrenceBound
-    inequalities: tuple[Inequality, ...]
-
-    def to_json(self) -> dict:
-        return {
-            "level_s": self.level_s,
-            "level_s_prime": self.level_s_prime,
-            "similarity": self.similarity,
-            "eps_at_s": self.eps_at_s,
-            "alpha": self.alpha,
-            "phi_gap": self.phi_gap,
-            "cross_term": self.cross_term,
-            "round_index": self.round_index,
-            "round_bound": self.round_bound,
-            "similarity_constant": self.similarity_constant,
-            "recurrence": self.recurrence.to_json(),
-        }
+    inequalities: tuple[Inequality, ...] = field(metadata=UNREPORTED)
 
 
 def supersimulator_shrinking(

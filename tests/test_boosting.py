@@ -140,8 +140,15 @@ def test_boost_trace_jsonl():
     )
     lines = trace.to_jsonl().splitlines()
     assert len(lines) == trace.update_count + 1
-    for line in lines:
-        json.loads(line)
+    *updates, _ = (json.loads(line) for line in lines)
+    assert updates
+    for record in updates:
+        # a plain boost update has no detail and no null field
+        assert set(record) == {
+            "step", "kind", "phi_before", "phi_after", "digest",
+            "correlation", "sign", "member_index", "descriptor",
+        }
+        assert None not in record.values()
 
 
 # -- calibration ------------------------------------------------------------

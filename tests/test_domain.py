@@ -12,54 +12,6 @@ from regsim.runner import run_config
 STRUCT = 1e-12
 
 
-def test_expectation_normalization(uniform2):
-    f = rs.BoundedFn(np.array([1.0, 1.0]))
-    assert rs.expectation(f, uniform2) == 1.0
-
-
-def test_expectation_direct_sum(uniform2):
-    assert rs.expectation(rs.BoundedFn(np.array([1.0, 0.0])), uniform2) == 0.5
-
-
-def test_expectation_hand_sum():
-    d = rs.Distribution(np.array([0.45, 0.55]))
-    f = rs.BoundedFn(np.array([0.25, 0.75]))
-    assert rs.expectation(f, d) == pytest.approx(0.525, abs=STRUCT)
-
-
-def test_expectation_domain_mismatch(uniform2):
-    with pytest.raises(rs.DomainMismatchError):
-        rs.expectation(rs.BoundedFn(np.array([1.0, 0.0, 0.0])), uniform2)
-
-
-def test_correlation_zero_residual(uniform2, g10):
-    f = np.array([1.0, -1.0])
-    assert rs.correlation(f, g10, g10, uniform2) == 0.0
-
-
-def test_correlation_hand_value(uniform2, g10):
-    h = rs.BoundedFn(np.array([0.5, 0.5]))
-    assert rs.correlation(np.array([0.0, 1.0]), g10, h, uniform2) == pytest.approx(-0.25, abs=STRUCT)
-
-
-def test_correlation_cancellation(uniform2, g10):
-    h = rs.BoundedFn(np.array([0.5, 0.5]))
-    assert rs.correlation(np.array([1.0, 1.0]), g10, h, uniform2) == pytest.approx(0.0, abs=STRUCT)
-
-
-def test_correlation_rejects_unsigned_range(uniform2, g10):
-    with pytest.raises(rs.ValidationError):
-        rs.correlation(np.array([2.0, 0.0]), g10, g10, uniform2)
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_raw_vectors_must_be_finite(uniform2, g10, bad):
-    with pytest.raises(rs.ValidationError, match="finite"):
-        rs.expectation(np.array([bad, 0.0]), uniform2)
-    with pytest.raises(rs.ValidationError, match="finite"):
-        rs.correlation(np.array([bad, 0.0]), g10, g10, uniform2)
-
-
 def test_tv_identity(uniform2):
     assert rs.tv_distance(uniform2, uniform2) == 0.0
 
@@ -183,6 +135,7 @@ def test_domain_invariants():
         rs.FiniteDomain(size=5, bit_width=2)
     dom = rs.FiniteDomain(size=4, bit_width=2)
     assert dom.to_json() == {"size": 4, "bit_width": 2}
+    assert rs.FiniteDomain(size=3).to_json() == {"size": 3}
     assert rs.FiniteDomain.from_json({"size": 3}) == rs.FiniteDomain(size=3)
 
 
